@@ -2,8 +2,9 @@
 
 Measures the balance phase alone — direct ``balancer.balance()`` calls on
 synthetic ``(K, d)`` gradient matrices, telemetry disabled — for every
-balancer with a pairwise kernel (MoCoGrad, PCGrad, GradVac) under both
-``pairwise_mode`` settings at K ∈ {2, 4, 8, 16}, and writes
+balancer with a pairwise kernel (MoCoGrad, PCGrad, GradVac), production
+vectorized kernel against its per-pair loop reference
+(``tests/reference/balancers.py``) at K ∈ {2, 4, 8, 16}, and writes
 ``BENCH_balancers.json`` at the repository root.
 
 The workload isolates what PR 4 changed: Algorithm 1's conflict test and
@@ -13,17 +14,17 @@ kernels read the shared per-step GradStats cache (one K×K Gram GEMM) and
 do O(K) incremental updates per pair.  d = 4096 matches the shared-trunk
 dimensionality regime of the paper's benchmarks.
 
-Below each balancer's ``vectorize_min_tasks`` threshold (default 4;
-PCGrad uses 6) the vectorized mode dispatches to the loop kernel (the
-fixed overhead loses to a handful of pairs), so those rows compare
-identical code and are recorded with ``"vectorized_kernel": false`` and
-excluded from the smoke gate.
+Rows below ``MIN_GATED_TASKS`` (K=2; PCGrad also K=4) are recorded with
+``"gated": false``: there the vectorized kernel's fixed overhead (mask
+construction, coefficient matrix, final GEMM) is not paid back by a
+handful of pairs, so they are diagnostics outside the smoke gate and the
+trend file.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_balancers.py [--smoke] [--out PATH]
 
-``--smoke`` shrinks the run for CI and exits non-zero if any genuinely
+``--smoke`` shrinks the run for CI and exits non-zero if any gated
 vectorized kernel is slower than its loop reference (speedup < 1.0).
 """
 
@@ -37,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 from benchlib import provenance
+from tests.reference.balancers import LOOP_KERNELS
 
 import repro.balancers  # noqa: F401 - triggers registration
 from repro.core import create_balancer
@@ -44,6 +46,8 @@ from repro.core import create_balancer
 TASK_COUNTS = (2, 4, 8, 16)
 DIM = 4096
 BALANCERS = ("mocograd", "pcgrad", "gradvac")
+#: Smallest K whose row the smoke gate (and the trend file) covers.
+MIN_GATED_TASKS = {"mocograd": 4, "pcgrad": 6, "gradvac": 4}
 
 
 def median_balance_seconds(
@@ -53,7 +57,10 @@ def median_balance_seconds(
     rng = np.random.default_rng(0)
     grads = [rng.normal(size=(num_tasks, DIM)) for _ in range(warmup + steps)]
     losses = np.ones(num_tasks)
-    balancer = create_balancer(name, seed=0, pairwise_mode=mode)
+    if mode == "loop":
+        balancer = LOOP_KERNELS[name](seed=0)
+    else:
+        balancer = create_balancer(name, seed=0)
     balancer.reset(num_tasks)
     durations = []
     for matrix in grads:
@@ -66,7 +73,6 @@ def median_balance_seconds(
 def run(steps: int, warmup: int) -> dict:
     results = []
     for name in BALANCERS:
-        min_tasks = create_balancer(name).vectorize_min_tasks
         for num_tasks in TASK_COUNTS:
             loop = median_balance_seconds(name, "loop", num_tasks, steps, warmup)
             vectorized = median_balance_seconds(name, "vectorized", num_tasks, steps, warmup)
@@ -77,9 +83,7 @@ def run(steps: int, warmup: int) -> dict:
                     "loop_seconds": loop,
                     "vectorized_seconds": vectorized,
                     "speedup": loop / vectorized,
-                    # Below the dispatch threshold both modes run the loop
-                    # kernel; the row then measures noise around 1.0.
-                    "vectorized_kernel": num_tasks >= min_tasks,
+                    "gated": num_tasks >= MIN_GATED_TASKS[name],
                 }
             )
     return {
@@ -117,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"{'balancer':>10} {'K':>3} {'loop (ms)':>10} {'vectorized (ms)':>16} {'speedup':>8}")
     for row in report["results"]:
-        note = "" if row["vectorized_kernel"] else "  (loop dispatch)"
+        note = "" if row["gated"] else "  (ungated)"
         print(
             f"{row['balancer']:>10} {row['num_tasks']:>3} "
             f"{row['loop_seconds'] * 1e3:>10.3f} "
@@ -129,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         slow = [
             r
             for r in report["results"]
-            if r["vectorized_kernel"] and r["speedup"] < 1.0
+            if r["gated"] and r["speedup"] < 1.0
         ]
         if slow:
             rows = ", ".join(f"{r['balancer']}@K={r['num_tasks']}" for r in slow)

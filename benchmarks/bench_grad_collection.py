@@ -2,7 +2,8 @@
 
 Measures the backward phase (the ``step/backward`` telemetry span, i.e.
 gradient collection only — no forward, balancing, or optimizer time) of
-``MTLTrainer`` under both ``backward_mode`` settings on a single-input
+``MTLTrainer`` (one multi-root walk) against the per-task reference loop
+(``tests/reference/trainer.py``: K backward passes) on a single-input
 hard-parameter-sharing problem at K ∈ {2, 4, 8} tasks, and writes
 ``BENCH_grad_collection.json`` at the repository root.
 
@@ -28,13 +29,13 @@ from pathlib import Path
 
 import numpy as np
 from benchlib import provenance
+from tests.reference.trainer import TRAINERS
 
 from repro.arch import HardParameterSharing, LinearHead, MLPEncoder
 from repro.balancers import EqualWeighting
 from repro.data import TaskSpec
 from repro.nn.functional import mse_loss
 from repro.obs import Telemetry
-from repro.training import MTLTrainer
 
 TASK_COUNTS = (2, 4, 8)
 BATCH = 32
@@ -56,14 +57,7 @@ def median_backward_seconds(
         {name: LinearHead(HIDDEN[-1], 1, np.random.default_rng(2)) for name in names},
     )
     telemetry = Telemetry()
-    trainer = MTLTrainer(
-        model,
-        tasks,
-        EqualWeighting(),
-        seed=0,
-        backward_mode=mode,
-        telemetry=telemetry,
-    )
+    trainer = TRAINERS[mode](model, tasks, EqualWeighting(), seed=0, telemetry=telemetry)
     for _ in range(warmup + steps):
         trainer.train_step_single(x, targets)
     return float(np.median(telemetry.durations("step/backward")[warmup:]))

@@ -1,19 +1,12 @@
 """Optimizer microbenchmark: flat arena steps vs per-parameter loops.
 
-Two measurements, both written to ``BENCH_optim.json`` at the repository
-root:
-
-1. **Optimizer step** — each registered optimizer (SGD+momentum, Adam,
-   AdaGrad, RMSProp) over an arena-packed parameter set shaped like a real
-   model (many small tensors, total d ≥ 1e5), timed in
-   ``step_mode="flat"`` vs ``step_mode="loop"``.  The acceptance bar is
-   ≥ 1.5× on Adam at this d; CI's smoke gate fails any optimizer below
-   1.0×.
-2. **Full train step** — ``MTLTrainer`` (Adam, multi-root backward) with the
-   arena on (``use_arena=True, step_mode="flat"``) vs off
-   (``use_arena=False``), timing the whole ``step`` span: the packed path
-   removes the flatten/scatter copies and the per-parameter optimizer loop
-   from every step.
+Each registered optimizer (SGD+momentum, Adam, AdaGrad, RMSProp) over an
+arena-packed parameter set shaped like a real model (many small tensors,
+total d ≥ 1e5) runs its fused flat kernel; the same optimizer over an
+unpacked copy (``tests/reference/optim.py``) runs the per-parameter loop
+kernel.  Both are timed and written to ``BENCH_optim.json`` at the
+repository root.  The acceptance bar is ≥ 1.5× on Adam at this d; CI's
+smoke gate fails any optimizer below 1.0×.
 
 The flat kernels must also be allocation-free: after warmup, one flat
 ``_step`` may not allocate a single d-length temporary.  This is asserted
@@ -27,7 +20,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_optim.py [--smoke] [--out PATH]
 
 ``--smoke`` shrinks the run for CI and exits non-zero if any flat kernel is
-slower than its loop oracle (speedup < 1.0) or the allocation probe trips.
+slower than its loop reference (speedup < 1.0) or the allocation probe trips.
 """
 
 from __future__ import annotations
@@ -40,14 +33,9 @@ from pathlib import Path
 
 import numpy as np
 from benchlib import provenance
+from tests.reference.optim import unpacked_copy
 
-from repro.arch import HardParameterSharing, LinearHead, MLPEncoder
-from repro.balancers import EqualWeighting
-from repro.data import TaskSpec
 from repro.nn import Adam, AdaGrad, Parameter, ParameterArena, RMSProp, SGD
-from repro.nn.functional import mse_loss
-from repro.obs import Telemetry
-from repro.training import MTLTrainer
 
 OPTIMIZERS = {
     "sgdm": (SGD, dict(lr=1e-2, momentum=0.9, weight_decay=1e-4)),
@@ -59,11 +47,6 @@ OPTIMIZERS = {
 # ~256 tensors averaging ~430 elements: the granularity of a real trunk
 # (weights + biases), total d ≈ 1.1e5 — the Adam/d≥1e5 acceptance config.
 PARAM_SHAPES = [(24, 16), (16,)] * 128
-
-TRAIN_BATCH = 32
-TRAIN_IN_DIM = 16
-TRAIN_HIDDEN = [48] * 6
-TRAIN_TASKS = 4
 
 
 def make_arena(seed: int = 0) -> ParameterArena:
@@ -92,14 +75,21 @@ def assert_allocation_free(optimizer, dim: int) -> int:
     return delta
 
 
-def time_optimizer_steps(name: str, step_mode: str, steps: int, warmup: int) -> float:
-    """Median seconds per optimizer step in the given mode."""
+def time_optimizer_steps(name: str, flat: bool, steps: int, warmup: int) -> float:
+    """Median seconds per step of the flat kernel or the loop reference."""
     import time
 
     cls, kwargs = OPTIMIZERS[name]
     arena = make_arena()
-    optimizer = cls(arena, step_mode=step_mode, **kwargs)
     arena.grad[:] = np.random.default_rng(1).normal(size=arena.size)
+    if flat:
+        optimizer = cls(arena, **kwargs)
+    else:
+        plain = unpacked_copy(arena.parameters)
+        for param, packed in zip(plain, arena.parameters):
+            param.grad = packed.grad.copy()
+        optimizer = cls(plain, **kwargs)
+    assert optimizer.flat is flat
     durations = []
     for i in range(warmup + steps):
         start = time.perf_counter()
@@ -114,13 +104,13 @@ def bench_optimizer_steps(steps: int, warmup: int) -> list[dict]:
     for name in OPTIMIZERS:
         cls, kwargs = OPTIMIZERS[name]
         arena = make_arena()
-        flat = cls(arena, step_mode="flat", **kwargs)
+        flat = cls(arena, **kwargs)
         arena.grad[:] = np.random.default_rng(1).normal(size=arena.size)
         for _ in range(3):  # warm scratch/state before probing
             flat.step()
         probe_bytes = assert_allocation_free(flat, arena.size)
-        loop_seconds = time_optimizer_steps(name, "loop", steps, warmup)
-        flat_seconds = time_optimizer_steps(name, "flat", steps, warmup)
+        loop_seconds = time_optimizer_steps(name, False, steps, warmup)
+        flat_seconds = time_optimizer_steps(name, True, steps, warmup)
         results.append(
             {
                 "optimizer": name,
@@ -135,39 +125,7 @@ def bench_optimizer_steps(steps: int, warmup: int) -> list[dict]:
     return results
 
 
-def median_train_step_seconds(use_arena: bool, steps: int, warmup: int) -> float:
-    """Median whole-step seconds of an MTLTrainer with/without the arena."""
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(TRAIN_BATCH, TRAIN_IN_DIM))
-    names = [f"t{k}" for k in range(TRAIN_TASKS)]
-    targets = {name: rng.normal(size=TRAIN_BATCH) for name in names}
-    tasks = [TaskSpec(name, mse_loss, {}, {}) for name in names]
-    model = HardParameterSharing(
-        MLPEncoder(TRAIN_IN_DIM, TRAIN_HIDDEN, np.random.default_rng(1)),
-        {
-            name: LinearHead(TRAIN_HIDDEN[-1], 1, np.random.default_rng(2))
-            for name in names
-        },
-    )
-    telemetry = Telemetry()
-    trainer = MTLTrainer(
-        model,
-        tasks,
-        EqualWeighting(),
-        seed=0,
-        telemetry=telemetry,
-        use_arena=use_arena,
-        step_mode="auto",
-    )
-    for _ in range(warmup + steps):
-        trainer.train_step_single(x, targets)
-    return float(np.median(telemetry.durations("step")[warmup:]))
-
-
-def run(steps: int, warmup: int, train_steps: int, train_warmup: int) -> dict:
-    optimizer_results = bench_optimizer_steps(steps, warmup)
-    loop_step = median_train_step_seconds(False, train_steps, train_warmup)
-    flat_step = median_train_step_seconds(True, train_steps, train_warmup)
+def run(steps: int, warmup: int) -> dict:
     return {
         "benchmark": "optim",
         "workload": {
@@ -175,22 +133,9 @@ def run(steps: int, warmup: int, train_steps: int, train_warmup: int) -> dict:
             "num_parameters": len(PARAM_SHAPES),
             "steps": steps,
             "warmup": warmup,
-            "train": {
-                "batch": TRAIN_BATCH,
-                "in_dim": TRAIN_IN_DIM,
-                "hidden": TRAIN_HIDDEN,
-                "tasks": TRAIN_TASKS,
-                "steps": train_steps,
-                "warmup": train_warmup,
-            },
         },
         **provenance(),
-        "results": optimizer_results,
-        "train_step": {
-            "loop_seconds": loop_step,
-            "flat_seconds": flat_step,
-            "speedup": loop_step / flat_step,
-        },
+        "results": bench_optimizer_steps(steps, warmup),
     }
 
 
@@ -199,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="short CI run; fail (exit 1) if any flat kernel is slower than its loop oracle",
+        help="short CI run; fail (exit 1) if any flat kernel is slower than its loop reference",
     )
     parser.add_argument(
         "--out",
@@ -210,8 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     steps, warmup = (60, 10) if args.smoke else (200, 20)
-    train_steps, train_warmup = (15, 5) if args.smoke else (40, 8)
-    report = run(steps, warmup, train_steps, train_warmup)
+    report = run(steps, warmup)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     print(f"{'optimizer':>9} {'loop (us)':>10} {'flat (us)':>10} {'speedup':>8}")
@@ -220,24 +164,13 @@ def main(argv: list[str] | None = None) -> int:
             f"{row['optimizer']:>9} {row['loop_seconds'] * 1e6:>10.1f} "
             f"{row['flat_seconds'] * 1e6:>10.1f} {row['speedup']:>7.2f}x"
         )
-    train = report["train_step"]
-    print(
-        f"train-step: no-arena {train['loop_seconds'] * 1e3:.3f} ms, "
-        f"arena {train['flat_seconds'] * 1e3:.3f} ms, {train['speedup']:.2f}x"
-    )
     print(f"wrote {args.out}")
 
     if args.smoke:
         slow = [r for r in report["results"] if r["speedup"] < 1.0]
-        failures = []
         if slow:
             names = ", ".join(r["optimizer"] for r in slow)
-            failures.append(f"flat slower than loop for: {names}")
-        if train["speedup"] < 1.0:
-            failures.append(f"arena train step slower than loop ({train['speedup']:.2f}x)")
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
+            print(f"FAIL: flat slower than loop for: {names}", file=sys.stderr)
             return 1
     return 0
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import platform
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,11 @@ import numpy as np
 BENCH_SCHEMA = 2
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# The ratio benches divide by the reference implementations kept with the
+# tests (``tests/reference/``); the repository root makes them importable.
+if str(REPO_ROOT) not in sys.path:
+    sys.path.append(str(REPO_ROOT))
 
 
 def git_sha(short: bool = True) -> str:

@@ -10,10 +10,8 @@ Tracked metrics (label → speedup):
 
 - ``grad_collection/K{K}`` — multi-root vs per-task backward;
 - ``balancers/{name}/K{K}`` — vectorized vs loop pairwise kernels
-  (rows below the dispatch threshold, ``"vectorized_kernel": false``,
-  compare identical code and are skipped);
+  (small-K diagnostic rows, ``"gated": false``, are skipped);
 - ``optim/{name}`` — flat vs loop optimizer step;
-- ``optim/train_step`` — arena vs no-arena whole train step;
 - ``parallel/K{K}/W{W}`` — W shared-memory workers vs sequential (only
   recorded when the host has at least W usable cores — see
   ``bench_parallel.py``);
@@ -72,17 +70,16 @@ def extract_metrics(report: dict) -> dict[str, float]:
             metrics[f"grad_collection/K{row['num_tasks']}"] = float(row["speedup"])
     elif kind == "balancers":
         for row in report.get("results", []):
-            if not row.get("vectorized_kernel", True):
-                continue  # loop-dispatch rows measure noise around 1.0
+            # Reports written while the loop kernels still shipped in src/
+            # mark the same diagnostic rows "vectorized_kernel": false.
+            if not row.get("gated", row.get("vectorized_kernel", True)):
+                continue
             metrics[f"balancers/{row['balancer']}/K{row['num_tasks']}"] = float(
                 row["speedup"]
             )
     elif kind == "optim":
         for row in report.get("results", []):
             metrics[f"optim/{row['optimizer']}"] = float(row["speedup"])
-        train = report.get("train_step")
-        if train:
-            metrics["optim/train_step"] = float(train["speedup"])
     elif kind == "parallel":
         # Parallel speedup is hardware-bound: a W-worker run cannot beat
         # sequential on fewer than W cores, so only configurations the

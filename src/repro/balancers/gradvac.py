@@ -11,17 +11,18 @@ MoCoGrad paper's Eq. 7):
 
 which makes the manipulated gradient's similarity to g_j exactly φ̂.
 
-Kernels: like PCGrad the surgery is order-dependent (each pull changes
-the running g_i' whose cosine gates later pulls), so the fast path
-(``pairwise_mode="vectorized"``, default) keeps the partner loop but
-feeds it from the shared :class:`~repro.core.gradstats.GradStats` cache:
-partner norms come from the cached row reduction, and the running
-``⟨g_i', g_l⟩`` row and ``‖g_i'‖²`` update incrementally in O(K) per pull
+Kernel: like PCGrad the surgery is order-dependent (each pull changes
+the running g_i' whose cosine gates later pulls), so the kernel keeps the
+partner loop but feeds it from the shared
+:class:`~repro.core.gradstats.GradStats` cache: partner norms come from
+the cached row reduction, and the running ``⟨g_i', g_l⟩`` row and
+``‖g_i'‖²`` update incrementally in O(K) per pull
 (``g_i' += α g_j`` ⇒ ``dots += α·Gram[j]``,
 ``‖g_i'‖² += 2α·⟨g_i', g_j⟩ + α²·‖g_j‖²``) instead of re-running d-length
 norm/dot kernels per pair.  The accumulated pull coefficients are applied
-at the end as one ``(K, K) @ (K, d)`` GEMM.  ``pairwise_mode="loop"``
-keeps the original reference implementation.
+at the end as one ``(K, K) @ (K, d)`` GEMM.  The per-pair loop it replaced
+is the reference implementation the tests compare against
+(``tests/reference/``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.balancer import GradientBalancer, register_balancer
-from ..core.conflict import _cosine_pair
 
 __all__ = ["GradVac", "gradvac_coefficient"]
 
@@ -57,13 +57,8 @@ class GradVac(GradientBalancer):
     faster on short synthetic runs).
     """
 
-    def __init__(
-        self,
-        ema_beta: float = 0.01,
-        pairwise_mode: str = "vectorized",
-        seed: int | None = None,
-    ) -> None:
-        super().__init__(seed=seed, pairwise_mode=pairwise_mode)
+    def __init__(self, ema_beta: float = 0.01, seed: int | None = None) -> None:
+        super().__init__(seed=seed)
         if not 0.0 < ema_beta <= 1.0:
             raise ValueError("ema_beta must be in (0, 1]")
         self.ema_beta = ema_beta
@@ -101,27 +96,6 @@ class GradVac(GradientBalancer):
         grads, _ = self._check_inputs(grads, losses)
         num_tasks = grads.shape[0]
         targets = self._check_targets(num_tasks)
-
-        if not self._use_vectorized(num_tasks):
-            adjusted = grads.copy()
-            for i in range(num_tasks):
-                partners = [j for j in range(num_tasks) if j != i]
-                self.rng.shuffle(partners)
-                for j in partners:
-                    cos_current = _cosine_pair(adjusted[i], grads[j])
-                    cos_target = targets[i, j]
-                    if cos_current < cos_target:
-                        alpha = gradvac_coefficient(
-                            float(np.linalg.norm(adjusted[i])),
-                            float(np.linalg.norm(grads[j])),
-                            cos_current,
-                            cos_target,
-                        )
-                        adjusted[i] = adjusted[i] + alpha * grads[j]
-                    targets[i, j] = (
-                        1.0 - self.ema_beta
-                    ) * cos_target + self.ema_beta * cos_current
-            return adjusted.sum(axis=0)
 
         stats = self.gradstats
         gram = stats.gram

@@ -9,17 +9,18 @@ g_j (paper Eq. 5):
 Each task's gradient is "surgered" against all other tasks in random order,
 then the surgered gradients are summed.
 
-Kernels: the surgery is *order-dependent* — each projection changes the
+Kernel: the surgery is *order-dependent* — each projection changes the
 running g_i' whose inner products gate later projections — so it cannot
-collapse to one matrix product.  The fast path (``pairwise_mode=
-"vectorized"``, default) keeps the partner loop but removes every
-d-length BLAS-1 call from it: partner norms² and the initial inner
-products come from the shared :class:`~repro.core.gradstats.GradStats`
-Gram, each projection updates the running inner-product row incrementally
-in O(K) (``⟨g_i' − c·g_j, g_l⟩ = ⟨g_i', g_l⟩ − c·Gram[j, l]``), and the
+collapse to one matrix product.  The kernel keeps the partner loop but
+removes every d-length BLAS-1 call from it: partner norms² and the initial
+inner products come from the shared
+:class:`~repro.core.gradstats.GradStats` Gram, each projection updates
+the running inner-product row incrementally in O(K)
+(``⟨g_i' − c·g_j, g_l⟩ = ⟨g_i', g_l⟩ − c·Gram[j, l]``), and the
 accumulated projection coefficients are applied at the end as a single
-``(K, K) @ (K, d)`` GEMM.  ``pairwise_mode="loop"`` keeps the original
-per-pair reference implementation.
+``(K, K) @ (K, d)`` GEMM.  The per-pair loop over
+:func:`project_conflicting` it replaced is the reference implementation
+the tests compare against (``tests/reference/``).
 """
 
 from __future__ import annotations
@@ -48,25 +49,9 @@ def project_conflicting(grad_i: np.ndarray, grad_j: np.ndarray) -> np.ndarray:
 class PCGrad(GradientBalancer):
     """Gradient surgery via projection onto normal planes."""
 
-    #: PCGrad's loop kernel is the cheapest pairwise loop in the registry
-    #: (two BLAS-1 calls per pair, no norms or cosines), so the vectorized
-    #: kernel only clearly wins from ~6 tasks; K=4 sits at parity.
-    vectorize_min_tasks = 6
-
     def balance(self, grads: np.ndarray, losses: np.ndarray) -> np.ndarray:
         grads, _ = self._check_inputs(grads, losses)
         num_tasks = grads.shape[0]
-        if not self._use_vectorized(num_tasks):
-            surgered = grads.copy()
-            for i in range(num_tasks):
-                partners = [j for j in range(num_tasks) if j != i]
-                self.rng.shuffle(partners)
-                for j in partners:
-                    # Project the running surgered gradient against the *raw*
-                    # partner gradient, as in the reference implementation.
-                    surgered[i] = project_conflicting(surgered[i], grads[j])
-            return surgered.sum(axis=0)
-
         stats = self.gradstats
         gram = stats.gram
         norms_sq = stats.norms_sq

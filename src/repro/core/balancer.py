@@ -17,44 +17,21 @@ Pairwise kernels: :meth:`GradientBalancer._check_inputs` builds one
 K×K Gram matrix, per-task norms, pairwise cosines, and the conflict
 mask — exposed as :attr:`GradientBalancer.gradstats`.  The base class's
 conflict telemetry and every conflict-aware balancer read this shared
-cache instead of recomputing inner products.  ``pairwise_mode`` selects
-between the ``"vectorized"`` kernels (default) and the original
-``"loop"`` reference implementations in MoCoGrad / PCGrad / GradVac;
-the two produce matching trajectories and identical telemetry counters
-(see ``tests/balancers/test_pairwise_modes.py``).
+cache instead of recomputing inner products.  The per-pair loop kernels
+the vectorized ones replaced live with the tests as reference
+implementations (``tests/reference/balancers.py``).
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Callable
 
 import numpy as np
 
 from ..obs import NULL_TELEMETRY, Telemetry
-from .conflict import _balancer_hot_path
 from .gradstats import GradStats
 
 __all__ = ["GradientBalancer", "register_balancer", "create_balancer", "available_balancers"]
-
-PAIRWISE_MODES = ("vectorized", "loop")
-
-
-def _wrap_hot_path(balance: Callable) -> Callable:
-    """Mark the dynamic extent of ``balance()`` for the deprecation guard.
-
-    Per-pair use of :func:`repro.core.conflict.cosine_similarity` /
-    :func:`gradient_conflict_degree` inside this extent triggers a
-    one-shot :class:`DeprecationWarning` pointing at ``self.gradstats``.
-    """
-
-    @functools.wraps(balance)
-    def wrapped(self, grads, losses):
-        with _balancer_hot_path():
-            return balance(self, grads, losses)
-
-    wrapped.__wrapped_hot_path__ = True
-    return wrapped
 
 
 class GradientBalancer:
@@ -63,38 +40,15 @@ class GradientBalancer:
     #: registry name; subclasses set this
     name: str = "base"
 
-    #: Small-K kernel dispatch: under ``pairwise_mode="vectorized"`` the
-    #: loop kernel still runs when K < this threshold, where the
-    #: vectorized kernels' fixed overhead (mask construction, coefficient
-    #: matrices, the final GEMM) exceeds the cost of a handful of pairs.
-    #: Both kernels produce matching trajectories, so this is purely a
-    #: performance choice; tests set it to 0 to force the vectorized
-    #: kernel at every K.
-    vectorize_min_tasks: int = 4
-
-    def __init__(self, seed: int | None = None, pairwise_mode: str = "vectorized") -> None:
-        if pairwise_mode not in PAIRWISE_MODES:
-            raise ValueError(
-                f"pairwise_mode must be one of {PAIRWISE_MODES}; got {pairwise_mode!r}"
-            )
+    def __init__(self, seed: int | None = None) -> None:
         self._seed = seed
         self.rng = np.random.default_rng(seed)
         self.num_tasks: int | None = None
-        #: ``"vectorized"`` (GradStats-backed kernels) or ``"loop"`` (the
-        #: original per-pair reference loops, kept as the equivalence
-        #: oracle).  Balancers without a pairwise loop ignore this.
-        self.pairwise_mode = pairwise_mode
         #: telemetry hook; :class:`~repro.training.trainer.MTLTrainer`
         #: replaces the inert default with its own instance, so every
         #: balancer gets per-step conflict counters for free.
         self.telemetry: Telemetry = NULL_TELEMETRY
         self._stats: GradStats | None = None
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        balance = cls.__dict__.get("balance")
-        if balance is not None and not getattr(balance, "__wrapped_hot_path__", False):
-            cls.balance = _wrap_hot_path(balance)
 
     # ------------------------------------------------------------------
     @property
@@ -107,10 +61,6 @@ class GradientBalancer:
         none of them costs nothing.
         """
         return self._stats
-
-    def _use_vectorized(self, num_tasks: int) -> bool:
-        """Whether the vectorized pairwise kernel should run for this K."""
-        return self.pairwise_mode == "vectorized" and num_tasks >= self.vectorize_min_tasks
 
     # ------------------------------------------------------------------
     def reset(self, num_tasks: int) -> None:
@@ -191,7 +141,7 @@ class GradientBalancer:
         """
         return {}
 
-    def _record_conflict_telemetry(self, stats: GradStats | np.ndarray) -> None:
+    def _record_conflict_telemetry(self, stats: GradStats) -> None:
         """Count conflicting gradient pairs (GCD > 1 ⇔ negative cosine).
 
         Runs on every :meth:`balance` call of every balancer — the base
@@ -201,8 +151,6 @@ class GradientBalancer:
         a disabled-telemetry step with a geometry-free balancer never
         runs the Gram GEMM at all.
         """
-        if isinstance(stats, np.ndarray):  # pre-GradStats callers
-            stats = GradStats(stats)
         telemetry = self.telemetry
         if not telemetry.enabled or stats.num_tasks < 2:
             return

@@ -14,20 +14,16 @@ Implements
 These are the quantities behind Fig. 1 and Fig. 2 and behind MoCoGrad's
 conflict test (Algorithm 1 line 9).
 
-Hot-path note: the per-pair helpers (:func:`cosine_similarity`,
-:func:`gradient_conflict_degree`, :func:`is_conflicting`) are *diagnostic*
-API.  Calling them per pair from inside a balancer's ``balance()`` is
-deprecated — it recomputes d-length products the shared per-step
-:class:`~repro.core.gradstats.GradStats` cache already holds; a one-shot
-:class:`DeprecationWarning` fires on the first such call.  The matrix
-functions (:func:`pairwise_gcd`, :func:`conflict_fraction`) are backed by
-:class:`GradStats` and stay cheap anywhere.
+The per-pair helpers (:func:`cosine_similarity`,
+:func:`gradient_conflict_degree`, :func:`is_conflicting`) recompute
+d-length products on every call; a balancer's ``balance()`` reads the
+shared per-step :class:`~repro.core.gradstats.GradStats` cache instead.
+The matrix functions (:func:`pairwise_gcd`, :func:`conflict_fraction`) are
+backed by :class:`GradStats`.
 """
 
 from __future__ import annotations
 
-import warnings
-from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
@@ -46,52 +42,6 @@ __all__ = [
 
 _EPS = 1e-12
 
-# ----------------------------------------------------------------------
-# Hot-path deprecation guard.  GradientBalancer wraps every subclass's
-# balance() in _balancer_hot_path(); the public per-pair helpers warn
-# (once per process) when called with the flag set.  The balancers' own
-# reference loops call the private _cosine_pair, which never warns.
-# ----------------------------------------------------------------------
-_hot_path_depth = 0
-_hot_path_warned = False
-
-
-@contextmanager
-def _balancer_hot_path():
-    """Mark the dynamic extent of a ``GradientBalancer.balance()`` call."""
-    global _hot_path_depth
-    _hot_path_depth += 1
-    try:
-        yield
-    finally:
-        _hot_path_depth -= 1
-
-
-def _warn_if_hot_path(name: str) -> None:
-    global _hot_path_warned
-    if _hot_path_depth == 0 or _hot_path_warned:
-        return
-    _hot_path_warned = True
-    warnings.warn(
-        f"calling {name}() per pair inside a balancer hot path is deprecated; "
-        "read the shared per-step cache instead (balancer.gradstats — Gram, "
-        "norms, cosines, and conflict mask are computed once per step). "
-        f"{name}() remains supported as a standalone diagnostic.",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _cosine_pair(grad_i: np.ndarray, grad_j: np.ndarray) -> float:
-    """Cosine of two gradient vectors; 0.0 when either is (near) zero."""
-    grad_i = np.asarray(grad_i, dtype=np.float64).reshape(-1)
-    grad_j = np.asarray(grad_j, dtype=np.float64).reshape(-1)
-    norm_i = np.linalg.norm(grad_i)
-    norm_j = np.linalg.norm(grad_j)
-    if norm_i < _EPS or norm_j < _EPS:
-        return 0.0
-    return float(np.dot(grad_i, grad_j) / (norm_i * norm_j))
-
 
 # ----------------------------------------------------------------------
 # Per-pair diagnostics (Definition 3)
@@ -102,20 +52,23 @@ def cosine_similarity(grad_i: np.ndarray, grad_j: np.ndarray) -> float:
     Returns 0.0 when either vector is (numerically) zero, so a vanished
     gradient neither counts as conflicting nor as aligned.
     """
-    _warn_if_hot_path("cosine_similarity")
-    return _cosine_pair(grad_i, grad_j)
+    grad_i = np.asarray(grad_i, dtype=np.float64).reshape(-1)
+    grad_j = np.asarray(grad_j, dtype=np.float64).reshape(-1)
+    norm_i = np.linalg.norm(grad_i)
+    norm_j = np.linalg.norm(grad_j)
+    if norm_i < _EPS or norm_j < _EPS:
+        return 0.0
+    return float(np.dot(grad_i, grad_j) / (norm_i * norm_j))
 
 
 def gradient_conflict_degree(grad_i: np.ndarray, grad_j: np.ndarray) -> float:
     """GCD (Definition 3): ``1 − cos φ_ij`` ∈ [0, 2]."""
-    _warn_if_hot_path("gradient_conflict_degree")
-    return 1.0 - _cosine_pair(grad_i, grad_j)
+    return 1.0 - cosine_similarity(grad_i, grad_j)
 
 
 def is_conflicting(grad_i: np.ndarray, grad_j: np.ndarray) -> bool:
     """Whether the two task gradients conflict (GCD > 1 ⇔ cos < 0)."""
-    _warn_if_hot_path("is_conflicting")
-    return _cosine_pair(grad_i, grad_j) < 0.0
+    return cosine_similarity(grad_i, grad_j) < 0.0
 
 
 # ----------------------------------------------------------------------

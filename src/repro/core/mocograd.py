@@ -28,20 +28,20 @@ Fidelity notes (also recorded in DESIGN.md):
   ‖m_j‖; calibration is skipped for a partner with (numerically) zero
   momentum — the first step therefore reduces to plain joint training.
 
-Kernels: under ``momentum_update="per_step"`` every calibration reads the
+Kernel: under ``momentum_update="per_step"`` every calibration reads the
 step-(t−1) momentum and the raw gradients, so the double loop over ordered
 pairs commutes — the whole of Eq. (8) collapses to one masked matrix
-product (``pairwise_mode="vectorized"``, the default):
+product:
 
     ĝ = g + λ · C · (s ⊙ m),   C[i,j] = conflict(i,j) ∧ ‖m_j‖ ≥ ε,
                                s_j    = ‖g_j‖ / ‖m_j‖,
 
 with the conflict mask and norms read from the shared per-step
 :class:`~repro.core.gradstats.GradStats` cache and all telemetry counters
-derived from mask sums.  ``pairwise_mode="loop"`` keeps the original
-per-pair loop as the reference oracle; ``momentum_update="per_pair"``
-is inherently sequential (momentum mutates mid-loop) and always runs the
-loop kernel.
+derived from mask sums.  The per-pair loop it replaced is the reference
+implementation the tests compare against (``tests/reference/``).
+``momentum_update="per_pair"`` is inherently sequential (momentum mutates
+mid-loop) and runs the per-pair loop.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from .balancer import GradientBalancer, register_balancer
-from .conflict import _cosine_pair
+from .conflict import cosine_similarity
 from .gradstats import GradStats
 
 __all__ = ["MoCoGrad"]
@@ -78,11 +78,6 @@ class MoCoGrad(GradientBalancer):
         Optional p > 0 enabling Corollary 1's schedule λ_t = λ/t^p — the
         setting under which the O(√T) regret bound is proven (p = 1/2).
         ``None`` (default) keeps λ constant, as in the paper's experiments.
-    pairwise_mode:
-        ``"vectorized"`` (default) computes Eq. (8) as one masked matrix
-        product over the shared GradStats cache; ``"loop"`` runs the
-        original per-pair reference loop.  Only affects ``per_step``
-        momentum updates; ``per_pair`` always loops.
     seed:
         Seeds the random partner-ordering required by Algorithm 1 line 7.
     """
@@ -94,10 +89,9 @@ class MoCoGrad(GradientBalancer):
         momentum_update: str = "per_step",
         momentum_source: str = "raw",
         calibration_decay: float | None = None,
-        pairwise_mode: str = "vectorized",
         seed: int | None = None,
     ) -> None:
-        super().__init__(seed=seed, pairwise_mode=pairwise_mode)
+        super().__init__(seed=seed)
         if not 0.0 < calibration <= 1.0:
             raise ValueError(f"calibration λ must be in (0, 1]; got {calibration}")
         if not 0.0 <= beta1 < 1.0:
@@ -173,19 +167,9 @@ class MoCoGrad(GradientBalancer):
         else:
             # per_step: all calibrations read the step-(t−1) momentum; each
             # task's momentum then updates exactly once.
-            if self._use_vectorized(num_tasks):
-                if stats is None or stats.grads is not grads:
-                    stats = GradStats(grads)
-                calibrated = self._calibrate_per_step_vectorized(
-                    grads, stats, previous_momentum
-                )
-            else:
-                calibrated = grads.copy()
-                for i in range(num_tasks):
-                    partners = [j for j in range(num_tasks) if j != i]
-                    self.rng.shuffle(partners)
-                    for j in partners:
-                        self._maybe_calibrate(calibrated, grads, i, j, previous_momentum[j])
+            if stats is None or stats.grads is not grads:
+                stats = GradStats(grads)
+            calibrated = self._calibrate_per_step(grads, stats, previous_momentum)
             source = calibrated if self.momentum_source == "calibrated" else grads
             self._momentum = self.beta1 * previous_momentum + (1.0 - self.beta1) * source
 
@@ -197,7 +181,7 @@ class MoCoGrad(GradientBalancer):
                 )
         return calibrated
 
-    def _calibrate_per_step_vectorized(
+    def _calibrate_per_step(
         self,
         grads: np.ndarray,
         stats: GradStats,
@@ -208,7 +192,7 @@ class MoCoGrad(GradientBalancer):
         Valid because per-step calibration is order-free: every term reads
         raw gradients and step-(t−1) momentum, and accumulation commutes.
         Telemetry counter values are derived from mask sums and match the
-        reference loop's per-pair increments exactly.
+        per-pair loop's increments exactly.
         """
         conflict = stats.conflict_mask  # (K, K) ordered pairs, diag False
         conflicts = int(conflict.sum())
@@ -263,7 +247,7 @@ class MoCoGrad(GradientBalancer):
         momentum_j: np.ndarray,
     ) -> None:
         """Apply Eq. (8) to task ``i`` against partner ``j`` if conflicting."""
-        if _cosine_pair(grads[i], grads[j]) >= 0.0:  # GCD ≤ 1: no conflict
+        if cosine_similarity(grads[i], grads[j]) >= 0.0:  # GCD ≤ 1: no conflict
             return
         telemetry = self.telemetry
         telemetry.counter("mocograd_conflicts_total").inc()

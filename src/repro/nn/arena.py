@@ -21,8 +21,7 @@ parameters into ONE contiguous ``(d,)`` data buffer and ONE contiguous
   copy;
 - ``zero_grad`` over the whole parameter set is one ``fill(0.0)``;
 - optimizers update ``arena.data`` / ``arena.grad`` directly with a handful
-  of fused in-place vector ops (``step_mode="flat"`` in
-  :mod:`repro.nn.optim`).
+  of fused in-place vector ops (the flat kernel in :mod:`repro.nn.optim`).
 
 Packing contract and view invariants
 ------------------------------------

@@ -9,31 +9,19 @@ Note the separation of concerns in this reproduction: gradient *balancers*
 which the trainer writes into ``param.grad``; the optimizer then consumes
 ``param.grad`` exactly as in single-task training.
 
-Step modes
-----------
-Every optimizer runs in one of two numerically equivalent modes:
-
-- ``step_mode="loop"`` — the reference oracle: iterate the parameter list and
-  update each ``param.data`` from its ``param.grad`` with per-parameter
-  numpy calls.  This is the only mode available for plain parameter lists.
-- ``step_mode="flat"`` — the fast path for parameters packed into a
-  :class:`~repro.nn.arena.ParameterArena` (or any contiguous arena segment):
-  optimizer state (``velocity``, ``m``, ``v``, accumulators) lives in single
-  ``(d,)`` arrays and the whole update is a handful of fused in-place
-  vector ops over the arena's flat data/grad buffers, using two preallocated
-  ``(d,)`` scratch buffers — zero d-length allocations per step (no
-  ``grad**2``, bias-correction, or weight-decay temporaries).
-
-``step_mode="auto"`` (the default) selects ``flat`` whenever the parameters
-form a contiguous arena segment and ``loop`` otherwise.  Both modes execute
-the *same elementwise operation sequence*, so flat-vs-loop trajectories are
-bitwise identical; the loop kernels are kept as the oracle the equivalence
-suite pins the flat kernels against.
-
-One behavioural difference: the loop mode skips parameters whose ``grad`` is
-``None`` (only possible for unpacked parameters — packed parameters always
-hold a zero-filled arena view), while the flat mode updates the whole buffer.
-Under an arena both modes see identical (never-``None``) gradients.
+Kernels
+-------
+Each optimizer selects its kernel from its parameters.  For parameters
+packed into a :class:`~repro.nn.arena.ParameterArena` (or any contiguous
+arena segment) the **flat** kernel keeps optimizer state (``velocity``,
+``m``, ``v``, accumulators) in single ``(d,)`` arrays and runs a handful
+of fused in-place vector ops over the arena's flat buffers, with two
+preallocated ``(d,)`` scratch buffers — zero d-length allocations per
+step.  Plain parameter lists run the per-parameter **loop** kernel.  Both
+execute the *same elementwise operation sequence*, so an arena and an
+unpacked copy of it follow bitwise identical trajectories.  One
+difference: the loop kernel skips parameters whose ``grad`` is ``None``
+(packed parameters always hold a zero-filled arena view).
 
 Adam's bias correction is folded into scalar coefficients
 (``alpha_t = lr·sqrt(1−β₂ᵗ)/(1−β₁ᵗ)``, ``eps_t = eps·sqrt(1−β₂ᵗ)``) on both
@@ -66,22 +54,13 @@ class Optimizer:
         form a contiguous arena segment is treated like the arena itself.
     lr:
         Learning rate (must be positive).
-    step_mode:
-        ``"auto"`` (default: flat when arena-packed, loop otherwise),
-        ``"flat"`` (requires arena-packed parameters) or ``"loop"`` (always
-        available; the reference oracle).
     """
 
     def __init__(
-        self,
-        parameters: Sequence[Parameter] | ParameterArena,
-        lr: float,
-        step_mode: str = "auto",
+        self, parameters: Sequence[Parameter] | ParameterArena, lr: float
     ) -> None:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
-        if step_mode not in ("auto", "flat", "loop"):
-            raise ValueError("step_mode must be 'auto', 'flat' or 'loop'")
         if isinstance(parameters, ParameterArena):
             self.arena: ParameterArena | None = parameters
             self.parameters = list(parameters.parameters)
@@ -92,28 +71,24 @@ class Optimizer:
             self.arena = segment[0] if segment is not None else None
         if not self.parameters:
             raise ValueError("optimizer received an empty parameter list")
-        if step_mode == "flat" and segment is None:
-            raise ValueError(
-                "step_mode='flat' requires parameters packed as one contiguous "
-                "ParameterArena segment; pack them first or use step_mode='loop'"
-            )
-        self.step_mode = "flat" if (segment is not None and step_mode != "loop") else "loop"
-        if segment is not None:
+        #: True when the parameters form one contiguous arena segment and
+        #: the fused flat kernel runs; False for the per-parameter loop.
+        self.flat = segment is not None
+        if self.flat:
             arena, sl = segment
-            # Contiguous flat views over the managed parameters — valid for
-            # zero_grad in either mode, and the operand buffers of _step_flat.
+            # Contiguous flat views over the managed parameters: the operand
+            # buffers of _step_flat and of the one-fill zero_grad.
             self._flat_data: np.ndarray | None = arena.data[sl]
             self._flat_grad: np.ndarray | None = arena.grad[sl]
-        else:
-            self._flat_data = None
-            self._flat_grad = None
-        if self.step_mode == "flat":
             dim = self._flat_data.size
             # Two (d,) scratch buffers shared by every flat kernel; after
             # this warm allocation _step_flat never allocates a d-length
             # temporary (asserted by benchmarks/bench_optim.py's probe).
             self._scratch_a = np.empty(dim)
             self._scratch_b = np.empty(dim)
+        else:
+            self._flat_data = None
+            self._flat_grad = None
         self.lr = lr
         self.step_count = 0
 
@@ -123,7 +98,7 @@ class Optimizer:
         On the arena path this is a single ``fill(0.0)`` over the flat grad
         buffer; otherwise the per-parameter loop.
         """
-        if self._flat_grad is not None:
+        if self.flat:
             self._flat_grad.fill(0.0)
         else:
             for param in self.parameters:
@@ -133,7 +108,7 @@ class Optimizer:
         """Apply one update using the parameters' current gradients."""
         self.step_count += 1
         with no_grad():
-            if self.step_mode == "flat":
+            if self.flat:
                 self._step_flat()
             else:
                 self._step()
@@ -150,7 +125,7 @@ class Optimizer:
 
         Returns the arena grad view directly when ``weight_decay`` is zero;
         otherwise materializes ``wd·data + grad`` into scratch ``a`` (the
-        same elementwise sum the loop oracle computes) and returns it.
+        same elementwise sum the loop kernel computes) and returns it.
         """
         if not weight_decay:
             return self._flat_grad
@@ -168,12 +143,11 @@ class SGD(Optimizer):
         lr: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        step_mode: str = "auto",
     ) -> None:
-        super().__init__(parameters, lr, step_mode=step_mode)
+        super().__init__(parameters, lr)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        if self.step_mode == "flat":
+        if self.flat:
             self._velocity_flat = np.zeros(self._flat_data.size) if momentum else None
         else:
             self._velocity = [np.zeros_like(p.data) for p in self.parameters]
@@ -212,13 +186,12 @@ class Adam(Optimizer):
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        step_mode: str = "auto",
     ) -> None:
-        super().__init__(parameters, lr, step_mode=step_mode)
+        super().__init__(parameters, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        if self.step_mode == "flat":
+        if self.flat:
             dim = self._flat_data.size
             self._m_flat = np.zeros(dim)
             self._v_flat = np.zeros(dim)
@@ -284,11 +257,10 @@ class AdaGrad(Optimizer):
         parameters: Sequence[Parameter] | ParameterArena,
         lr: float = 1e-2,
         eps: float = 1e-10,
-        step_mode: str = "auto",
     ) -> None:
-        super().__init__(parameters, lr, step_mode=step_mode)
+        super().__init__(parameters, lr)
         self.eps = eps
-        if self.step_mode == "flat":
+        if self.flat:
             self._accumulator_flat = np.zeros(self._flat_data.size)
         else:
             self._accumulator = [np.zeros_like(p.data) for p in self.parameters]
@@ -322,12 +294,11 @@ class RMSProp(Optimizer):
         lr: float = 1e-3,
         alpha: float = 0.99,
         eps: float = 1e-8,
-        step_mode: str = "auto",
     ) -> None:
-        super().__init__(parameters, lr, step_mode=step_mode)
+        super().__init__(parameters, lr)
         self.alpha = alpha
         self.eps = eps
-        if self.step_mode == "flat":
+        if self.flat:
             self._avg_flat = np.zeros(self._flat_data.size)
         else:
             self._avg = [np.zeros_like(p.data) for p in self.parameters]

@@ -1,36 +1,35 @@
-"""Multi-task trainer with per-task gradient collection and balancing.
+"""Multi-task trainer: one step pipeline over per-task gradients.
 
-Reproduces the LibMTL-style optimization loop the paper runs on:
+Reproduces the LibMTL-style optimization loop the paper runs on
+(Algorithm 1).  Every optimization step runs the same five stages:
 
-1. Collect the per-task gradients over the *shared* parameters into a
-   ``(K, d)`` matrix (``grad_space="parameters"``).
-2. Feed the gradient matrix plus the loss values to the gradient balancer
-   (MoCoGrad or any baseline).
-3. Write the combined gradient back into the shared parameters, keep the
-   task-specific gradients untouched, and take one optimizer step.
+1. **collect** — forward every task, then ONE multi-root backward
+   (:func:`repro.nn.tensor.backward_multi`: one topological sort, one walk
+   over the union graph of all K task losses) fills a reused trainer-owned
+   ``(K, dim)`` matrix with each task's gradient.  In parallel mode the
+   workers compute shard gradients and the executor's weighted reduce
+   fills the same matrix.
+2. **accumulate** (``accumulate_steps=W > 1`` only, GCond-style) — sum the
+   matrix and the losses over ``W`` micro-steps; model gradients sum in the
+   arena because micro-steps skip ``zero_grad``.
+3. **resolve** — the balancer (MoCoGrad or any baseline) turns the
+   (window-mean) matrix into one direction, once per window.
+4. **write-back** — the direction replaces the shared gradient.
+5. **step** — one optimizer step over the parameter arena, then zero.
 
-Gradient collection (step 1) runs in one of two backward modes:
+Only *collect* depends on the input (single-input, multi-input or the
+parallel reduce); what depends on the gradient space lives in one
+gradient-source object per space.  ``grad_space="parameters"`` rows are
+shared-parameter gradients, written back into the shared partition.
+``grad_space="features"`` rows are gradients of the shared representation
+z (the paper's §VI-C mode): the forward cuts the graph at z, and
+write-back back-propagates ``direction / W`` through each retained trunk
+graph, so balancing costs O(K·d_feat) instead of O(K·d).
 
-- ``backward_mode="multi_root"`` (default) — ONE topological sort and ONE
-  traversal over the union graph of all K task losses
-  (:func:`repro.nn.tensor.backward_multi`), written straight into a
-  preallocated trainer-owned ``(K, d)`` workspace.  Numerically identical
-  to the per-task mode (same ``grad_fn`` calls, per-root gradient slots).
-- ``backward_mode="per_task"`` — the literal LibMTL loop: K full backward
-  passes per step, one per task loss.  Kept as the reference oracle; this
-  is the cost the paper's §VI-C / Fig. 8 identify as the bottleneck of
-  gradient-manipulation methods.
-
-The paper's §VI-C speedup — balancing *feature-level* gradients (w.r.t. the
-shared representation z) so the shared trunk is back-propagated only once —
-is the second *gradient space*, ``grad_space="features"``.  It works with
-every registered balancer and every single-input architecture exposing
-:meth:`~repro.arch.base.MTLModel.shared_features` (HPS, MMoE, CGC,
-CrossStitch), turns the per-step balancing cost from O(K·d) into
-O(K·d_feat), and composes with ``accumulate_steps`` (micro-step trunk
-graphs are retained and back-propagated once at the window boundary).
-The legacy ``grad_source="params"|"features"`` spelling maps onto
-``grad_space`` with a one-shot :class:`DeprecationWarning`.
+The model's parameters always live in one contiguous
+:class:`~repro.nn.arena.ParameterArena` (shared partition first), so row
+fills and write-back are slice copies, ``zero_grad`` is one fill and the
+optimizer runs its fused flat kernel.
 
 Observability
 -------------
@@ -44,17 +43,13 @@ Every step is traced with nested :mod:`repro.obs` spans::
     ├── backward_shared       trunk backprop (grad_space="features" only)
     └── optimizer_step        parameter update
 
-In ``per_task`` mode each ``task_backward`` span wraps that task's full
-backward pass.  In ``multi_root`` mode the union-graph walk is not
-separable by task, so each ``task_backward`` span wraps one root's
-*accumulation* into the gradient workspace; the walk itself is the
-remainder of the enclosing ``backward`` span.
-
-plus ``train_steps_total`` / ``train_epochs_total`` counters and per-task
-``train_loss`` gauges.  The legacy ``step_seconds`` list and
-``backward_seconds_total`` scalar survive as *deprecated* properties backed
-by span data — note ``backward_seconds_total`` now honestly reports
-backward-only time (it previously accumulated whole steps).
+The union-graph walk is not separable by task, so each ``task_backward``
+span wraps one root's *accumulation* into the gradient matrix; the walk
+itself is the remainder of the enclosing ``backward`` span.  Within an
+accumulation window every micro-step records ``forward``/``backward``;
+``balance``, ``backward_shared`` and ``optimizer_step`` are recorded once
+per window.  Counters: ``train_steps_total`` / ``train_epochs_total``,
+plus per-task ``train_loss`` gauges.
 
 The flight recorder builds on the same spans: ``profile=`` exports the
 step timeline as Chrome ``trace_event`` JSON and ``record_dynamics=``
@@ -87,7 +82,7 @@ from ..nn.arena import ParameterArena
 from ..nn.module import Parameter
 from ..nn.optim import SGD, Adam, AdaGrad, Optimizer, RMSProp
 from ..nn.tensor import Tensor, backward_multi
-from ..nn.utils import grad_vector, grad_vector_from_slots, set_grad_from_vector
+from ..nn.utils import grad_vector_from_slots, set_grad_from_vector
 from ..obs import NULL_TELEMETRY, DynamicsRecorder, Profiler, Telemetry, default_sinks
 from ..parallel import (
     ArenaDims,
@@ -105,93 +100,106 @@ __all__ = ["MTLTrainer", "GRAD_SPACES"]
 #: (the ``(K, d_feat)`` matrix, one trunk backprop per step).
 GRAD_SPACES = ("parameters", "features")
 
-#: Legacy ``grad_source=`` spellings and the spaces they map onto.
-_LEGACY_GRAD_SOURCES = {"params": "parameters", "features": "features"}
-
-_grad_source_warned = False
-
-
-def _warn_grad_source_once() -> None:
-    """One-shot deprecation for the legacy ``grad_source=`` kwarg."""
-    global _grad_source_warned
-    if _grad_source_warned:
-        return
-    _grad_source_warned = True
-    warnings.warn(
-        "the grad_source= trainer option is deprecated; pass "
-        "grad_space='parameters' or grad_space='features' instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def _resolve_grad_space(grad_space: str | None, grad_source: str | None) -> str:
-    """Fold the deprecated ``grad_source`` spelling into ``grad_space``."""
-    if grad_source is not None:
-        if grad_space is not None:
-            raise ValueError(
-                "pass either grad_space or the deprecated grad_source, not both"
-            )
-        try:
-            resolved = _LEGACY_GRAD_SOURCES[grad_source]
-        except KeyError:
-            raise ValueError("grad_source must be 'params' or 'features'") from None
-        _warn_grad_source_once()
-        return resolved
-    if grad_space is None:
-        return "parameters"
-    if grad_space not in GRAD_SPACES:
-        raise ValueError(f"grad_space must be one of {GRAD_SPACES}; got {grad_space!r}")
-    return grad_space
-
 
 def _make_optimizer(
-    name: str,
-    parameters: list[Parameter] | ParameterArena,
-    lr: float,
-    step_mode: str = "auto",
+    name: str, parameters: list[Parameter] | ParameterArena, lr: float
 ) -> Optimizer:
     name = name.lower()
     if name == "adam":
-        return Adam(parameters, lr=lr, step_mode=step_mode)
+        return Adam(parameters, lr=lr)
     if name == "sgd":
-        return SGD(parameters, lr=lr, step_mode=step_mode)
+        return SGD(parameters, lr=lr)
     if name == "sgdm":
-        return SGD(parameters, lr=lr, momentum=0.9, step_mode=step_mode)
+        return SGD(parameters, lr=lr, momentum=0.9)
     if name == "adagrad":
-        return AdaGrad(parameters, lr=lr, step_mode=step_mode)
+        return AdaGrad(parameters, lr=lr)
     if name == "rmsprop":
-        return RMSProp(parameters, lr=lr, step_mode=step_mode)
+        return RMSProp(parameters, lr=lr)
     raise ValueError(f"unknown optimizer {name!r}; use adam, sgd, sgdm, adagrad or rmsprop")
 
 
-def _build_arena(model: MTLModel, shared: list[Parameter]) -> ParameterArena | None:
+def _build_arena(model: MTLModel, shared: list[Parameter]) -> ParameterArena:
     """Pack the model into one arena with the shared parameters as a prefix.
 
     The ordering matters: with the shared partition contiguous at offset 0,
-    the trainer's workspace fills and the post-balance scatter hit the
-    zero-copy segment fast path in :mod:`repro.nn.utils`.  If the model is
-    already packed (e.g. a second trainer over the same model), the existing
-    arena is reused when it covers exactly the model's parameters; a partial
-    or foreign packing falls back to the arena-less path rather than
-    detaching live views.
+    the row fills and the write-back hit the zero-copy segment fast path in
+    :mod:`repro.nn.utils`.  If the model is already packed (e.g. a second
+    trainer over the same model), the existing arena is reused when it
+    covers exactly the model's parameters.  A partial or foreign packing is
+    rejected: repacking would detach the other arena's live views.
     """
     shared_ids = {id(p) for p in shared}
     ordered = list(shared) + [p for p in model.parameters() if id(p) not in shared_ids]
-    if not ordered:
-        return None
     existing = next((p._arena for p in ordered if p._arena is not None), None)
-    if existing is not None:
-        if all(p._arena is existing for p in ordered) and len(existing.parameters) == len(
-            ordered
-        ):
-            return existing
-        return None
-    return ParameterArena(ordered)
+    if existing is None:
+        return ParameterArena(ordered)
+    if all(p._arena is existing for p in ordered) and len(existing.parameters) == len(ordered):
+        return existing
+    raise ValueError(
+        "the model's parameters are partly packed into another ParameterArena; "
+        "call arena.unpack() on that arena before building a trainer"
+    )
+
+
+class _ParameterSource:
+    """``grad_space="parameters"``: rows are shared-parameter gradients."""
+
+    def __init__(self, model: MTLModel) -> None:
+        #: the tensors whose per-task gradients form the rows
+        self.roots: list[Tensor] = model.shared_parameters()
+        #: trunk graphs awaiting write-back — always empty here, because
+        #: parameter gradients accumulate in the arena by themselves
+        self.retained: list[Tensor] = []
+
+    @staticmethod
+    def forward(model: MTLModel, inputs) -> dict[str, Tensor]:
+        return model.forward_all(inputs)
+
+    def write_back(self, combined: np.ndarray, window: int, telemetry: Telemetry) -> None:
+        """The direction becomes the shared partition's gradient."""
+        set_grad_from_vector(self.roots, combined)
+
+
+class _FeatureSource:
+    """``grad_space="features"``: rows are gradients of the representation.
+
+    The forward cuts the graph at the trunk output: the heads run on a
+    detached leaf (the single root of the per-task backward), while the
+    trunk output and its graph are retained for the write-back.
+    """
+
+    def __init__(self) -> None:
+        self.roots: list[Tensor] = []
+        self.retained: list[Tensor] = []
+
+    def forward(self, model: MTLModel, inputs) -> dict[str, Tensor]:
+        features = model.shared_features(inputs)
+        cut = Tensor(features.data)
+        cut.requires_grad = True
+        self.roots = [cut]
+        self.retained.append(features)
+        return model.forward_heads(cut, inputs)
+
+    def write_back(self, combined: np.ndarray, window: int, telemetry: Telemetry) -> None:
+        """Back-propagate ``combined / W`` through each retained trunk graph.
+
+        ``Σ_w J_wᵀ (combined / W)`` is the window-mean chain rule; for
+        ``W = 1`` it is the single trunk backprop that makes this space
+        fast.  It is still backward time, so it gets its own span and
+        :attr:`MTLTrainer.backward_seconds` includes it.
+        """
+        graphs, self.retained = self.retained, []
+        seed = (combined / window).reshape(graphs[0].shape)
+        with telemetry.span("backward_shared"):
+            for graph in graphs:
+                graph.backward(seed)
 
 
 class MTLTrainer:
     """Trains an :class:`~repro.arch.base.MTLModel` under a gradient balancer.
+
+    Each step runs collect → (accumulate) → resolve → write-back → step;
+    see the module docstring.
 
     Parameters
     ----------
@@ -202,45 +210,25 @@ class MTLTrainer:
         ``"single_input"`` (one batch feeds all tasks) or ``"multi_input"``
         (one batch per task per step).
     grad_space:
-        ``"parameters"`` (default) balances the ``(K, d)`` matrix of
-        per-task shared-parameter gradients.  ``"features"`` balances the
-        ``(K, d_feat)`` matrix of per-task gradients of the shared
-        representation ``z`` (the paper's §VI-C mode) and back-propagates
-        the trunk once on the balanced direction — O(K·d_feat) balancing
-        instead of O(K·d).  Works with every balancer and every
+        ``"parameters"`` (default) or ``"features"`` (see the module
+        docstring).  Features work with every balancer and every
         single-input architecture implementing
         :meth:`~repro.arch.base.MTLModel.shared_features`.  Note that
         stateful balancers (MoCoGrad, GradVac) shape their state to
         d_feat, which follows the batch shape — keep batch sizes fixed
         (or use a stateless balancer) when the loader yields a partial
-        trailing batch.  The legacy ``grad_source="params"|"features"``
-        kwarg still works, with a one-shot deprecation warning.
+        trailing batch.
     feature_ema:
         Optional EMA smoothing factor in ``[0, 1)`` enabling a
         :class:`~repro.core.ema.EMANormalizer` over the feature-gradient
         rows (``grad_space="features"`` only): per-task rows are rescaled
         so their *smoothed* norms agree before balancing, keeping task
         scales comparable across steps.  ``None`` (default) applies no
-        normalization — the feature path then matches the historical
-        behavior exactly.
-    backward_mode:
-        ``"multi_root"`` (default: one union-graph walk collects all task
-        gradients) or ``"per_task"`` (the reference K-backward-passes
-        loop).  Both produce bit-comparable gradients; see the module
-        docstring.
+        normalization.
     optimizer / lr:
         Optimizer name (adam, sgd, sgdm, adagrad, rmsprop) and learning
         rate; the paper uses Adam at 1e-4 (recommendation/vision) or 3e-3
-        (QM9).
-    use_arena / step_mode:
-        ``use_arena=True`` (default) packs the model's parameters into one
-        contiguous :class:`~repro.nn.arena.ParameterArena` — shared
-        partition first, task-specific partitions after — so gradient
-        flatten/scatter are zero-copy and ``zero_grad`` is a single buffer
-        fill.  ``step_mode`` is forwarded to the optimizer: ``"auto"``
-        (default; the fused flat-vector step when an arena is active),
-        ``"flat"`` or ``"loop"`` (the per-parameter reference oracle —
-        trajectories are bitwise identical to the flat path).
+        (QM9).  The optimizer runs over the trainer's parameter arena.
     seed:
         Seeds batch order; balancer randomness is seeded separately through
         the balancer's own ``seed``.
@@ -262,29 +250,27 @@ class MTLTrainer:
         (export it yourself).  Requires enabled telemetry.
     accumulate_steps:
         GCond-style accumulate-then-resolve window ``W``.  ``1`` (default)
-        resolves conflicts every step — bit-identical to the historical
-        per-step path.  ``W > 1`` sums the per-task gradient matrices and
-        losses over ``W`` micro-steps, then calls
+        resolves conflicts every step.  ``W > 1`` sums the per-task
+        gradient matrices and losses over ``W`` micro-steps, then calls
         :meth:`~repro.core.balancer.GradientBalancer.resolve_accumulated`
         *once* (so stateful balancers — MoCoGrad momentum, DWA history —
         advance once per resolve) and takes one optimizer step on the
         window-mean gradients.  Works with every balancer, in both
         gradient spaces, and in parallel mode.  With
         ``grad_space="features"`` each micro-step's trunk graph is
-        retained and back-propagated at the window boundary (the
-        window-mean chain rule), so memory grows with ``W`` retained
-        forward graphs; a mid-window feature-dimension change (batch-size
-        change) discards the open window with a ``RuntimeWarning``.
+        retained and back-propagated at the window boundary, so memory
+        grows with ``W`` retained forward graphs; a mid-window
+        feature-dimension change (batch-size change) discards the open
+        window with a ``RuntimeWarning``.
     parallel:
         ``0`` (default) trains in-process.  ``N ≥ 1`` creates the trainer's
         arena over a :mod:`repro.parallel` shared-memory block and, inside
         :meth:`fit`, runs each batch as ``N`` worker processes over
         deterministic contiguous shards with a weighted flat-sum reduce —
         the same batch stream as sequential training, matching it ≤ 1e-12.
-        Requires ``model_factory``, single-input mode,
-        ``grad_space="parameters"``, ``backward_mode="multi_root"`` and
-        ``use_arena=True``.  Call :meth:`close` (or use the trainer as a
-        context manager) to release the shared-memory block.
+        Requires ``model_factory``, single-input mode and
+        ``grad_space="parameters"``.  Call :meth:`close` (or use the
+        trainer as a context manager) to release the shared-memory block.
     model_factory:
         Zero-argument callable rebuilding the model *structure* in each
         worker (same parameters, same order; values are adopted from the
@@ -316,15 +302,12 @@ class MTLTrainer:
         tasks: Sequence[TaskSpec],
         balancer: GradientBalancer,
         mode: str = SINGLE_INPUT,
-        grad_space: str | None = None,
-        backward_mode: str = "multi_root",
+        grad_space: str = "parameters",
         optimizer: str = "adam",
         lr: float = 1e-3,
         seed: int | None = None,
         track_conflicts: bool = False,
         telemetry: Telemetry | None = None,
-        use_arena: bool = True,
-        step_mode: str = "auto",
         profile: str | Profiler | None = None,
         record_dynamics: bool | int | DynamicsRecorder = False,
         accumulate_steps: int = 1,
@@ -334,15 +317,13 @@ class MTLTrainer:
         worker_telemetry: str | None = None,
         step_timeout: float = 120.0,
         feature_ema: float | None = None,
-        grad_source: str | None = None,
     ) -> None:
         if mode not in (SINGLE_INPUT, MULTI_INPUT):
             raise ValueError(f"mode must be {SINGLE_INPUT!r} or {MULTI_INPUT!r}")
-        grad_space = _resolve_grad_space(grad_space, grad_source)
+        if grad_space not in GRAD_SPACES:
+            raise ValueError(f"grad_space must be one of {GRAD_SPACES}; got {grad_space!r}")
         if grad_space == "features" and mode != SINGLE_INPUT:
             raise ValueError("feature-level gradients require single-input MTL")
-        if backward_mode not in ("multi_root", "per_task"):
-            raise ValueError("backward_mode must be 'multi_root' or 'per_task'")
         if accumulate_steps < 1:
             raise ValueError(f"accumulate_steps must be ≥ 1; got {accumulate_steps}")
         if feature_ema is not None and grad_space != "features":
@@ -356,10 +337,6 @@ class MTLTrainer:
                 raise ValueError("parallel training requires single-input mode")
             if grad_space != "parameters":
                 raise ValueError("parallel training requires grad_space='parameters'")
-            if backward_mode != "multi_root":
-                raise ValueError("parallel training requires backward_mode='multi_root'")
-            if not use_arena:
-                raise ValueError("parallel training requires use_arena=True")
         model_tasks = set(model.task_names)
         spec_tasks = {task.name for task in tasks}
         if model_tasks != spec_tasks:
@@ -369,11 +346,13 @@ class MTLTrainer:
         self.balancer = balancer
         self.mode = mode
         self.grad_space = grad_space
+        #: where the rows of the gradient matrix come from, and where the
+        #: balanced direction is written back (one object per space)
+        self.source = _FeatureSource() if grad_space == "features" else _ParameterSource(model)
         #: EMA norm-normalizer over the feature-gradient rows, or None
         self.feature_normalizer = (
             EMANormalizer(beta=feature_ema) if feature_ema is not None else None
         )
-        self.backward_mode = backward_mode
         self.accumulate_steps = int(accumulate_steps)
         self.parallel = int(parallel)
         self.model_factory = model_factory
@@ -382,8 +361,9 @@ class MTLTrainer:
         self._step_timeout = step_timeout
         #: parent-owned shared-memory block (parallel mode), or None
         self.shared_buffers: SharedArenaBuffers | None = None
-        #: the contiguous parameter arena (None when ``use_arena=False`` or
-        #: the model's existing packing could not be reused)
+        #: the contiguous parameter arena (shared partition first); None
+        #: only after :meth:`close` released a parallel trainer
+        self.arena: ParameterArena | None
         if self.parallel:
             # Parallel mode packs straight into the shared block so the
             # fused optimizer step doubles as the parameter broadcast.
@@ -406,15 +386,8 @@ class MTLTrainer:
                 self.shared_buffers = None
                 raise
         else:
-            self.arena = _build_arena(model, model.shared_parameters()) if use_arena else None
-        # Flat view of the shared partition's gradients (the zero-copy
-        # (d_shared,) slice the balancer path reads/writes), when contiguous.
-        self._shared_grad_view = (
-            self.arena.grad_segment(model.shared_parameters()) if self.arena is not None else None
-        )
-        self.optimizer = _make_optimizer(
-            optimizer, self.arena if self.arena is not None else model.parameters(), lr, step_mode
-        )
+            self.arena = _build_arena(model, model.shared_parameters())
+        self.optimizer = _make_optimizer(optimizer, self.arena, lr)
         self.rng = np.random.default_rng(seed)
         self.balancer.reset(len(self.tasks))
         self.history = History([task.name for task in self.tasks])
@@ -451,12 +424,10 @@ class MTLTrainer:
         # matrix, so reuse is safe; `task_gradients` hands out fresh
         # matrices because its callers may keep them.
         self._grad_workspaces: dict[int, np.ndarray] = {}
-        # Accumulate-then-resolve state: running (K, dim) gradient sum, (K,)
-        # loss sum, the micro-step count within the open window, and (in
-        # feature space) the retained per-micro-step trunk graphs.
+        # Accumulate-stage state: running (K, dim) gradient sum, (K,) loss
+        # sum and the micro-step count within the open window.
         self._acc_grads: np.ndarray | None = None
         self._acc_losses: np.ndarray | None = None
-        self._acc_features: list[Tensor] = []
         self._micro_steps = 0
 
     # ------------------------------------------------------------------
@@ -470,9 +441,8 @@ class MTLTrainer:
         """
         if self.shared_buffers is None:
             return
-        if self.arena is not None:
-            self.arena.unpack()
-            self.arena = None
+        self.arena.unpack()
+        self.arena = None
         self.shared_buffers.close()
         self.shared_buffers = None
 
@@ -501,134 +471,116 @@ class MTLTrainer:
             self._grad_workspaces[dim] = workspace = np.empty((len(self.tasks), dim))
         return workspace
 
-    def _zero_grad(self) -> None:
-        """Clear all model gradients — one buffer fill on the arena path."""
-        if self.arena is not None:
-            self.arena.zero_grad()
-        else:
-            self.model.zero_grad()
+    # ------------------------------------------------------------------
+    # The step pipeline
+    # ------------------------------------------------------------------
+    def train_step_single(self, inputs, targets: Mapping[str, np.ndarray]) -> np.ndarray:
+        """One step in single-input mode; returns per-task loss values."""
+        return self._step(self._collect_single, inputs, targets)
 
-    def _zero_shared_grads(self, shared: list[Parameter]) -> None:
-        """Clear the shared partition's gradients (per-task reference loop)."""
-        if self._shared_grad_view is not None:
-            self._shared_grad_view.fill(0.0)
-        else:
-            for param in shared:
-                param.zero_grad()
+    def train_step_multi(self, batches: Mapping[str, tuple]) -> np.ndarray:
+        """One step in multi-input mode; ``batches[task] = (inputs, targets)``."""
+        return self._step(self._collect_multi, batches)
 
-    def _collect_param_grads(
-        self,
-        loss_tensors: list[Tensor],
-        shared: list[Parameter],
-        grads: np.ndarray,
-        telemetry: Telemetry,
-    ) -> np.ndarray:
-        """Fill ``grads[k]`` with task k's shared-parameter gradient.
+    def _step(self, collect: Callable, *batch) -> np.ndarray:
+        """Run one (micro-)step: collect, then accumulate → resolve → step."""
+        telemetry = self.telemetry
+        with telemetry.span("step", **self._step_labels):
+            self.model.train()
+            if self._micro_steps == 0:
+                # A new window starts from zero gradients and no trunk
+                # graphs, even if the previous step raised part-way.
+                self.arena.zero_grad()
+                self.source.retained.clear()
+            grads, losses = collect(*batch, telemetry)
+            self._update(grads, losses, telemetry)
+        self._finish_step(losses)
+        return losses
 
-        ``multi_root``: one union-graph walk (`backward_multi`) collects all
-        roots at once; each ``task_backward`` span then wraps that root's
-        accumulation into the workspace.  ``per_task``: the reference loop —
-        zero shared grads, backward task k's loss, flatten.  Both modes
-        accumulate task-specific (head) gradients into ``.grad`` as a side
-        effect, ready for the optimizer step.
-        """
-        if self.backward_mode == "multi_root":
-            slots = backward_multi(loss_tensors, per_root=shared)
-            for k, task in enumerate(self.tasks):
-                with telemetry.span("task_backward", task=task.name):
-                    grad_vector_from_slots(shared, slots, k, out=grads[k])
-        else:
-            for k, loss in enumerate(loss_tensors):
-                with telemetry.span("task_backward", task=self.tasks[k].name):
-                    self._zero_shared_grads(shared)
-                    loss.backward()
-                    grad_vector(shared, out=grads[k])
+    def _collect_single(
+        self, inputs, targets: Mapping[str, np.ndarray], telemetry: Telemetry
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Collect stage, single-input: one forward feeds every task."""
+        with telemetry.span("forward"):
+            outputs = self.source.forward(self.model, inputs)
+            loss_tensors = [
+                task.loss_fn(outputs[task.name], targets[task.name]) for task in self.tasks
+            ]
+            losses = np.array([loss.item() for loss in loss_tensors])
+        return self._backward(loss_tensors, telemetry), losses
+
+    def _collect_multi(
+        self, batches: Mapping[str, tuple], telemetry: Telemetry
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Collect stage, multi-input: one forward per task on its own batch."""
+        with telemetry.span("forward"):
+            loss_tensors = []
+            for task in self.tasks:
+                inputs, targets = batches[task.name]
+                loss_tensors.append(task.loss_fn(self.model.forward(inputs, task.name), targets))
+            losses = np.array([loss.item() for loss in loss_tensors])
+        return self._backward(loss_tensors, telemetry), losses
+
+    def _backward(self, loss_tensors: list[Tensor], telemetry: Telemetry) -> np.ndarray:
+        """The ``(K, dim)`` matrix of per-task gradients of the source's roots."""
+        roots = self.source.roots
+        grads = self._workspace(sum(root.size for root in roots))
+        with telemetry.span("backward"):
+            self._task_gradients_into(loss_tensors, roots, grads, telemetry)
+        if self.feature_normalizer is not None:
+            self.feature_normalizer.normalize(grads)
         return grads
 
-    def _resolve_or_accumulate(
+    def _task_gradients_into(
         self,
+        loss_tensors: list[Tensor],
+        roots: list[Tensor],
         grads: np.ndarray,
-        losses: np.ndarray,
-        shared: list[Parameter],
         telemetry: Telemetry,
     ) -> None:
-        """Balance + step now, or fold this micro-step into the window.
+        """Fill ``grads[k]`` with task k's gradient w.r.t. ``roots``.
 
-        ``accumulate_steps == 1`` is the historical per-step tail, call for
-        call.  With ``W > 1`` the per-task matrix and losses are summed;
-        model gradients accumulate naturally because micro-steps skip
-        ``zero_grad``.  When the window fills: scale the accumulated model
-        gradients to their window mean, resolve conflicts ONCE on the
-        accumulated matrix, overwrite the shared partition with the
-        balanced direction, and take a single optimizer step.  A window
-        left partially filled (e.g. at the end of ``fit``) stays open —
-        its micro-steps apply no update until the window completes.
+        One union-graph walk (``backward_multi``) collects every root at
+        once; each ``task_backward`` span then wraps that root's
+        accumulation into the matrix.  A root a task's graph never reaches
+        contributes zeros (e.g. a head disconnected from the trunk).  The
+        walk also accumulates task-specific (head) gradients into
+        ``.grad``, ready for the optimizer step.
         """
-        if self.accumulate_steps == 1:
-            with telemetry.span("balance", method=self.balancer.name):
-                combined = self.balancer.balance(grads, losses)
-            self._record_conflicts(grads, stats=self.balancer.gradstats)
-            set_grad_from_vector(shared, combined)
-            with telemetry.span("optimizer_step"):
-                self.optimizer.step()
-            self._zero_grad()
-            return
+        slots = backward_multi(loss_tensors, per_root=roots)
+        for k, task in enumerate(self.tasks):
+            with telemetry.span("task_backward", task=task.name):
+                grad_vector_from_slots(roots, slots, k, out=grads[k])
+
+    def _update(self, grads: np.ndarray, losses: np.ndarray, telemetry: Telemetry) -> None:
+        """Accumulate → resolve → write-back → step (resolve once per window)."""
         window = self.accumulate_steps
-        if self._acc_grads is None or self._acc_grads.shape != grads.shape:
-            self._acc_grads = np.zeros_like(grads)
-            self._acc_losses = np.zeros_like(losses)
-        self._record_conflicts(grads)
-        self._acc_grads += grads
-        self._acc_losses += losses
-        self._micro_steps += 1
-        if self._micro_steps < window:
-            return
-        self._scale_grads(1.0 / window)
+        if window > 1:
+            self._record_conflicts(grads)
+            if not self._accumulate(grads, losses):
+                return
+            grads, losses = self._acc_grads, self._acc_losses
+            # The model gradients summed over the window become their mean.
+            self.arena.grad *= 1.0 / window
         with telemetry.span("balance", method=self.balancer.name):
-            combined = self.balancer.resolve_accumulated(
-                self._acc_grads, self._acc_losses, window
-            )
-        set_grad_from_vector(shared, combined)
+            combined = self.balancer.resolve_accumulated(grads, losses, window)
+        if window == 1:
+            self._record_conflicts(grads, stats=self.balancer.gradstats)
+        self.source.write_back(combined, window, telemetry)
         with telemetry.span("optimizer_step"):
             self.optimizer.step()
-        self._zero_grad()
+        self.arena.zero_grad()
         self._micro_steps = 0
-        self._acc_grads.fill(0.0)
-        self._acc_losses.fill(0.0)
 
-    def _resolve_or_accumulate_features(
-        self,
-        features: Tensor,
-        grads: np.ndarray,
-        losses: np.ndarray,
-        telemetry: Telemetry,
-    ) -> None:
-        """Feature-space tail: balance, trunk backprop and step — or fold.
+    def _accumulate(self, grads: np.ndarray, losses: np.ndarray) -> bool:
+        """Fold one micro-step into the open window; True once it is full.
 
-        Mirrors :meth:`_resolve_or_accumulate` with one structural
-        difference: micro-steps never write shared-parameter gradients
-        (per-task backward stops at the detached representation), so each
-        micro-step retains its ``features`` graph and the window boundary
-        back-propagates the resolved direction scaled by ``1/W`` through
-        every retained graph — the window-mean chain rule
-        ``Σ_w J_wᵀ (combined / W)``.  A mid-window feature-dimension change
-        (batch-size change) discards the open window with a warning rather
-        than mixing incompatible spaces.
+        A window left partially filled (e.g. at the end of ``fit``) stays
+        open — its micro-steps apply no update until the window completes.
+        A mid-window width change (a batch-size change in feature space)
+        discards the open window with a warning rather than mixing
+        incompatible spaces; the current micro-step opens a fresh one.
         """
-        if self.accumulate_steps == 1:
-            with telemetry.span("balance", method=self.balancer.name):
-                combined = self.balancer.balance(grads, losses)
-            self._record_conflicts(grads, stats=self.balancer.gradstats)
-            # The single shared-trunk backprop that makes this mode fast is
-            # still backward time; it is recorded under its own span so
-            # backward_seconds can include it.
-            with telemetry.span("backward_shared"):
-                features.backward(combined.reshape(features.shape))
-            with telemetry.span("optimizer_step"):
-                self.optimizer.step()
-            self._zero_grad()
-            return
-        window = self.accumulate_steps
         if self._micro_steps and self._acc_grads.shape != grads.shape:
             warnings.warn(
                 "feature-space accumulation window discarded: the feature "
@@ -636,156 +588,21 @@ class MTLTrainer:
                 f"{grads.shape[1]} mid-window (batch-size change); the dropped "
                 "micro-steps apply no update",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=5,
             )
-            self._reset_feature_window()
-            self._zero_grad()
-        if self._acc_grads is None or self._acc_grads.shape != grads.shape:
+            self._micro_steps = 0
+            self.arena.zero_grad()
+            del self.source.retained[:-1]
+        if self._micro_steps == 0:
             self._acc_grads = np.zeros_like(grads)
             self._acc_losses = np.zeros_like(losses)
-        self._record_conflicts(grads)
         self._acc_grads += grads
         self._acc_losses += losses
-        self._acc_features.append(features)
         self._micro_steps += 1
-        if self._micro_steps < window:
-            return
-        retained = self._acc_features
-        # Head gradients accumulated over the window become their mean; the
-        # shared partition is still zero at this point.
-        self._scale_grads(1.0 / window)
-        with telemetry.span("balance", method=self.balancer.name):
-            combined = self.balancer.resolve_accumulated(
-                self._acc_grads, self._acc_losses, window
-            )
-        seed = (combined / window).reshape(features.shape)
-        with telemetry.span("backward_shared"):
-            for graph in retained:
-                graph.backward(seed)
-        with telemetry.span("optimizer_step"):
-            self.optimizer.step()
-        self._zero_grad()
-        self._reset_feature_window()
-
-    def _reset_feature_window(self) -> None:
-        """Drop the open feature-space accumulation window entirely."""
-        self._micro_steps = 0
-        self._acc_features = []
-        self._acc_grads = None
-        self._acc_losses = None
-
-    def _scale_grads(self, scale: float) -> None:
-        """In-place scale of every model gradient (one vector op on arenas)."""
-        if self.arena is not None:
-            self.arena.grad *= scale
-        else:
-            for param in self.model.parameters():
-                if param.grad is not None:
-                    param.grad *= scale
-
-    # ------------------------------------------------------------------
-    # Single optimization steps
-    # ------------------------------------------------------------------
-    def train_step_single(self, inputs, targets: Mapping[str, np.ndarray]) -> np.ndarray:
-        """One step in single-input mode; returns per-task loss values."""
-        telemetry = self.telemetry
-        with telemetry.span("step", **self._step_labels):
-            self.model.train()
-            shared = self.model.shared_parameters()
-            if self.accumulate_steps == 1 or self._micro_steps == 0:
-                self._zero_grad()
-
-            if self.grad_space == "features":
-                features, grads, losses = self._collect_feature_grads(
-                    inputs, targets, telemetry
-                )
-                self._resolve_or_accumulate_features(features, grads, losses, telemetry)
-            else:
-                with telemetry.span("forward"):
-                    outputs = self.model.forward_all(inputs)
-                    loss_tensors = [
-                        task.loss_fn(outputs[task.name], targets[task.name])
-                        for task in self.tasks
-                    ]
-                    losses = np.array([loss.item() for loss in loss_tensors])
-                grads = self._workspace(sum(p.size for p in shared))
-                with telemetry.span("backward"):
-                    self._collect_param_grads(loss_tensors, shared, grads, telemetry)
-                self._resolve_or_accumulate(grads, losses, shared, telemetry)
-        self._finish_step(losses)
-        return losses
-
-    def _collect_feature_grads(
-        self, inputs, targets: Mapping[str, np.ndarray], telemetry: Telemetry
-    ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-        """Forward + per-task backward to the shared representation.
-
-        Returns ``(features, grads, losses)``: the live trunk output (whose
-        graph the resolve tail back-propagates), the ``(K, d_feat)``
-        feature-gradient workspace, and the loss values.  A head whose loss
-        is disconnected from the trunk contributes a zero row in *both*
-        backward modes — per-task backward leaves the cut's gradient
-        unmaterialized, exactly like a ``None`` multi-root slot.
-        """
-        with telemetry.span("forward"):
-            features = self.model.shared_features(inputs)
-            cut = Tensor(features.data)
-            cut.requires_grad = True
-            outputs = self.model.forward_heads(cut, inputs)
-            loss_tensors = [
-                task.loss_fn(outputs[task.name], targets[task.name]) for task in self.tasks
-            ]
-            losses = np.array([loss.item() for loss in loss_tensors])
-        grads = self._workspace(cut.size)
-        with telemetry.span("backward"):
-            if self.backward_mode == "multi_root":
-                (cut_slots,) = backward_multi(loss_tensors, per_root=[cut])
-                for k, task in enumerate(self.tasks):
-                    with telemetry.span("task_backward", task=task.name):
-                        slot = cut_slots[k]
-                        if slot is None:
-                            grads[k] = 0.0
-                        else:
-                            grads[k] = slot.reshape(-1)
-            else:
-                for k, loss in enumerate(loss_tensors):
-                    with telemetry.span("task_backward", task=self.tasks[k].name):
-                        cut.zero_grad()
-                        loss.backward()
-                        if cut.grad is None:
-                            grads[k] = 0.0
-                        else:
-                            grads[k] = cut.grad.reshape(-1)
-        if self.feature_normalizer is not None:
-            self.feature_normalizer.normalize(grads)
-        return features, grads, losses
-
-    def train_step_multi(self, batches: Mapping[str, tuple]) -> np.ndarray:
-        """One step in multi-input mode; ``batches[task] = (inputs, targets)``."""
-        telemetry = self.telemetry
-        with telemetry.span("step", **self._step_labels):
-            self.model.train()
-            shared = self.model.shared_parameters()
-            if self.accumulate_steps == 1 or self._micro_steps == 0:
-                self._zero_grad()
-            losses = np.empty(len(self.tasks))
-            loss_tensors = []
-            with telemetry.span("forward"):
-                for k, task in enumerate(self.tasks):
-                    inputs, targets = batches[task.name]
-                    output = self.model.forward(inputs, task.name)
-                    loss = task.loss_fn(output, targets)
-                    loss_tensors.append(loss)
-                    losses[k] = loss.item()
-            grads = self._workspace(sum(p.size for p in shared))
-            with telemetry.span("backward"):
-                self._collect_param_grads(loss_tensors, shared, grads, telemetry)
-            self._resolve_or_accumulate(grads, losses, shared, telemetry)
-        self._finish_step(losses)
-        return losses
+        return self._micro_steps >= self.accumulate_steps
 
     def _finish_step(self, losses: np.ndarray) -> None:
-        """Bookkeeping shared by both step functions."""
+        """Per-step bookkeeping: history, counters, dynamics sample."""
         self.step_count += 1
         self.history.record_step(losses)
         telemetry = self.telemetry
@@ -819,10 +636,10 @@ class MTLTrainer:
     def _record_conflicts(self, grads: np.ndarray, stats=None) -> None:
         """Append this step's (mean GCD, conflict fraction) diagnostics.
 
-        Called from the resolve tails so the balance-time
-        :attr:`~repro.core.balancer.GradientBalancer.gradstats` can be
-        reused — conflict tracking then costs zero extra Gram GEMMs.  A
-        stats object over a *different* matrix (a balancer that skipped
+        Called after the balancer has run where possible, so the
+        balance-time :attr:`~repro.core.balancer.GradientBalancer.gradstats`
+        can be reused — conflict tracking then costs zero extra Gram GEMMs.
+        A stats object over a *different* matrix (a balancer that skipped
         ``_check_inputs``, an accumulate micro-step) is rejected by
         identity and rebuilt.
         """
@@ -847,12 +664,14 @@ class MTLTrainer:
     def task_gradients(self, inputs, targets: Mapping[str, np.ndarray]) -> np.ndarray:
         """Per-task shared-parameter gradients without updating anything.
 
-        Returns a fresh ``(K, d)`` matrix (not the trainer's step
-        workspace) — callers are free to keep it across calls.
+        Runs the step's multi-root collect over the shared parameters, in
+        either gradient space, and returns a fresh ``(K, d)`` matrix (not
+        the trainer's step workspace) — callers are free to keep it across
+        calls.
         """
         self.model.train()
         shared = self.model.shared_parameters()
-        self._zero_grad()
+        self.arena.zero_grad()
         outputs = self.model.forward_all(inputs)
         loss_tensors = [
             task.loss_fn(outputs[task.name], targets[task.name]) for task in self.tasks
@@ -860,8 +679,8 @@ class MTLTrainer:
         grads = np.empty((len(self.tasks), sum(p.size for p in shared)))
         # Inspection path: no step is running, so spans stay out of the
         # step/backward accounting.
-        self._collect_param_grads(loss_tensors, shared, grads, NULL_TELEMETRY)
-        self._zero_grad()
+        self._task_gradients_into(loss_tensors, shared, grads, NULL_TELEMETRY)
+        self.arena.zero_grad()
         return grads
 
     # ------------------------------------------------------------------
@@ -983,43 +802,43 @@ class MTLTrainer:
     def _parallel_train_step(
         self, executor: ParallelExecutor, batch_indices: np.ndarray
     ) -> np.ndarray:
-        """One data-parallel step: dispatch → barrier → reduce → resolve.
+        """One data-parallel step: the executor reduce is the collect stage."""
+        return self._step(self._collect_parallel, executor, batch_indices)
+
+    def _collect_parallel(
+        self, executor: ParallelExecutor, batch_indices: np.ndarray, telemetry: Telemetry
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Collect stage, parallel: dispatch → barrier → weighted reduce.
 
         The workers produce weighted shard gradients whose flat-sum equals
         the sequential whole-batch gradient (per-sample mean losses compose
-        exactly under ``n_w / n`` weights); the balancer and optimizer then
-        run exactly as in the single-process step.  Raises
+        exactly under ``n_w / n`` weights); the rest of the pipeline then
+        runs exactly as in the single-process step.  Raises
         :class:`~repro.parallel.WorkerCrashed` if a worker dies mid-step.
         """
-        telemetry = self.telemetry
-        shared = self.model.shared_parameters()
-        with telemetry.span("step", **self._step_labels):
-            self.model.train()
-            with telemetry.span("dispatch"):
-                executor.dispatch(
-                    self.step_count, np.ascontiguousarray(batch_indices, dtype=np.int64)
+        with telemetry.span("dispatch"):
+            executor.dispatch(
+                self.step_count, np.ascontiguousarray(batch_indices, dtype=np.int64)
+            )
+        wait_started = time.perf_counter()
+        with telemetry.span("shard_compute"):
+            busy_seconds = executor.wait(self.step_count)
+        wait_wall = time.perf_counter() - wait_started
+        if telemetry.enabled and wait_wall > 0:
+            for worker, busy in enumerate(busy_seconds):
+                telemetry.gauge("parallel_worker_utilization", worker=str(worker)).set(
+                    min(busy / wait_wall, 1.0)
                 )
-            wait_started = time.perf_counter()
-            with telemetry.span("shard_compute"):
-                busy_seconds = executor.wait(self.step_count)
-            wait_wall = time.perf_counter() - wait_started
-            if telemetry.enabled and wait_wall > 0:
-                for worker, busy in enumerate(busy_seconds):
-                    telemetry.gauge("parallel_worker_utilization", worker=str(worker)).set(
-                        min(busy / wait_wall, 1.0)
-                    )
-            grads = self._workspace(sum(p.size for p in shared))
-            losses = np.empty(len(self.tasks))
-            with telemetry.span("reduce"):
-                executor.reduce(
-                    grads,
-                    self.arena.grad,
-                    losses,
-                    accumulate_full=self.accumulate_steps > 1,
-                )
-            self._resolve_or_accumulate(grads, losses, shared, telemetry)
-        self._finish_step(losses)
-        return losses
+        grads = self._workspace(sum(p.size for p in self.source.roots))
+        losses = np.empty(len(self.tasks))
+        with telemetry.span("reduce"):
+            executor.reduce(
+                grads,
+                self.arena.grad,
+                losses,
+                accumulate_full=self.accumulate_steps > 1,
+            )
+        return grads, losses
 
     def _make_loader(self, dataset, batch_size: int, drop_last: bool):
         """The epoch loader for one dataset: eager or streaming."""
@@ -1149,55 +968,3 @@ class MTLTrainer:
         """Median backward-only seconds per step (Fig. 8)."""
         durations = self.backward_seconds
         return float(np.median(durations)) if durations else 0.0
-
-    # ------------------------------------------------------------------
-    # Deprecated surface
-    # ------------------------------------------------------------------
-    @property
-    def grad_source(self) -> str:
-        """Deprecated alias of :attr:`grad_space` (legacy spelling)."""
-        warnings.warn(
-            "MTLTrainer.grad_source is deprecated; read trainer.grad_space "
-            "('parameters' or 'features') instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return "params" if self.grad_space == "parameters" else "features"
-
-    @property
-    def step_seconds(self) -> list[float]:
-        """Deprecated: use ``trainer.telemetry.durations("step")``."""
-        warnings.warn(
-            "MTLTrainer.step_seconds is deprecated; read span durations from "
-            'trainer.telemetry.durations("step") instead',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.telemetry.durations("step")
-
-    @property
-    def backward_seconds_total(self) -> float:
-        """Deprecated: use ``sum(trainer.backward_seconds)``.
-
-        Historical note: this attribute used to accumulate *whole-step*
-        wall-clock (forward + balancing + optimizer) under a backward-time
-        name; it now returns genuinely backward-only seconds.
-        """
-        warnings.warn(
-            "MTLTrainer.backward_seconds_total is deprecated; use "
-            "sum(trainer.backward_seconds) (note: now backward-only time, "
-            "not whole-step time)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return float(sum(self.backward_seconds))
-
-    @property
-    def conflict_history(self) -> list[tuple[float, float]]:
-        """Deprecated alias of :attr:`conflict_stats`."""
-        warnings.warn(
-            "MTLTrainer.conflict_history is deprecated; use trainer.conflict_stats",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.conflict_stats

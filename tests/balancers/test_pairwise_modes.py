@@ -1,10 +1,11 @@
-"""Loop vs vectorized pairwise-kernel equivalence (PR 4 tentpole).
+"""Vectorized pairwise kernels vs their per-pair loop references.
 
 The vectorized kernels must be a pure performance change: for every
 registered balancer, every task count, and every step of a multi-step
-trajectory, ``pairwise_mode="vectorized"`` must reproduce the
-``pairwise_mode="loop"`` reference — outputs to within fp tolerance and
-telemetry counters *bitwise identical*.
+trajectory, the production balancer must reproduce its loop reference
+(``tests/reference/balancers.py``; balancers without a pairwise kernel
+are compared against a second instance of themselves) — outputs to within
+fp tolerance and telemetry counters *bitwise identical*.
 """
 
 from __future__ import annotations
@@ -17,22 +18,19 @@ from repro.core import available_balancers, create_balancer
 from repro.core.mocograd import MoCoGrad
 from repro.obs import Telemetry
 
+from ..reference.balancers import LOOP_KERNELS
+
 TASK_COUNTS = (2, 4, 8, 16)
 DIM = 12
 STEPS = 6
 
 
 def make_balancer(name: str, mode: str, **kwargs):
-    """A balancer pinned to ``mode`` with small-K dispatch disabled.
-
-    Not every balancer constructor takes ``pairwise_mode`` (only the ones
-    with pairwise kernels do), so the mode is set post-construction; the
-    dispatch threshold is zeroed so "vectorized" really runs the
-    vectorized kernel even at K=2.
-    """
-    balancer = create_balancer(name, seed=0, **kwargs)
-    balancer.pairwise_mode = mode
-    balancer.vectorize_min_tasks = 0
+    """The production balancer (``"vectorized"``) or its loop reference."""
+    if mode == "loop" and name in LOOP_KERNELS:
+        balancer = LOOP_KERNELS[name](seed=0, **kwargs)
+    else:
+        balancer = create_balancer(name, seed=0, **kwargs)
     balancer.telemetry = Telemetry()
     return balancer
 
@@ -88,8 +86,9 @@ def test_mocograd_calibrated_momentum_source(num_tasks):
 
 @pytest.mark.parametrize("num_tasks", (2, 8))
 def test_mocograd_per_pair_ignores_mode(num_tasks):
-    """per_pair momentum mutates mid-loop, so both modes run the same
-    sequential kernel and must agree exactly."""
+    """per_pair momentum mutates mid-loop, so it has no vectorized kernel:
+    the reference only swaps the per_step kernel, and both must agree
+    exactly."""
     loop = make_balancer("mocograd", "loop", momentum_update="per_pair")
     vectorized = make_balancer("mocograd", "vectorized", momentum_update="per_pair")
     for expected, actual in zip(
@@ -123,29 +122,6 @@ class TestMomentumStateEquivalence:
 
 
 class TestDispatch:
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="pairwise_mode"):
-            MoCoGrad(pairwise_mode="simd")
-
-    def test_default_mode_is_vectorized(self):
-        assert MoCoGrad().pairwise_mode == "vectorized"
-
-    def test_small_k_dispatches_to_loop_kernel(self):
-        balancer = MoCoGrad()
-        assert balancer.vectorize_min_tasks == 4
-        assert not balancer._use_vectorized(2)
-        assert balancer._use_vectorized(4)
-
-    def test_pcgrad_raises_dispatch_threshold(self):
-        pcgrad = create_balancer("pcgrad")
-        assert pcgrad.vectorize_min_tasks == 6
-        assert not pcgrad._use_vectorized(4)
-        assert pcgrad._use_vectorized(6)
-
-    def test_loop_mode_never_vectorizes(self):
-        balancer = MoCoGrad(pairwise_mode="loop")
-        assert not balancer._use_vectorized(16)
-
     def test_gradstats_shared_with_balance(self):
         """_check_inputs builds the per-step cache that balance() consumes."""
         balancer = MoCoGrad(seed=0)

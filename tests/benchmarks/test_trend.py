@@ -44,8 +44,11 @@ def _write_reports(root: Path, grad_speedup=1.8, adam_speedup=6.0):
                 "schema": 2,
                 "results": [
                     {"balancer": "mocograd", "num_tasks": 8, "speedup": 2.0,
-                     "vectorized_kernel": True},
+                     "gated": True},
                     {"balancer": "mocograd", "num_tasks": 2, "speedup": 0.9,
+                     "gated": False},
+                    # the same diagnostic row as written by older reports
+                    {"balancer": "pcgrad", "num_tasks": 4, "speedup": 1.0,
                      "vectorized_kernel": False},
                 ],
             }
@@ -70,9 +73,8 @@ class TestExtraction:
         assert metrics == {
             "grad_collection/K2": 1.2,
             "grad_collection/K8": 1.8,
-            "balancers/mocograd/K8": 2.0,  # vectorized_kernel false row skipped
-            "optim/adam": 6.0,
-            "optim/train_step": 1.2,
+            "balancers/mocograd/K8": 2.0,  # ungated diagnostic rows skipped
+            "optim/adam": 6.0,  # an old report's train_step row is no metric
         }
 
     def test_serve_report_tracks_only_fast_paths(self, trend, tmp_path):
@@ -98,7 +100,7 @@ class TestExtraction:
         (tmp_path / "BENCH_trend.json").write_text('{"schema": 1, "history": []}')
         (tmp_path / "BENCH_broken.json").write_text("{not json")
         metrics = trend.collect_current(tmp_path)
-        assert "optim/adam" in metrics and len(metrics) == 5
+        assert "optim/adam" in metrics and len(metrics) == 4
 
 
 class TestGate:

@@ -150,37 +150,7 @@ def warnings_none():
 
 
 class TestHotPathDeprecation:
-    """Per-pair diagnostics are deprecated *inside* balance() only (PR 4)."""
-
-    @pytest.fixture(autouse=True)
-    def _reset_one_shot_flag(self, monkeypatch):
-        from repro.core import conflict as conflict_module
-
-        monkeypatch.setattr(conflict_module, "_hot_path_warned", False)
-
-    @staticmethod
-    def _legacy_balancer():
-        from repro.core.balancer import GradientBalancer
-
-        class LegacyBalancer(GradientBalancer):
-            name = "legacy"
-
-            def balance(self, grads, losses):
-                grads, _ = self._check_inputs(grads, losses)
-                if cosine_similarity(grads[0], grads[1]) < 0.0:
-                    return grads[0]
-                return grads.sum(axis=0)
-
-        return LegacyBalancer()
-
-    def test_per_pair_helper_warns_once_inside_balance(self):
-        balancer = self._legacy_balancer()
-        grads = np.array([[1.0, 0.0], [-1.0, 0.2]])
-        with pytest.warns(DeprecationWarning, match="gradstats"):
-            balancer.balance(grads, np.ones(2))
-        # One-shot: the second step must not warn again.
-        with warnings_none():
-            balancer.balance(grads, np.ones(2))
+    """No DeprecationWarning is left on the per-pair helpers or balancers."""
 
     def test_diagnostic_use_outside_balance_never_warns(self):
         with warnings_none():
@@ -189,13 +159,15 @@ class TestHotPathDeprecation:
             is_conflicting(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
 
     def test_registry_balancers_never_warn(self):
-        """The shipped loop kernels use the private pair helper, so even
-        the reference oracle stays warning-free."""
+        """Neither the pairwise kernels nor their loop references (which
+        call the per-pair helpers) warn."""
         import repro.balancers  # noqa: F401
         from repro.core import create_balancer
 
+        from ..reference.balancers import LOOP_KERNELS
+
         grads = np.array([[1.0, 0.0], [-1.0, 0.2]])
-        for name in ("mocograd", "pcgrad", "gradvac"):
-            balancer = create_balancer(name, seed=0, pairwise_mode="loop")
-            with warnings_none():
-                balancer.balance(grads, np.ones(2))
+        for name, reference in LOOP_KERNELS.items():
+            for balancer in (create_balancer(name, seed=0), reference(seed=0)):
+                with warnings_none():
+                    balancer.balance(grads, np.ones(2))

@@ -1,9 +1,11 @@
-"""Flat-vs-loop optimizer equivalence and step-mode dispatch tests."""
+"""Flat-vs-loop optimizer equivalence and kernel-selection tests."""
 
 import numpy as np
 import pytest
 
 from repro.nn import Adam, AdaGrad, Parameter, ParameterArena, RMSProp, SGD
+
+from ..reference.optim import loop_order, unpacked_copy
 
 OPTIMIZERS = {
     "sgd": (SGD, dict(lr=0.05)),
@@ -28,18 +30,19 @@ class TestFlatLoopEquivalence:
     def test_trajectories_bitwise_identical(self, name):
         """Same elementwise op sequence ⇒ bitwise-equal parameters."""
         cls, kwargs = OPTIMIZERS[name]
-        arenas = {mode: make_arena() for mode in ("loop", "flat")}
-        optimizers = {
-            mode: cls(arena, step_mode=mode, **kwargs) for mode, arena in arenas.items()
-        }
+        arena = make_arena()
+        plain = unpacked_copy(arena.parameters)
+        optimizers = {"flat": cls(arena, **kwargs), "loop": cls(plain, **kwargs)}
+        assert optimizers["flat"].flat and not optimizers["loop"].flat
         grad_rng = np.random.default_rng(7)
         for _ in range(25):
-            grad = grad_rng.normal(size=arenas["loop"].size)
-            for arena in arenas.values():
-                arena.grad[:] = grad
+            arena.grad[:] = grad_rng.normal(size=arena.size)
+            for packed, param in zip(arena.parameters, plain):
+                param.grad = packed.grad.copy()
             for optimizer in optimizers.values():
                 optimizer.step()
-        np.testing.assert_array_equal(arenas["flat"].data, arenas["loop"].data)
+        loop_data = np.concatenate([param.data.reshape(-1) for param in plain])
+        np.testing.assert_array_equal(arena.data, loop_data)
 
     @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
     def test_flat_matches_unpacked_loop(self, name):
@@ -52,8 +55,8 @@ class TestFlatLoopEquivalence:
         arena = ParameterArena(packed)
         opt_plain = cls(plain, **kwargs)
         opt_flat = cls(arena, **kwargs)
-        assert opt_plain.step_mode == "loop"
-        assert opt_flat.step_mode == "flat"
+        assert not opt_plain.flat
+        assert opt_flat.flat
         grad_rng = np.random.default_rng(9)
         for _ in range(10):
             for p_plain, p_packed in zip(plain, packed):
@@ -94,23 +97,26 @@ class TestAdamBiasFold:
 
 
 class TestStepModeDispatch:
+    """The kernel follows the parameters: flat for arena segments."""
+
     def test_auto_is_loop_without_arena(self):
         opt = SGD([Parameter(np.zeros(3))], lr=0.1)
-        assert opt.step_mode == "loop"
+        assert not opt.flat
 
     def test_auto_is_flat_with_arena(self):
-        assert SGD(make_arena(), lr=0.1).step_mode == "flat"
+        assert SGD(make_arena(), lr=0.1).flat
 
     def test_auto_is_flat_for_packed_parameter_list(self):
         arena = make_arena()
         opt = SGD(arena.parameters, lr=0.1)
-        assert opt.step_mode == "flat"
+        assert opt.flat
 
     def test_flat_on_arena_segment(self):
         """A contiguous sub-list of an arena gets its own flat window."""
         arena = make_arena()
         subset = arena.parameters[:2]
-        opt = SGD(subset, lr=0.1, step_mode="flat")
+        opt = SGD(subset, lr=0.1)
+        assert opt.flat
         dim = sum(p.size for p in subset)
         assert opt._flat_data.shape == (dim,)
         arena.grad[:] = 1.0
@@ -119,17 +125,16 @@ class TestStepModeDispatch:
         np.testing.assert_array_equal(arena.data[dim:], tail_before)
         np.testing.assert_allclose(arena.data[:dim] - (-0.1), make_arena().data[:dim])
 
-    def test_flat_without_arena_rejected(self):
-        with pytest.raises(ValueError, match="flat"):
-            SGD([Parameter(np.zeros(3))], lr=0.1, step_mode="flat")
-
-    def test_invalid_step_mode_rejected(self):
-        with pytest.raises(ValueError, match="step_mode"):
-            SGD(make_arena(), lr=0.1, step_mode="fused")
-
     def test_loop_mode_forced_on_arena(self):
-        opt = SGD(make_arena(), lr=0.1, step_mode="loop")
-        assert opt.step_mode == "loop"
+        """Packed parameters that form no contiguous segment run the loop
+        kernel, which still updates the arena through the views."""
+        arena = make_arena()
+        opt = SGD(loop_order(arena.parameters), lr=0.1)
+        assert not opt.flat
+        arena.grad[:] = 1.0
+        before = arena.data.copy()
+        opt.step()
+        np.testing.assert_allclose(arena.data, before - 0.1)
 
     def test_zero_grad_single_fill_keeps_views(self):
         arena = make_arena()
@@ -150,7 +155,7 @@ class TestFlatStepAllocations:
         cls, kwargs = OPTIMIZERS[name]
         rng = np.random.default_rng(0)
         arena = ParameterArena([Parameter(rng.normal(size=(256, 64)))])
-        opt = cls(arena, step_mode="flat", **kwargs)
+        opt = cls(arena, **kwargs)
         arena.grad[:] = rng.normal(size=arena.size)
         for _ in range(3):  # warm up scratch/state
             opt.step()

@@ -145,11 +145,10 @@ def test_parallel_requires_model_factory():
         )
 
 
-def test_parallel_requires_arena_and_multi_root():
+def test_parallel_requires_parameter_space_and_single_input():
     for bad_kwargs, match in [
-        ({"use_arena": False}, "use_arena"),
-        ({"backward_mode": "per_task"}, "multi_root"),
         ({"grad_space": "features"}, "grad_space"),
+        ({"mode": "multi_input"}, "single-input"),
     ]:
         model = support.hps_factory()
         with pytest.raises(ValueError, match=match):

@@ -1,10 +1,10 @@
 """Arena-backed trainer: flat-vs-loop equivalence across the whole stack.
 
 The acceptance bar for the parameter arena: for every registered optimizer,
-every architecture and both backward modes, training with the fused flat
-optimizer step must reproduce the per-parameter loop oracle bitwise —
-including telemetry counters — and the arena must survive checkpoint
-restores and flat-vector parameter writes.
+every architecture and both collect stages (multi-root and the per-task
+reference), training with the fused flat optimizer step must reproduce the
+per-parameter loop kernel bitwise — including telemetry counters — and the
+arena must survive checkpoint restores and flat-vector parameter writes.
 """
 
 import numpy as np
@@ -12,16 +12,21 @@ import pytest
 
 from repro.balancers import EqualWeighting
 from repro.data import TaskSpec
+from repro.nn import ParameterArena
 from repro.nn.functional import mse_loss
 from repro.nn.utils import parameter_vector, set_parameters_from_vector
 from repro.obs import Telemetry
 from repro.training import MTLTrainer
+from repro.training.trainer import _make_optimizer
 
 from ..arch.test_architectures import FACTORIES
 from ..arch.test_ple import make_ple
+from ..reference.optim import loop_order
+from ..reference.trainer import TRAINERS
 
 ALL_FACTORIES = dict(FACTORIES, ple=make_ple)
 OPTIMIZERS = ("sgdm", "adam", "adagrad", "rmsprop")
+LR = 1e-2
 
 
 def make_tasks(names=("a", "b")):
@@ -34,17 +39,25 @@ def make_batch(rng, n=12):
     return x, targets
 
 
-def build_trainer(name, telemetry=None, **kwargs):
+def build_trainer(
+    name, telemetry=None, backward_mode="multi_root", kernel="flat", optimizer="adam", **kwargs
+):
+    """A trainer whose optimizer runs the flat kernel or the loop reference."""
     model = ALL_FACTORIES[name](np.random.default_rng(5))
-    return MTLTrainer(
+    trainer = TRAINERS[backward_mode](
         model,
         make_tasks(),
         EqualWeighting(),
         seed=0,
-        lr=1e-2,
+        lr=LR,
+        optimizer=optimizer,
         telemetry=telemetry if telemetry is not None else Telemetry(),
         **kwargs,
     )
+    if kernel == "loop":
+        trainer.optimizer = _make_optimizer(optimizer, loop_order(model.parameters()), LR)
+    assert trainer.optimizer.flat is (kernel == "flat")
+    return trainer
 
 
 def counter_snapshots(telemetry):
@@ -69,35 +82,25 @@ class TestFlatLoopTrainingEquivalence:
     @pytest.mark.parametrize("arch", sorted(ALL_FACTORIES))
     def test_trajectory_and_counters_identical(self, arch, optimizer, backward_mode):
         finals, counters = {}, {}
-        for step_mode in ("loop", "flat"):
+        for kernel in ("loop", "flat"):
             telemetry = Telemetry()
             trainer = build_trainer(
                 arch,
                 telemetry=telemetry,
                 optimizer=optimizer,
                 backward_mode=backward_mode,
-                step_mode=step_mode,
+                kernel=kernel,
             )
-            assert trainer.optimizer.step_mode == step_mode
-            finals[step_mode] = run_steps(trainer)
-            counters[step_mode] = counter_snapshots(telemetry)
+            finals[kernel] = run_steps(trainer)
+            counters[kernel] = counter_snapshots(telemetry)
         np.testing.assert_array_equal(finals["flat"], finals["loop"])
         assert counters["flat"] == counters["loop"]
 
-    def test_arena_matches_arena_free_reference(self):
-        """Packing alone must not change the training trajectory."""
-        finals = {}
-        for use_arena in (True, False):
-            trainer = build_trainer("hps", optimizer="sgdm", use_arena=use_arena)
-            assert (trainer.arena is not None) is use_arena
-            finals[use_arena] = run_steps(trainer)
-        np.testing.assert_array_equal(finals[True], finals[False])
-
     def test_feature_grad_space_flat_matches_loop(self):
         finals = {}
-        for step_mode in ("loop", "flat"):
-            trainer = build_trainer("hps", grad_space="features", step_mode=step_mode)
-            finals[step_mode] = run_steps(trainer)
+        for kernel in ("loop", "flat"):
+            trainer = build_trainer("hps", grad_space="features", kernel=kernel)
+            finals[kernel] = run_steps(trainer)
         np.testing.assert_array_equal(finals["flat"], finals["loop"])
 
 
@@ -107,11 +110,10 @@ class TestTrainerArenaWiring:
         shared = trainer.model.shared_parameters()
         assert trainer.arena is not None
         assert trainer.arena.segment(shared) == slice(0, sum(p.size for p in shared))
-        assert np.shares_memory(trainer._shared_grad_view, trainer.arena.grad)
 
     def test_optimizer_defaults_to_flat_over_whole_arena(self):
         trainer = build_trainer("cgc")
-        assert trainer.optimizer.step_mode == "flat"
+        assert trainer.optimizer.flat
         assert trainer.optimizer.arena is trainer.arena
         assert trainer.optimizer._flat_data.size == trainer.arena.size
 
@@ -122,9 +124,16 @@ class TestTrainerArenaWiring:
         )
         assert second.arena is trainer.arena
 
-    def test_flat_step_mode_without_arena_rejected(self):
-        with pytest.raises(ValueError, match="flat"):
-            build_trainer("hps", use_arena=False, step_mode="flat")
+    def test_partly_packed_model_rejected(self):
+        """A model half-packed into a foreign arena cannot be repacked
+        without detaching that arena's live views: name the fix."""
+        model = ALL_FACTORIES["hps"](np.random.default_rng(5))
+        params = model.parameters()
+        foreign = ParameterArena(params[: len(params) // 2])
+        with pytest.raises(ValueError, match=r"unpack\(\)"):
+            MTLTrainer(model, make_tasks(), EqualWeighting(), seed=0)
+        foreign.unpack()
+        assert MTLTrainer(model, make_tasks(), EqualWeighting(), seed=0).arena is not None
 
     def test_arena_rebinding_after_set_parameters_from_vector(self):
         trainer = build_trainer("hps")

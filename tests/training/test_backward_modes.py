@@ -1,4 +1,4 @@
-"""per_task vs multi_root backward-mode equivalence across architectures."""
+"""Multi-root collect vs the per-task backward reference, per architecture."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,10 @@ from repro.training import MTLTrainer
 
 from ..arch.test_architectures import FACTORIES
 from ..arch.test_ple import make_ple
+from ..reference.trainer import TRAINERS
 
 ALL_FACTORIES = dict(FACTORIES, ple=make_ple)
+CUT_ARCHS = ("hps", "mmoe", "cross_stitch", "cgc")
 
 
 def make_tasks(names=("a", "b")):
@@ -27,9 +29,7 @@ def make_batch(rng, n=12):
 
 def build_trainer(name, backward_mode, **kwargs):
     model = ALL_FACTORIES[name](np.random.default_rng(5))
-    return MTLTrainer(
-        model, make_tasks(), EqualWeighting(), seed=0, backward_mode=backward_mode, **kwargs
-    )
+    return TRAINERS[backward_mode](model, make_tasks(), EqualWeighting(), seed=0, **kwargs)
 
 
 class TestGradientEquivalence:
@@ -72,26 +72,20 @@ class TestGradientEquivalence:
 
     def test_feature_grad_space_identical(self, rng):
         x, targets = make_batch(rng)
-        params = {}
-        for mode in ("per_task", "multi_root"):
-            trainer = build_trainer("hps", mode, grad_space="features")
-            for _ in range(3):
-                trainer.train_step_single(x, targets)
-            params[mode] = parameter_vector(trainer.model.parameters())
-        np.testing.assert_allclose(
-            params["multi_root"], params["per_task"], atol=1e-12, rtol=0
-        )
+        for name in CUT_ARCHS:
+            params = {}
+            for mode in ("per_task", "multi_root"):
+                trainer = build_trainer(name, mode, grad_space="features")
+                for _ in range(3):
+                    trainer.train_step_single(x, targets)
+                params[mode] = parameter_vector(trainer.model.parameters())
+            np.testing.assert_allclose(
+                params["multi_root"], params["per_task"], atol=1e-12, rtol=0, err_msg=name
+            )
 
 
 class TestBackwardModeOption:
-    def test_invalid_backward_mode_rejected(self, rng):
-        with pytest.raises(ValueError, match="backward_mode"):
-            build_trainer("hps", "both")
-
-    def test_default_is_multi_root(self, rng):
-        model = ALL_FACTORIES["hps"](np.random.default_rng(5))
-        trainer = MTLTrainer(model, make_tasks(), EqualWeighting(), seed=0)
-        assert trainer.backward_mode == "multi_root"
+    """The collect stage's workspace, fresh inspection matrices and spans."""
 
     def test_workspace_reused_across_steps(self, rng):
         x, targets = make_batch(rng)
@@ -116,14 +110,7 @@ class TestBackwardModeOption:
         x, targets = make_batch(rng)
         model = ALL_FACTORIES["hps"](np.random.default_rng(5))
         telemetry = Telemetry()
-        trainer = MTLTrainer(
-            model,
-            make_tasks(),
-            EqualWeighting(),
-            seed=0,
-            backward_mode="multi_root",
-            telemetry=telemetry,
-        )
+        trainer = MTLTrainer(model, make_tasks(), EqualWeighting(), seed=0, telemetry=telemetry)
         trainer.train_step_single(x, targets)
         assert len(telemetry.durations("step/backward")) == 1
         assert len(telemetry.durations("step/backward/task_backward")) == 2

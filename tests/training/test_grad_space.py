@@ -1,22 +1,19 @@
 """First-class ``grad_space`` trainer option: the feature-level gradient
 space as a peer of the parameter-level one.
 
-Covers the ``grad_source``→``grad_space`` deprecation shim, the
-disconnected-head zero-fill fix, feature-vs-parameter equivalence across
-every architecture with a shared cut, feature-space gradient
+Covers the disconnected-head zero-fill fix, feature-vs-parameter
+equivalence across every architecture with a shared cut, feature-space gradient
 accumulation (the historical ValueError gate is lifted), the per-dim
 workspace cache, single-GEMM conflict tracking, and the EMA feature-norm
 normalizer.
 """
 
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
 import repro.core.gradstats as gradstats_module
-import repro.training.trainer as trainer_module
 from repro.arch import HardParameterSharing, LinearHead, MLPEncoder
 from repro.balancers import EqualWeighting
 from repro.core.balancer import available_balancers, create_balancer
@@ -25,73 +22,16 @@ from repro.nn.utils import parameter_vector
 from repro.training import MTLTrainer
 
 from ..arch.test_architectures import FACTORIES
+from ..reference.trainer import TRAINERS
 from .test_trainer import make_model, make_problem
 
 ALL_METHODS = sorted(available_balancers())
 CUT_ARCHS = ("hps", "mmoe", "cross_stitch", "cgc")
 
 
-def build(model, tasks, *, balancer=None, **kwargs):
+def build(model, tasks, *, balancer=None, backward_mode="multi_root", **kwargs):
     kwargs.setdefault("seed", 0)
-    return MTLTrainer(model, tasks, balancer or EqualWeighting(), **kwargs)
-
-
-# ----------------------------------------------------------------------
-# grad_source → grad_space migration
-# ----------------------------------------------------------------------
-class TestDeprecation:
-    def test_legacy_spellings_map_onto_spaces(self, rng):
-        dataset, tasks = make_problem(rng)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert build(make_model(rng, tasks), tasks, grad_source="params").grad_space == (
-                "parameters"
-            )
-            assert build(make_model(rng, tasks), tasks, grad_source="features").grad_space == (
-                "features"
-            )
-
-    def test_legacy_kwarg_warns_exactly_once(self, rng, monkeypatch):
-        monkeypatch.setattr(trainer_module, "_grad_source_warned", False)
-        dataset, tasks = make_problem(rng)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            build(make_model(rng, tasks), tasks, grad_source="features")
-            build(make_model(rng, tasks), tasks, grad_source="params")
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "grad_space" in str(deprecations[0].message)
-
-    def test_both_spellings_rejected(self, rng):
-        dataset, tasks = make_problem(rng)
-        with pytest.raises(ValueError, match="not both"):
-            build(make_model(rng, tasks), tasks, grad_space="features", grad_source="features")
-
-    def test_invalid_legacy_value_rejected(self, rng):
-        dataset, tasks = make_problem(rng)
-        with pytest.raises(ValueError, match="grad_source"):
-            build(make_model(rng, tasks), tasks, grad_source="parameters")
-
-    def test_deprecated_property_still_reads(self, rng):
-        dataset, tasks = make_problem(rng)
-        trainer = build(make_model(rng, tasks), tasks, grad_space="features")
-        with pytest.warns(DeprecationWarning, match="grad_space"):
-            assert trainer.grad_source == "features"
-
-    def test_legacy_and_new_spelling_train_identically(self, rng):
-        """The shim is pure aliasing: bitwise-identical trajectories."""
-        dataset, tasks = make_problem(rng)
-        x, targets = dataset.batch(np.arange(16))
-        finals = {}
-        for kwargs in ({"grad_source": "features"}, {"grad_space": "features"}):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                trainer = build(make_model(np.random.default_rng(3), tasks), tasks, **kwargs)
-            for _ in range(3):
-                trainer.train_step_single(x, targets)
-            finals[tuple(kwargs)] = parameter_vector(trainer.model.parameters())
-        a, b = finals.values()
-        np.testing.assert_array_equal(a, b)
+    return TRAINERS[backward_mode](model, tasks, balancer or EqualWeighting(), **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +61,7 @@ class TestDisconnectedHead:
         dataset, tasks, model = make_disconnected_problem(rng)
         trainer = build(model, tasks, grad_space="features", backward_mode=backward_mode)
         x, targets = dataset.batch(np.arange(8))
-        _, grads, losses = trainer._collect_feature_grads(x, targets, trainer.telemetry)
+        grads, losses = trainer._collect_single(x, targets, trainer.telemetry)
         assert np.abs(grads[0]).sum() > 0
         np.testing.assert_array_equal(grads[1], np.zeros_like(grads[1]))
         assert np.all(np.isfinite(losses))

@@ -1,4 +1,4 @@
-"""Trainer ↔ telemetry integration: spans, counters, deprecated views."""
+"""Trainer ↔ telemetry integration: spans, counters, timing views."""
 
 import numpy as np
 import pytest
@@ -111,49 +111,39 @@ class TestStepSpans:
         assert sum(trainer.backward_seconds) >= sum(telemetry.durations("step/backward"))
 
 
+class TestAccumulateSpans:
+    @pytest.mark.parametrize("grad_space", ("parameters", "features"))
+    def test_span_counts_per_micro_step_and_per_window(self, rng, grad_space):
+        """Micro-steps record step/forward/backward; the resolve tail
+        (balance, trunk backprop, optimizer step) runs once per window."""
+        dataset, tasks = make_problem(rng)
+        trainer = MTLTrainer(
+            make_model(rng, tasks),
+            tasks,
+            EqualWeighting(),
+            grad_space=grad_space,
+            accumulate_steps=4,
+            seed=0,
+            telemetry=Telemetry(),
+        )
+        x, targets = dataset.batch(np.arange(8))
+        for _ in range(10):  # two full windows, a third left open
+            trainer.train_step_single(x, targets)
+        durations = trainer.telemetry.durations
+        for path in ("step", "step/forward", "step/backward"):
+            assert len(durations(path)) == 10, path
+        assert len(durations("step/backward/task_backward")) == 2 * 10
+        assert len(durations("step/balance")) == 2
+        assert len(durations("step/optimizer_step")) == 2
+        shared = 2 if grad_space == "features" else 0
+        assert len(durations("step/backward_shared")) == shared
+
+
 class TestTimingViews:
     def test_backward_time_distinct_from_step_time(self, fitted):
         trainer, _ = fitted
         assert 0.0 < trainer.mean_backward_seconds < trainer.mean_step_seconds
         assert 0.0 < trainer.median_backward_seconds <= trainer.median_step_seconds
-
-    def test_deprecated_step_seconds(self, fitted):
-        trainer, _ = fitted
-        with pytest.deprecated_call():
-            values = trainer.step_seconds
-        assert values == trainer.telemetry.durations("step")
-
-    def test_deprecated_backward_seconds_total_is_backward_only(self, fitted):
-        trainer, _ = fitted
-        with pytest.deprecated_call():
-            total = trainer.backward_seconds_total
-        assert total == pytest.approx(sum(trainer.backward_seconds))
-        assert total < sum(trainer.telemetry.durations("step"))
-
-    def test_deprecated_conflict_history_alias(self, rng):
-        dataset, tasks = make_problem(rng)
-        model = make_model(rng, tasks)
-        trainer = MTLTrainer(model, tasks, EqualWeighting(), seed=0, track_conflicts=True)
-        trainer.fit(dataset, epochs=1, batch_size=8)
-        with pytest.deprecated_call():
-            history = trainer.conflict_history
-        assert history is trainer.conflict_stats
-        assert len(history) == trainer.step_count
-
-    def test_deprecated_accessors_warn_exactly_once_per_access(self, rng):
-        import warnings
-
-        dataset, tasks = make_problem(rng)
-        model = make_model(rng, tasks)
-        trainer = MTLTrainer(model, tasks, EqualWeighting(), seed=0, track_conflicts=True)
-        trainer.fit(dataset, epochs=1, batch_size=8)
-        for attribute in ("step_seconds", "backward_seconds_total", "conflict_history"):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                getattr(trainer, attribute)
-            deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-            assert len(deprecations) == 1, attribute
-            assert attribute in str(deprecations[0].message)
 
     def test_disabled_telemetry_trains_identically(self, rng):
         dataset, tasks = make_problem(rng)
