@@ -8,17 +8,24 @@ task loss to obtain per-task gradients over the shared parameters.
 
 Design notes
 ------------
-- Each operation stores a ``grad_fn`` on its output that maps the upstream
-  gradient to a tuple of parent gradients.  During :meth:`Tensor.backward`
-  intermediate gradients live in a transient dictionary; only *leaf* tensors
-  (parameters, inputs) and tensors marked via :meth:`Tensor.retain_grad`
-  accumulate into ``.grad``.  This makes repeated backward passes over a
-  shared graph safe — exactly what per-task gradient collection in multi-task
-  learning requires.
+- Each operation records its name, parents and the context its backward
+  needs (``_op``, ``_prev``, ``_ctx``) on its output.  Every op has exactly
+  one backward: a batched adjoint in ``_MULTI_ADJOINTS`` (or registered via
+  :func:`register_multi_adjoint`) that maps a ``(R, *out.shape)`` upstream
+  gradient — one row per backward root — to ``(R, *parent.shape)`` parent
+  gradients.  :func:`backward_multi` is the only graph walk;
+  :meth:`Tensor.backward` is its one-root case (R = 1).
+- During a backward pass intermediate gradients live in a transient
+  dictionary; only *leaf* tensors (parameters, inputs) and tensors marked
+  via :meth:`Tensor.retain_grad` accumulate into ``.grad``.  This makes
+  repeated backward passes over a shared graph safe — exactly what per-task
+  gradient collection in multi-task learning requires.
+- Nodes reference their parents but never themselves, so a graph is freed
+  by reference counting as soon as its last tensor is dropped.
 - Gradients accumulate additively into ``Tensor.grad`` until ``zero_grad``,
   matching the PyTorch convention.
 - Broadcasting is fully supported; backward passes reduce gradients back to
-  the operand shape via :func:`unbroadcast`.
+  the operand shape via :func:`unbroadcast_lead`.
 - ``no_grad`` disables graph construction for evaluation loops and optimizer
   arithmetic.
 """
@@ -85,7 +92,7 @@ def inference_mode():
     Inside this context every op result skips the full ``Tensor.__init__``
     (no ``np.asarray`` revalidation, no graph bookkeeping at all): outputs
     are bare data carriers with ``requires_grad=False`` and no ``_ctx`` /
-    ``_grad_fn`` / ``_prev`` state.  This is the serving forward path —
+    ``_prev`` state.  This is the serving forward path —
     see :mod:`repro.serve` — where per-request Python overhead, not numpy
     time, dominates small-batch latency.
 
@@ -154,7 +161,7 @@ def as_tensor(value, requires_grad: bool = False) -> "Tensor":
 class Tensor:
     """A numpy-backed tensor participating in reverse-mode autodiff."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_grad_fn", "_prev", "_op", "_retains", "_ctx")
+    __slots__ = ("data", "grad", "requires_grad", "_prev", "_op", "_retains", "_ctx")
 
     __array_priority__ = 200  # ensure ndarray op Tensor dispatches here
 
@@ -162,12 +169,11 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._grad_fn: Callable[[np.ndarray], tuple] | None = None
         self._prev: tuple[Tensor, ...] = ()
         self._op = ""
         self._retains = False
-        # Op-specific context the batched multi-root adjoints need but
-        # cannot recompute from node/parent data (e.g. a reduction axis).
+        # Op-specific context the op's adjoint needs but cannot recompute
+        # from node/parent data (e.g. a reduction axis).
         self._ctx = None
 
     # ------------------------------------------------------------------
@@ -191,7 +197,7 @@ class Tensor:
 
     @property
     def is_leaf(self) -> bool:
-        return self._grad_fn is None
+        return not self._prev
 
     def __len__(self) -> int:
         return len(self.data)
@@ -242,7 +248,6 @@ class Tensor:
                 out.data = np.asarray(data, dtype=np.float64)
             out.grad = None
             out.requires_grad = False
-            out._grad_fn = None
             out._prev = ()
             out._op = ""
             out._retains = False
@@ -263,108 +268,42 @@ class Tensor:
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor into leaf ``.grad`` buffers.
 
-        Safe to call multiple times on losses sharing subgraphs: gradients of
-        intermediate nodes are kept in a transient map, never on the nodes.
+        The one-root case of :func:`backward_multi`.  Safe to call multiple
+        times on losses sharing subgraphs: gradients of intermediate nodes
+        are kept in a transient map, never on the nodes.
         """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
-        if grad is None:
-            grad = np.ones_like(self.data)
-        else:
-            grad = np.asarray(grad, dtype=np.float64)
-            if grad.shape != self.data.shape:
-                raise ValueError(
-                    f"grad shape {grad.shape} does not match tensor shape {self.data.shape}"
-                )
-
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._prev:
-                if parent.requires_grad and id(parent) not in visited:
-                    stack.append((parent, False))
-
-        flowing: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
-            upstream = flowing.pop(id(node), None)
-            if upstream is None:
-                continue
-            if node.is_leaf or node._retains:
-                node._accumulate(upstream)
-            if node._grad_fn is None:
-                continue
-            parent_grads = node._grad_fn(upstream)
-            for parent, parent_grad in zip(node._prev, parent_grads):
-                if parent_grad is None or not parent.requires_grad:
-                    continue
-                key = id(parent)
-                if key in flowing:
-                    flowing[key] = flowing[key] + parent_grad
-                else:
-                    flowing[key] = parent_grad
+        backward_multi([self], [grad])
 
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out = self._make_child(self.data + other.data, (self, other), "add")
-        if out.requires_grad:
-            a_shape, b_shape = self.data.shape, other.data.shape
-            out._grad_fn = lambda g: (unbroadcast(g, a_shape), unbroadcast(g, b_shape))
-        return out
+        return self._make_child(self.data + other.data, (self, other), "add")
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out = self._make_child(self.data * other.data, (self, other), "mul")
-        if out.requires_grad:
-            a, b = self, other
-            out._grad_fn = lambda g: (
-                unbroadcast(g * b.data, a.data.shape),
-                unbroadcast(g * a.data, b.data.shape),
-            )
-        return out
+        return self._make_child(self.data * other.data, (self, other), "mul")
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Tensor":
-        out = self._make_child(-self.data, (self,), "neg")
-        if out.requires_grad:
-            out._grad_fn = lambda g: (-g,)
-        return out
+        return self._make_child(-self.data, (self,), "neg")
 
     def __sub__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out = self._make_child(self.data - other.data, (self, other), "sub")
-        if out.requires_grad:
-            a_shape, b_shape = self.data.shape, other.data.shape
-            out._grad_fn = lambda g: (unbroadcast(g, a_shape), unbroadcast(-g, b_shape))
-        return out
+        return self._make_child(self.data - other.data, (self, other), "sub")
 
     def __rsub__(self, other) -> "Tensor":
         return as_tensor(other) - self
 
     def __truediv__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out = self._make_child(self.data / other.data, (self, other), "div")
-        if out.requires_grad:
-            a, b = self, other
-            out._grad_fn = lambda g: (
-                unbroadcast(g / b.data, a.data.shape),
-                unbroadcast(-g * a.data / (b.data**2), b.data.shape),
-            )
-        return out
+        return self._make_child(self.data / other.data, (self, other), "div")
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other) / self
@@ -374,52 +313,12 @@ class Tensor:
             raise TypeError("only scalar exponents are supported")
         out = self._make_child(self.data**exponent, (self,), "pow")
         if out.requires_grad:
-            base = self
             out._ctx = exponent
-            out._grad_fn = lambda g: (g * exponent * base.data ** (exponent - 1),)
         return out
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out = self._make_child(self.data @ other.data, (self, other), "matmul")
-        if out.requires_grad:
-            a, b = self, other
-
-            def grad_fn(g: np.ndarray) -> tuple:
-                ad, bd = a.data, b.data
-                grad_a = grad_b = None
-                if a.requires_grad:
-                    if bd.ndim == 1 and ad.ndim == 1:
-                        grad_a = g * bd
-                    elif bd.ndim == 1:
-                        grad_a = g[..., None] * bd
-                    elif ad.ndim == 1:
-                        grad_a = g @ np.swapaxes(bd, -1, -2)
-                        if grad_a.ndim > 1:
-                            grad_a = grad_a.sum(axis=tuple(range(grad_a.ndim - 1)))
-                    else:
-                        grad_a = g @ np.swapaxes(bd, -1, -2)
-                    if grad_a.shape != ad.shape:
-                        grad_a = unbroadcast(grad_a, ad.shape)
-                if b.requires_grad:
-                    if ad.ndim == 1 and bd.ndim == 1:
-                        grad_b = g * ad
-                    elif ad.ndim == 1:
-                        grad_b = np.outer(ad, g) if bd.ndim == 2 else None
-                        if grad_b is None:
-                            raise NotImplementedError("1D @ nD (n>2) backward unsupported")
-                    elif bd.ndim == 1:
-                        grad_b = (np.swapaxes(ad, -1, -2) @ g[..., None])[..., 0]
-                        if grad_b.ndim > 1:
-                            grad_b = grad_b.sum(axis=tuple(range(grad_b.ndim - 1)))
-                    else:
-                        grad_b = np.swapaxes(ad, -1, -2) @ g
-                        if grad_b.shape != bd.shape:
-                            grad_b = unbroadcast(grad_b, bd.shape)
-                return grad_a, grad_b
-
-            out._grad_fn = grad_fn
-        return out
+        return self._make_child(self.data @ other.data, (self, other), "matmul")
 
     def __rmatmul__(self, other) -> "Tensor":
         return as_tensor(other).__matmul__(self)
@@ -429,18 +328,11 @@ class Tensor:
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         """Elementwise exponential (inputs clipped to ±700 for stability)."""
-        out = self._make_child(np.exp(np.clip(self.data, -700.0, 700.0)), (self,), "exp")
-        if out.requires_grad:
-            out._grad_fn = lambda g: (g * out.data,)
-        return out
+        return self._make_child(np.exp(np.clip(self.data, -700.0, 700.0)), (self,), "exp")
 
     def log(self) -> "Tensor":
         """Elementwise natural logarithm."""
-        out = self._make_child(np.log(self.data), (self,), "log")
-        if out.requires_grad:
-            base = self
-            out._grad_fn = lambda g: (g / base.data,)
-        return out
+        return self._make_child(np.log(self.data), (self,), "log")
 
     def sqrt(self) -> "Tensor":
         """Elementwise square root."""
@@ -448,53 +340,34 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         """Elementwise hyperbolic tangent."""
-        out = self._make_child(np.tanh(self.data), (self,), "tanh")
-        if out.requires_grad:
-            out._grad_fn = lambda g: (g * (1.0 - out.data**2),)
-        return out
+        return self._make_child(np.tanh(self.data), (self,), "tanh")
 
     def sigmoid(self) -> "Tensor":
         """Elementwise logistic sigmoid (numerically clipped)."""
         value = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
-        out = self._make_child(value, (self,), "sigmoid")
-        if out.requires_grad:
-            out._grad_fn = lambda g: (g * out.data * (1.0 - out.data),)
-        return out
+        return self._make_child(value, (self,), "sigmoid")
 
     def relu(self) -> "Tensor":
         """Elementwise max(x, 0)."""
-        out = self._make_child(np.maximum(self.data, 0.0), (self,), "relu")
-        if out.requires_grad:
-            mask = self.data > 0
-            out._ctx = mask
-            out._grad_fn = lambda g: (g * mask,)
-        return out
+        return self._make_child(np.maximum(self.data, 0.0), (self,), "relu")
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
         """Elementwise leaky ReLU with the given negative slope."""
         value = np.where(self.data > 0, self.data, negative_slope * self.data)
         out = self._make_child(value, (self,), "leaky_relu")
         if out.requires_grad:
-            scale = np.where(self.data > 0, 1.0, negative_slope)
-            out._ctx = scale
-            out._grad_fn = lambda g: (g * scale,)
+            out._ctx = np.where(self.data > 0, 1.0, negative_slope)
         return out
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value."""
-        out = self._make_child(np.abs(self.data), (self,), "abs")
-        if out.requires_grad:
-            sign = np.sign(self.data)
-            out._grad_fn = lambda g: (g * sign,)
-        return out
+        return self._make_child(np.abs(self.data), (self,), "abs")
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values to [low, high] (gradient zero outside)."""
         out = self._make_child(np.clip(self.data, low, high), (self,), "clip")
         if out.requires_grad:
-            mask = (self.data >= low) & (self.data <= high)
-            out._ctx = mask
-            out._grad_fn = lambda g: (g * mask,)
+            out._ctx = (self.data >= low) & (self.data <= high)
         return out
 
     # ------------------------------------------------------------------
@@ -504,18 +377,7 @@ class Tensor:
         """Sum over the given axes (all by default)."""
         out = self._make_child(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
         if out.requires_grad:
-            src_shape = self.data.shape
             out._ctx = (axis, keepdims)
-
-            def grad_fn(g: np.ndarray) -> tuple:
-                if axis is not None and not keepdims:
-                    axes = axis if isinstance(axis, tuple) else (axis,)
-                    axes = tuple(a % len(src_shape) for a in axes)
-                    shape = [1 if i in axes else d for i, d in enumerate(src_shape)]
-                    g = g.reshape(shape)
-                return (np.broadcast_to(g, src_shape).copy(),)
-
-            out._grad_fn = grad_fn
         return out
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -532,22 +394,9 @@ class Tensor:
         value = self.data.max(axis=axis, keepdims=keepdims)
         out = self._make_child(value, (self,), "max")
         if out.requires_grad:
-            src = self.data
-            value_keep = self.data.max(axis=axis, keepdims=True)
-            mask = src == value_keep
+            mask = self.data == self.data.max(axis=axis, keepdims=True)
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             out._ctx = (axis, keepdims, mask, counts)
-
-            def grad_fn(g: np.ndarray) -> tuple:
-                gg = g
-                if axis is not None and not keepdims:
-                    axes = axis if isinstance(axis, tuple) else (axis,)
-                    axes = tuple(a % src.ndim for a in axes)
-                    shape = [1 if i in axes else d for i, d in enumerate(src.shape)]
-                    gg = gg.reshape(shape)
-                return (np.broadcast_to(gg, src.shape) * mask / counts,)
-
-            out._grad_fn = grad_fn
         return out
 
     def min(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -561,11 +410,7 @@ class Tensor:
         """View the data under a new shape (same number of elements)."""
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = self._make_child(self.data.reshape(shape), (self,), "reshape")
-        if out.requires_grad:
-            src_shape = self.data.shape
-            out._grad_fn = lambda g: (g.reshape(src_shape),)
-        return out
+        return self._make_child(self.data.reshape(shape), (self,), "reshape")
 
     def flatten(self, start_axis: int = 0) -> "Tensor":
         """Flatten all axes from ``start_axis`` onward into one."""
@@ -580,9 +425,7 @@ class Tensor:
             axes = tuple(axes[0])
         out = self._make_child(self.data.transpose(axes), (self,), "transpose")
         if out.requires_grad:
-            inverse = tuple(int(a) for a in np.argsort(axes))
-            out._ctx = inverse
-            out._grad_fn = lambda g: (g.transpose(inverse),)
+            out._ctx = tuple(int(a) for a in np.argsort(axes))
         return out
 
     @property
@@ -592,15 +435,7 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         out = self._make_child(self.data[index], (self,), "getitem")
         if out.requires_grad:
-            src_shape = self.data.shape
             out._ctx = index
-
-            def grad_fn(g: np.ndarray) -> tuple:
-                grad = np.zeros(src_shape, dtype=np.float64)
-                np.add.at(grad, index, g)
-                return (grad,)
-
-            out._grad_fn = grad_fn
         return out
 
     # ------------------------------------------------------------------
@@ -620,13 +455,14 @@ class Tensor:
 
 
 # ----------------------------------------------------------------------
-# Multi-root backward: batched adjoints
+# Adjoints: the one backward of every op
 # ----------------------------------------------------------------------
 # Each adjoint maps (node, g) -> per-parent gradients, where g carries a
 # leading *root axis*: shape (R, *node.shape) with one row per backward
-# root reaching the node.  Returned arrays keep the leading axis, shaped
-# (R, *parent.shape) (or None for a constant parent).  This is what lets
-# backward_multi run ONE numpy call per node instead of one per root.
+# root reaching the node (R = 1 for Tensor.backward).  Returned arrays
+# keep the leading axis, shaped (R, *parent.shape) (or None for a constant
+# parent).  This is what lets backward_multi run ONE numpy call per node
+# instead of one per root.
 def _adj_add(node, g):
     a, b = node._prev
     return unbroadcast_lead(g, a.data.shape), unbroadcast_lead(g, b.data.shape)
@@ -821,9 +657,8 @@ def _adj_where(node, g):
     )
 
 
-#: op name -> batched adjoint.  Ops missing here (custom grad_fns from
-#: other modules) fall back to one ``grad_fn`` call per root — still
-#: correct, just not batched.
+#: op name -> batched adjoint, the only backward each op has.  Ops defined
+#: in other modules add theirs through :func:`register_multi_adjoint`.
 _MULTI_ADJOINTS: dict[str, Callable] = {
     "add": _adj_add,
     "sub": _adj_sub,
@@ -852,13 +687,18 @@ _MULTI_ADJOINTS: dict[str, Callable] = {
 
 
 def register_multi_adjoint(op: str, adjoint: Callable) -> None:
-    """Register a batched adjoint for a custom op (see ``_MULTI_ADJOINTS``).
+    """Register the backward of a custom op (see ``_MULTI_ADJOINTS``).
 
-    ``adjoint(node, g)`` receives the output tensor and a gradient with a
-    leading root axis ``(R, *node.shape)`` and must return one array per
-    parent, each keeping the leading axis.  Modules defining their own
-    ``grad_fn`` (e.g. ``pad2d`` in :mod:`repro.nn.conv`) register here so
-    multi-root backward stays batched through them.
+    This is the only way an op defined outside this module gets a
+    backward: :meth:`Tensor.backward` and :func:`backward_multi` both
+    dispatch every non-leaf node to ``_MULTI_ADJOINTS[node._op]`` and raise
+    for an op with no entry.  ``adjoint(node, g)`` receives the output
+    tensor and a gradient with a leading root axis ``(R, *node.shape)``
+    (R = 1 included) and must return one array per parent, each keeping
+    the leading axis, or ``None`` for a parent that needs no gradient.
+    Context the adjoint cannot recompute from ``node`` and ``node._prev``
+    goes in ``node._ctx`` at forward time (e.g. ``pad2d`` in
+    :mod:`repro.nn.conv`).
     """
     _MULTI_ADJOINTS[op] = adjoint
 
@@ -874,8 +714,9 @@ def backward_multi(
     """Backpropagate from several roots in ONE walk over their union graph.
 
     Equivalent to calling ``root.backward()`` once per root (K topological
-    sorts, K traversals, and K numpy calls per shared node) but performs a
-    single topological sort and a single traversal where every node carries
+    sorts, K traversals, and K numpy calls per shared node; ``backward`` is
+    this function with one root) but performs a single topological sort and
+    a single traversal where every node carries
     a ``(R, ...)``-leading-axis gradient buffer — one row per root that
     reaches the node — and each op's batched adjoint runs ONCE over all
     rows.  Per-root sparsity is automatic: nodes private to one task's loss
@@ -927,9 +768,9 @@ def backward_multi(
                 )
             seeds.append(seed.copy())
 
-    # One topological sort over the union graph of all roots.  The DFS is
-    # identical to Tensor.backward's except every root is pushed up front;
-    # the visited set merges the K subgraphs into one ordering.
+    # One topological sort over the union graph of all roots: every root
+    # is pushed up front and the visited set merges the K subgraphs into
+    # one ordering.
     topo: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False) for root in reversed(roots)]
@@ -993,28 +834,18 @@ def backward_multi(
             for position, k in enumerate(ids):
                 row = grad_stack[position]
                 out_slots[k] = row if out_slots[k] is None else out_slots[k] + row
-        elif node._grad_fn is None or node._retains:
+        elif not node._prev or node._retains:
             node._accumulate(grad_stack[0] if len(ids) == 1 else grad_stack.sum(axis=0))
-        grad_fn = node._grad_fn
-        if grad_fn is None:
+        if not node._prev:
             continue
-        prev = node._prev
         adjoint = _MULTI_ADJOINTS.get(node._op)
-        if adjoint is not None and len(ids) > 1:
-            parent_stacks = adjoint(node, grad_stack)
-            for parent, parent_stack in zip(prev, parent_stacks):
-                if parent_stack is None or not parent.requires_grad:
-                    continue
+        if adjoint is None:
+            raise NotImplementedError(
+                f"op {node._op!r} has no backward; give it one with register_multi_adjoint"
+            )
+        for parent, parent_stack in zip(node._prev, adjoint(node, grad_stack)):
+            if parent_stack is not None and parent.requires_grad:
                 _merge(parent, ids, parent_stack)
-        else:
-            # Single active root, or an op without a batched adjoint: call
-            # the reference grad_fn once per row.
-            for position, k in enumerate(ids):
-                parent_grads = grad_fn(grad_stack[position])
-                for parent, parent_grad in zip(prev, parent_grads):
-                    if parent_grad is None or not parent.requires_grad:
-                        continue
-                    _merge(parent, (k,), parent_grad[None])
     return [separated[id(t)] for t in per_root]
 
 
@@ -1027,20 +858,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     out = tensors[0]._make_child(data, tensors, "concat")
     if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-        ndim = data.ndim
-        out._ctx = (axis % ndim, offsets)
-
-        def grad_fn(g: np.ndarray) -> tuple:
-            grads = []
-            for start, stop in zip(offsets[:-1], offsets[1:]):
-                slicer: list = [slice(None)] * ndim
-                slicer[axis] = slice(int(start), int(stop))
-                grads.append(g[tuple(slicer)])
-            return tuple(grads)
-
-        out._grad_fn = grad_fn
+        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+        out._ctx = (axis % data.ndim, offsets)
     return out
 
 
@@ -1050,13 +869,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     data = np.stack([t.data for t in tensors], axis=axis)
     out = tensors[0]._make_child(data, tensors, "stack")
     if out.requires_grad:
-        n = len(tensors)
-        out._ctx = (axis % data.ndim, n)
-
-        def grad_fn(g: np.ndarray) -> tuple:
-            return tuple(np.squeeze(piece, axis=axis) for piece in np.split(g, n, axis=axis))
-
-        out._grad_fn = grad_fn
+        out._ctx = (axis % data.ndim, len(tensors))
     return out
 
 
@@ -1067,10 +880,5 @@ def where(condition: np.ndarray, a, b) -> Tensor:
     data = np.where(condition, a.data, b.data)
     out = a._make_child(data, (a, b), "where")
     if out.requires_grad:
-        a_shape, b_shape = a.data.shape, b.data.shape
         out._ctx = condition
-        out._grad_fn = lambda g: (
-            unbroadcast(g * condition, a_shape),
-            unbroadcast(g * (~condition), b_shape),
-        )
     return out

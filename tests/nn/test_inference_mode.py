@@ -35,8 +35,9 @@ class TestSemantics:
         with inference_mode():
             out = model.forward(x)
         assert out.requires_grad is False
-        assert out._grad_fn is None
         assert out._prev == ()
+        assert out._op == ""
+        assert out.is_leaf
         assert out._ctx is None
         assert out.grad is None
 

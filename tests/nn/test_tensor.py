@@ -1,5 +1,7 @@
 """Tests for the autograd engine: op semantics, gradients, graph behaviour."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,26 @@ class TestGraphBehaviour:
         upstream = rng.normal(size=(2, 3))
         y.backward(upstream)
         np.testing.assert_allclose(x.grad, 2 * upstream)
+
+    def test_graphs_are_freed_without_the_cycle_collector(self, rng):
+        # A node must not reference itself (e.g. through a backward closure
+        # capturing its own output), or every training graph would wait for
+        # the cyclic garbage collector instead of dying with its last name.
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        x = rng.normal(size=(5, 4))
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                h = Tensor(x) @ w
+                loss = (h.tanh().sigmoid() + h.exp()).sum()
+                loss.backward()
+                del h, loss
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestUnbroadcast:
