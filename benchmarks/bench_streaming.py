@@ -44,9 +44,9 @@ from benchlib import provenance
 
 from repro.data import (
     AliExpressStream,
+    DataLoader,
     ShardCache,
     StreamingDataset,
-    StreamingLoader,
     as_stream,
 )
 
@@ -67,7 +67,7 @@ def build_dataset(
     return StreamingDataset(source, cache=cache, prefetch_depth=prefetch_depth)
 
 
-def consume(loader: StreamingLoader) -> int:
+def consume(loader: DataLoader) -> int:
     """Drain one epoch, touching every batch; returns rows consumed."""
     rows = 0
     for _, targets in loader:
@@ -91,7 +91,7 @@ def run_epoch(mode: str, rows: int, chunk: int, cache_dir: Path | None = None) -
         stream = build_dataset(rows, chunk, cache=ShardCache(cache_dir), prefetch_depth=1)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    consumed = consume(StreamingLoader(stream, BATCH, seed=SEED))
+    consumed = consume(DataLoader(stream, BATCH, seed=SEED))
     seconds = time.perf_counter() - start
     if consumed != rows:
         raise AssertionError(f"{mode}: consumed {consumed} of {rows} rows")

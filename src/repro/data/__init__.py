@@ -9,7 +9,6 @@ from .base import (
     SINGLE_INPUT,
     ArrayDataset,
     Benchmark,
-    DataLoader,
     TaskSpec,
     batch_count,
     batch_index_iter,
@@ -25,10 +24,10 @@ from .qm9 import PROPERTIES, generate_molecule, make_qm9, molecule_properties
 from .shardcache import ShardCache
 from .streaming import (
     ChunkedSource,
+    DataLoader,
     EagerSource,
     ShardPrefetcher,
     StreamingDataset,
-    StreamingLoader,
     as_stream,
     num_shards,
     shard_batch_index_iter,
@@ -79,7 +78,6 @@ __all__ = [
     "EagerSource",
     "ShardPrefetcher",
     "StreamingDataset",
-    "StreamingLoader",
     "as_stream",
     "num_shards",
     "shard_batch_index_iter",

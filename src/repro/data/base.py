@@ -1,4 +1,4 @@
-"""Dataset machinery: task specs, array datasets, loaders, benchmarks.
+"""Dataset machinery: task specs, array datasets, batch order, benchmarks.
 
 The paper distinguishes **Single-Input MTL** (all tasks share every training
 example — MovieLens scenario batches, NYUv2, CityScapes, AliExpress) from
@@ -19,11 +19,11 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from ..nn.tensor import Tensor
+from ..obs import NULL_TELEMETRY
 
 __all__ = [
     "TaskSpec",
     "ArrayDataset",
-    "DataLoader",
     "Benchmark",
     "train_val_test_split",
     "batch_count",
@@ -62,11 +62,11 @@ def shard_rng(seed: int, shard_index: int) -> np.random.Generator:
 def batch_count(n: int, batch_size: int, drop_last: bool = False) -> int:
     """Number of batches :func:`batch_index_iter` yields over ``n`` rows.
 
-    The single source of truth for the loader ``__len__`` contract: the
-    trailing ``n % batch_size`` rows form one extra partial batch unless
-    ``drop_last``.  Streaming loaders apply this per shard (see
-    ``repro.data.streaming.streaming_batch_count``) — their totals are NOT
-    ``batch_count(total_rows, …)`` because batches never cross shards.
+    The trailing ``n % batch_size`` rows form one extra partial batch
+    unless ``drop_last``.  The loader applies this per shard (see
+    ``repro.data.streaming.streaming_batch_count``) — a multi-shard total
+    is NOT ``batch_count(total_rows, …)`` because batches never cross
+    shards.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be ≥ 1")
@@ -84,11 +84,9 @@ def batch_index_iter(
 ) -> Iterator[np.ndarray]:
     """Yield per-batch position arrays over ``n`` samples.
 
-    This is the index stream behind :class:`DataLoader` (which yields the
-    materialized batches) and the parallel sharder (which splits each index
-    array across workers) — both consume the *same* generator calls, so a
-    sequential loader and a sharded run over the same ``rng`` see identical
-    batch order.
+    The within-shard step of the one batch-order draw,
+    :func:`repro.data.streaming.shard_batch_index_iter`.  An in-memory
+    dataset is a single shard, so its epoch order is exactly this stream.
     """
     order = np.arange(n)
     if shuffle:
@@ -129,11 +127,41 @@ class TaskSpec:
             raise ValueError(f"task {self.name!r}: metrics missing direction: {sorted(missing)}")
 
 
-def _index_inputs(inputs, idx: np.ndarray):
-    """Index array / tuple-of-arrays inputs by a position array."""
-    if isinstance(inputs, tuple):
-        return tuple(part[idx] for part in inputs)
-    return inputs[idx]
+# ----------------------------------------------------------------------
+# Structure helpers: (inputs, targets) trees of ndarray / tuple / dict
+# ----------------------------------------------------------------------
+def _tree_index(struct, idx: np.ndarray):
+    """Row-index an inputs/targets structure (fancy indexing copies)."""
+    if isinstance(struct, tuple):
+        return tuple(np.asarray(part)[idx] for part in struct)
+    if isinstance(struct, Mapping):
+        return {name: np.asarray(part)[idx] for name, part in struct.items()}
+    return np.asarray(struct)[idx]
+
+
+def _tree_concat(parts: list):
+    """Concatenate a list of same-shaped structures along the row axis."""
+    head = parts[0]
+    if isinstance(head, tuple):
+        return tuple(
+            np.concatenate([part[i] for part in parts], axis=0)
+            for i in range(len(head))
+        )
+    if isinstance(head, Mapping):
+        return {
+            name: np.concatenate([part[name] for part in parts], axis=0)
+            for name in head
+        }
+    return np.concatenate(parts, axis=0)
+
+
+def _tree_rows(struct) -> int:
+    """Row count of an inputs/targets structure."""
+    if isinstance(struct, tuple):
+        return len(struct[0])
+    if isinstance(struct, Mapping):
+        return len(next(iter(struct.values())))
+    return len(struct)
 
 
 class ArrayDataset:
@@ -142,12 +170,21 @@ class ArrayDataset:
     ``inputs`` is an ndarray or a tuple of aligned ndarrays (e.g. graph
     batches ``(nodes, adjacency, mask)``); ``targets`` is an ndarray
     (single task) or a dict ``{task: ndarray}`` (single-input MTL).
+
+    To the loader it is a one-shard stream: :meth:`load_shard` returns
+    the dataset's own arrays (no copy), there is no prefetch thread, and
+    numpy draws nothing to shuffle a one-shard order — so its batch order
+    is :func:`batch_index_iter` over its rows.
     """
+
+    #: An in-memory dataset never starts a prefetch thread.
+    prefetch_depth = 0
+    telemetry = NULL_TELEMETRY
 
     def __init__(self, inputs, targets) -> None:
         self.inputs = inputs
         self.targets = targets
-        length = len(inputs[0]) if isinstance(inputs, tuple) else len(inputs)
+        length = _tree_rows(inputs)
         if isinstance(targets, Mapping):
             for name, target in targets.items():
                 if len(target) != length:
@@ -159,15 +196,21 @@ class ArrayDataset:
     def __len__(self) -> int:
         return self._length
 
+    @property
+    def chunk_size(self) -> int:
+        """Rows per shard: the whole dataset is shard 0."""
+        return max(self._length, 1)
+
+    def load_shard(self, index: int, telemetry=None):
+        """Shard 0 is the dataset itself: its own ``(inputs, targets)``."""
+        if index != 0:
+            raise IndexError(f"an in-memory dataset has one shard; got index {index}")
+        return self.inputs, self.targets
+
     def batch(self, idx: np.ndarray):
         """Return ``(inputs[idx], targets[idx])`` (dicts indexed per task)."""
         idx = np.asarray(idx)
-        inputs = _index_inputs(self.inputs, idx)
-        if isinstance(self.targets, Mapping):
-            targets = {name: target[idx] for name, target in self.targets.items()}
-        else:
-            targets = self.targets[idx]
-        return inputs, targets
+        return _tree_index(self.inputs, idx), _tree_index(self.targets, idx)
 
     def subset(self, idx: np.ndarray) -> "ArrayDataset":
         """A new dataset restricted to the given positions."""
@@ -177,53 +220,6 @@ class ArrayDataset:
     def all(self):
         """The full dataset as one batch."""
         return self.batch(np.arange(self._length))
-
-
-class DataLoader:
-    """Minibatch iterator with optional shuffling.
-
-    Each ``iter()`` re-shuffles with the loader's generator, so epochs see
-    different orders while remaining reproducible from the seed.  When no
-    ``rng`` is given the generator derives from ``seed`` (default
-    :data:`DEFAULT_DATA_SEED`) — never from OS entropy, so two loaders
-    built with the same arguments always walk the same batch order.
-    """
-
-    def __init__(
-        self,
-        dataset: ArrayDataset,
-        batch_size: int,
-        rng: np.random.Generator | None = None,
-        shuffle: bool = True,
-        drop_last: bool = False,
-        seed: int | None = None,
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be ≥ 1")
-        if rng is not None and seed is not None:
-            raise ValueError("pass either rng or seed, not both")
-        self.dataset = dataset
-        self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.drop_last = drop_last
-        self.rng = (
-            rng
-            if rng is not None
-            else np.random.default_rng(DEFAULT_DATA_SEED if seed is None else seed)
-        )
-
-    def __len__(self) -> int:
-        return batch_count(len(self.dataset), self.batch_size, self.drop_last)
-
-    def __iter__(self) -> Iterator:
-        for idx in batch_index_iter(
-            len(self.dataset),
-            self.batch_size,
-            rng=self.rng,
-            shuffle=self.shuffle,
-            drop_last=self.drop_last,
-        ):
-            yield self.dataset.batch(idx)
 
 
 def train_val_test_split(

@@ -1,9 +1,9 @@
-"""Streaming shard pipeline: chunked generation with bounded memory.
+"""Streaming shard pipeline and the one loader.
 
 The eager generators materialize every row up front, so epoch memory grows
 linearly with dataset size — fine at reproduction scale, fatal at the
 ~100M-row scale of the real AliExpress logs.  This module is the
-streaming counterpart:
+streaming counterpart, and the loader that walks both:
 
 - :class:`ChunkedSource` — a generator that produces fixed-size *chunks*
   (shards) on demand.  Shard ``i`` is a pure function of
@@ -13,26 +13,28 @@ streaming counterpart:
 - :class:`StreamingDataset` — the dataset view over a source: global-index
   ``batch()`` access through a tiny shard LRU, an optional
   :class:`~repro.data.shardcache.ShardCache` (write-once ``np.memmap``
-  files), and :meth:`~StreamingDataset.materialize`, the **eager oracle**:
-  the concatenation of all shards as a plain
-  :class:`~repro.data.base.ArrayDataset`.  Streaming and eager paths walk
-  bit-identical rows by construction.
+  files), and :meth:`~StreamingDataset.materialize`, the concatenation
+  of all shards as a plain :class:`~repro.data.base.ArrayDataset`.
 - :class:`ShardPrefetcher` — the double buffer: a background thread
   generates shard ``i+1`` while the trainer consumes shard ``i``, hiding
   generation latency behind compute.  Instrumented with
   :mod:`repro.obs` spans (``prefetch_shard`` on the producer thread,
   ``shard_wait`` on the consumer) so the overlap is visible in the
   Chrome trace.
-- :class:`StreamingLoader` — bounded-memory epoch iteration: shard order
-  and within-shard batch order are shuffled from one seeded generator,
-  consuming the *same* RNG draws as
-  :meth:`StreamingDataset.batch_indices` — which is how the parallel
-  trainer's sharded runs stay on the sequential batch stream.
+- :class:`DataLoader` — the only loader, over a :class:`StreamingDataset`
+  or an :class:`~repro.data.base.ArrayDataset` (a one-shard stream that
+  hands out its own arrays, with no copy and no prefetch thread).  Its
+  epochs, its :meth:`~DataLoader.batch_indices` (the parallel trainer's
+  index stream) and evaluation all take their order from
+  :func:`shard_batch_index_iter`, the one place batch order is drawn.
 
-Ordering contract: batches never cross shard boundaries (each shard's
-trailing ``shard_len % batch_size`` rows form a partial batch unless
-``drop_last``), so one live shard bounds the working set.  The eager
-oracle for equivalence tests is the *same* loader over
+Ordering contract: one shard-order permutation, then each shard's rows
+batched by :func:`~repro.data.base.batch_index_iter`.  Batches never cross
+shard boundaries (each shard's trailing ``shard_len % batch_size`` rows
+form a partial batch unless ``drop_last``), so one live shard bounds the
+working set.  numpy draws nothing to shuffle a length-1 order, so an
+in-memory dataset's epoch is exactly ``batch_index_iter`` over its rows.
+The eager oracle for equivalence tests is the same loader over
 :func:`as_stream` of the materialized arrays — identical index draws,
 identical batches, different storage.
 """
@@ -42,7 +44,7 @@ from __future__ import annotations
 import queue
 import threading
 from collections import OrderedDict
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -50,6 +52,9 @@ from ..obs import NULL_TELEMETRY
 from .base import (
     DEFAULT_DATA_SEED,
     ArrayDataset,
+    _tree_concat,
+    _tree_index,
+    _tree_rows,
     batch_count,
     batch_index_iter,
     shard_rng,
@@ -59,7 +64,7 @@ __all__ = [
     "ChunkedSource",
     "EagerSource",
     "StreamingDataset",
-    "StreamingLoader",
+    "DataLoader",
     "ShardPrefetcher",
     "as_stream",
     "num_shards",
@@ -123,66 +128,32 @@ def shard_batch_index_iter(
     rng: np.random.Generator | None = None,
     shuffle: bool = True,
     drop_last: bool = False,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(shard_index, within-shard positions)`` batches.
+) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
+    """Draw one epoch's batch order: ``(shard_order, batches)``.
 
-    The bounded-memory index stream behind :class:`StreamingLoader` and
-    :meth:`StreamingDataset.batch_indices`: shard order is one
-    permutation draw, then each shard's rows are batched with
-    :func:`~repro.data.base.batch_index_iter` — O(chunk_size) live index
-    memory instead of the eager loader's O(n) permutation.  Both
-    consumers share this exact generator-call sequence, so sequential
-    streaming and data-parallel runs at equal seeds walk identical
+    The one place batch order is drawn.  The shard-order permutation is
+    drawn now (the prefetcher needs it up front); ``batches`` then yields
+    ``(shard_index, within-shard positions)``, drawing each shard's
+    :func:`~repro.data.base.batch_index_iter` permutation as it reaches
+    that shard — O(chunk_size) live index memory.  The loader, its
+    parallel index stream and evaluation all consume this sequence, so
+    sequential and data-parallel runs at equal seeds walk identical
     batches.
     """
     rng = rng if rng is not None else np.random.default_rng(DEFAULT_DATA_SEED)
-    shards = num_shards(total_rows, chunk_size)
-    order = np.arange(shards)
+    order = np.arange(num_shards(total_rows, chunk_size))
     if shuffle:
         rng.shuffle(order)
-    for index in order:
-        start, stop = shard_row_range(total_rows, chunk_size, int(index))
-        for positions in batch_index_iter(
-            stop - start, batch_size, rng=rng, shuffle=shuffle, drop_last=drop_last
-        ):
-            yield int(index), positions
 
+    def batches() -> Iterator[tuple[int, np.ndarray]]:
+        for index in order:
+            start, stop = shard_row_range(total_rows, chunk_size, int(index))
+            for positions in batch_index_iter(
+                stop - start, batch_size, rng=rng, shuffle=shuffle, drop_last=drop_last
+            ):
+                yield int(index), positions
 
-# ----------------------------------------------------------------------
-# Structure helpers: (inputs, targets) trees of ndarray / tuple / dict
-# ----------------------------------------------------------------------
-def _tree_index(struct, idx: np.ndarray):
-    """Row-index an inputs/targets structure (fancy indexing copies)."""
-    if isinstance(struct, tuple):
-        return tuple(np.asarray(part)[idx] for part in struct)
-    if isinstance(struct, Mapping):
-        return {name: np.asarray(part)[idx] for name, part in struct.items()}
-    return np.asarray(struct)[idx]
-
-
-def _tree_concat(parts: list):
-    """Concatenate a list of same-shaped structures along the row axis."""
-    head = parts[0]
-    if isinstance(head, tuple):
-        return tuple(
-            np.concatenate([part[i] for part in parts], axis=0)
-            for i in range(len(head))
-        )
-    if isinstance(head, Mapping):
-        return {
-            name: np.concatenate([part[name] for part in parts], axis=0)
-            for name in head
-        }
-    return np.concatenate(parts, axis=0)
-
-
-def _tree_rows(struct) -> int:
-    """Row count of an inputs/targets structure."""
-    if isinstance(struct, tuple):
-        return len(struct[0])
-    if isinstance(struct, Mapping):
-        return len(next(iter(struct.values())))
-    return len(struct)
+    return order, batches()
 
 
 # ----------------------------------------------------------------------
@@ -271,9 +242,9 @@ def as_stream(
 class StreamingDataset:
     """Dataset view over a :class:`ChunkedSource` with caching and LRU.
 
-    Duck-types the :class:`ArrayDataset` surface the trainer and the
-    data-parallel workers touch (``__len__``, ``batch``), plus the
-    shard-level API the streaming loader and prefetcher consume.
+    Shares the :class:`ArrayDataset` surface the loader and the
+    data-parallel workers touch: ``__len__``, ``chunk_size``,
+    ``load_shard``, ``prefetch_depth``, ``telemetry`` and ``batch``.
 
     Parameters
     ----------
@@ -443,30 +414,6 @@ class StreamingDataset:
             targets_parts.append(targets)
         return ArrayDataset(_tree_concat(inputs_parts), _tree_concat(targets_parts))
 
-    # -- index stream for the parallel trainer --------------------------
-    def batch_indices(
-        self,
-        batch_size: int,
-        rng: np.random.Generator | None = None,
-        shuffle: bool = True,
-        drop_last: bool = False,
-    ) -> Iterator[np.ndarray]:
-        """Global-position batch arrays on the shard-ordered stream.
-
-        Consumes the exact RNG draws of :class:`StreamingLoader`'s epoch,
-        so a parallel run dispatching these indices and a sequential
-        streaming run at the same seed train on identical batches.
-        """
-        for index, positions in shard_batch_index_iter(
-            self.source.total_rows,
-            self.chunk_size,
-            batch_size,
-            rng=rng,
-            shuffle=shuffle,
-            drop_last=drop_last,
-        ):
-            yield index * self.chunk_size + positions
-
 
 # ----------------------------------------------------------------------
 # Prefetcher
@@ -580,22 +527,26 @@ class ShardPrefetcher:
 # ----------------------------------------------------------------------
 # Loader
 # ----------------------------------------------------------------------
-class StreamingLoader:
-    """Bounded-memory minibatch iterator over a :class:`StreamingDataset`.
+class DataLoader:
+    """Minibatch iterator over a :class:`StreamingDataset` or an
+    :class:`~repro.data.base.ArrayDataset` (a one-shard stream).
 
-    The streaming counterpart of :class:`~repro.data.base.DataLoader`:
-    each ``iter()`` re-shuffles shard order and within-shard order from
-    the loader's generator (reproducible from the seed), batches never
-    cross shard boundaries, and at most ``prefetch_depth + 2`` shards are
-    alive at once (see :class:`ShardPrefetcher` for the bound).  Closing semantics: the epoch iterator shuts the
-    prefetch thread down in a ``finally``, so breaking out mid-epoch —
-    or an exception unwinding through the consuming loop — leaks no
+    Each ``iter()`` draws a fresh epoch order from the loader's generator
+    through :func:`shard_batch_index_iter` — reproducible from the seed;
+    when no ``rng`` is given it derives from ``seed`` (default
+    :data:`~repro.data.base.DEFAULT_DATA_SEED`), never from OS entropy.
+    Batches never cross shard boundaries, and at most
+    ``prefetch_depth + 2`` shards are alive at once (see
+    :class:`ShardPrefetcher` for the bound).  Shards are fetched through
+    ``dataset.load_shard``.  Closing semantics: the epoch iterator shuts
+    the prefetch thread down in a ``finally``, so breaking out mid-epoch
+    — or an exception unwinding through the consuming loop — leaks no
     thread and keeps the original exception.
     """
 
     def __init__(
         self,
-        dataset: StreamingDataset,
+        dataset,
         batch_size: int,
         rng: np.random.Generator | None = None,
         shuffle: bool = True,
@@ -623,38 +574,52 @@ class StreamingLoader:
             len(self.dataset), self.dataset.chunk_size, self.batch_size, self.drop_last
         )
 
+    def _batch_order(self):
+        return shard_batch_index_iter(
+            len(self.dataset),
+            self.dataset.chunk_size,
+            self.batch_size,
+            rng=self.rng,
+            shuffle=self.shuffle,
+            drop_last=self.drop_last,
+        )
+
+    def batch_indices(self) -> Iterator[np.ndarray]:
+        """One epoch's batches as global row positions, loading nothing.
+
+        Consumes the exact RNG draws of ``iter(self)``, so a parallel run
+        dispatching these indices to workers (each calls
+        ``dataset.batch`` on its slice) and a sequential run at the same
+        seed train on identical batches.
+        """
+        _, batches = self._batch_order()
+        chunk_size = self.dataset.chunk_size
+        for index, positions in batches:
+            yield index * chunk_size + positions
+
     def __iter__(self) -> Iterator:
-        # Same draw sequence as shard_batch_index_iter: one shard-order
-        # permutation up front (the prefetcher needs the order), then each
-        # shard's batch positions as it is consumed.
-        order = np.arange(self.dataset.num_shards)
-        if self.shuffle:
-            self.rng.shuffle(order)
+        order, batches = self._batch_order()
+        dataset, telemetry = self.dataset, self.telemetry
         prefetcher = None
-        if self.dataset.prefetch_depth > 0:
-            load = lambda index: self.dataset.load_shard(index, telemetry=self.telemetry)  # noqa: E731
+        if dataset.prefetch_depth > 0:
             prefetcher = ShardPrefetcher(
-                load,
+                lambda index: dataset.load_shard(index, telemetry=telemetry),
                 order,
-                depth=self.dataset.prefetch_depth,
-                telemetry=self.telemetry,
+                depth=dataset.prefetch_depth,
+                telemetry=telemetry,
             )
             shards = iter(prefetcher)
         else:
             shards = (
-                (int(index), self.dataset.load_shard(int(index), telemetry=self.telemetry))
+                (int(index), dataset.load_shard(int(index), telemetry=telemetry))
                 for index in order
             )
         try:
-            for index, (inputs, targets) in shards:
-                for positions in batch_index_iter(
-                    self.dataset.shard_length(index),
-                    self.batch_size,
-                    rng=self.rng,
-                    shuffle=self.shuffle,
-                    drop_last=self.drop_last,
-                ):
-                    yield _tree_index(inputs, positions), _tree_index(targets, positions)
+            index = inputs = targets = None
+            for shard, positions in batches:
+                while shard != index:  # skips shards drop_last left empty
+                    index, (inputs, targets) = next(shards)
+                yield _tree_index(inputs, positions), _tree_index(targets, positions)
         finally:
             if prefetcher is not None:
                 prefetcher.close()

@@ -1,13 +1,14 @@
 """Deterministic batch sharding for data-parallel workers.
 
-The parent draws each step's batch indices from the *same* generator
-stream a sequential :class:`~repro.data.base.DataLoader` would consume
-(via :func:`~repro.data.base.batch_index_iter`), then cuts the index
-vector into contiguous near-equal shards.  Determinism contract: given
-the same seed, batch size, and dataset length, the concatenation of the
-workers' shards at every step equals the sequential batch — which is why
-parallel training can be checked against a sequential large-batch oracle
-to 1e-12 (see ``tests/parallel/test_equivalence.py``).
+The parent takes each step's batch indices from
+:meth:`~repro.data.streaming.DataLoader.batch_indices` — the same draws a
+sequential epoch of the one loader consumes — then cuts the index vector
+into contiguous near-equal shards.  Determinism contract: given the same
+seed, batch size and dataset (an in-memory dataset is one shard), the
+concatenation of the workers' shards at every step equals the sequential
+batch — which is why parallel training can be checked against a
+sequential large-batch oracle to 1e-12 (see
+``tests/parallel/test_equivalence.py``).
 """
 
 from __future__ import annotations

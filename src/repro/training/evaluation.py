@@ -8,14 +8,10 @@ import numpy as np
 
 from ..arch.base import MTLModel
 from ..data.base import MULTI_INPUT, SINGLE_INPUT, ArrayDataset, TaskSpec
+from ..data.streaming import DataLoader
 from ..nn.tensor import inference_mode
 
 __all__ = ["evaluate_model", "collect_outputs"]
-
-
-def _batched_indices(n: int, batch_size: int):
-    for start in range(0, n, batch_size):
-        yield np.arange(start, min(start + batch_size, n))
 
 
 def collect_outputs(
@@ -24,12 +20,14 @@ def collect_outputs(
     task: str,
     batch_size: int = 256,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw model outputs and targets for one task over a full dataset."""
+    """Raw model outputs and targets for one task over a full dataset.
+
+    Walks the dataset in row order through the one loader (``shuffle=False``).
+    """
     outputs, targets = [], []
     model.eval()
     with inference_mode():
-        for idx in _batched_indices(len(dataset), batch_size):
-            inputs, batch_targets = dataset.batch(idx)
+        for inputs, batch_targets in DataLoader(dataset, batch_size, shuffle=False):
             prediction = model.forward(inputs, task)
             outputs.append(prediction.data)
             if isinstance(batch_targets, Mapping):

@@ -60,6 +60,7 @@ see DESIGN.md ("Flight recorder").
 
 from __future__ import annotations
 
+import itertools
 import time
 import warnings
 from typing import Callable, Mapping, Sequence
@@ -69,15 +70,8 @@ import numpy as np
 from ..arch.base import MTLModel
 from ..core.balancer import GradientBalancer
 from ..core.ema import EMANormalizer
-from ..data.base import (
-    MULTI_INPUT,
-    SINGLE_INPUT,
-    ArrayDataset,
-    DataLoader,
-    TaskSpec,
-    batch_index_iter,
-)
-from ..data.streaming import StreamingDataset, StreamingLoader
+from ..data.base import MULTI_INPUT, SINGLE_INPUT, ArrayDataset, TaskSpec
+from ..data.streaming import DataLoader
 from ..nn.arena import ParameterArena
 from ..nn.module import Parameter
 from ..nn.optim import SGD, Adam, AdaGrad, Optimizer, RMSProp
@@ -288,7 +282,9 @@ class MTLTrainer:
         :class:`repro.obs.DynamicsRecorder` (``trainer.recorder``):
         ``True`` for the default 1024-sample stride recorder, an int for
         a custom capacity, or a preconfigured recorder instance.  Each
-        step samples the balancer's :class:`~repro.core.gradstats.GradStats`
+        step that resolves — every step, or with ``accumulate_steps=W``
+        the last micro-step of each window — samples the balancer's
+        :class:`~repro.core.gradstats.GradStats`
         (per-task grad norms, pairwise GCD, cosine extrema) plus the
         balancer's :meth:`~repro.core.balancer.GradientBalancer.dynamics`
         state (MoCoGrad: λ, momentum norms) and per-task losses;
@@ -408,7 +404,7 @@ class MTLTrainer:
             self.profiler.attach(self.telemetry)
         #: bounded per-step dynamics recorder (``record_dynamics=``), or None.
         self.recorder: DynamicsRecorder | None = None
-        if record_dynamics:
+        if record_dynamics is not False and record_dynamics is not None:
             if isinstance(record_dynamics, DynamicsRecorder):
                 self.recorder = record_dynamics
             elif record_dynamics is True:
@@ -610,7 +606,8 @@ class MTLTrainer:
             telemetry.counter("train_steps_total", **self._step_labels).inc()
             for task, loss in zip(self.tasks, losses):
                 telemetry.gauge("train_loss", task=task.name).set(float(loss))
-        if self.recorder is not None:
+        if self.recorder is not None and self._micro_steps == 0:
+            # Only a resolving step has fresh balancer stats to sample.
             self._record_dynamics_sample(losses)
 
     def _record_dynamics_sample(self, losses: np.ndarray) -> None:
@@ -699,14 +696,17 @@ class MTLTrainer:
 
         ``train_data`` is an :class:`ArrayDataset` or
         :class:`~repro.data.streaming.StreamingDataset` (single-input), or
-        a ``{task: dataset}`` mapping of either (multi-input).  Streaming
-        datasets iterate in bounded memory — shards are generated (or
-        mmap-loaded) on demand, double-buffered by a prefetch thread that
-        is shut down even when a training step raises.  ``drop_last``
-        discards each epoch's trailing partial batch (per shard for
-        streams) — useful when a stateful balancer assumes a fixed batch
-        shape.  On completion the trainer's metric registry is flushed to
-        the attached sinks.
+        a ``{task: dataset}`` mapping of either (multi-input); every
+        dataset is walked by the one
+        :class:`~repro.data.streaming.DataLoader`.  Streaming datasets
+        iterate in bounded memory — shards are generated (or mmap-loaded)
+        on demand, double-buffered by a prefetch thread that is shut down
+        even when a training step raises; an in-memory dataset is one
+        shard, indexed in place.  ``drop_last`` discards each shard's
+        trailing partial batch — useful when a stateful balancer assumes a
+        fixed batch shape.  An epoch draws exactly the batches it trains
+        on, ``max_steps_per_epoch`` included.  On completion the trainer's
+        metric registry is flushed to the attached sinks.
 
         In parallel mode the worker pool is started on entry and shut down
         before returning (even on error), so workers never outlive a fit.
@@ -720,14 +720,8 @@ class MTLTrainer:
                     self._run_epoch_parallel(
                         executor, train_data, batch_size, max_steps_per_epoch, drop_last
                     )
-                elif self.mode == SINGLE_INPUT:
-                    self._run_epoch_single(
-                        train_data, batch_size, max_steps_per_epoch, drop_last
-                    )
                 else:
-                    self._run_epoch_multi(
-                        train_data, batch_size, max_steps_per_epoch, drop_last
-                    )
+                    self._run_epoch(train_data, batch_size, max_steps_per_epoch, drop_last)
                 metrics = self.evaluate(eval_data) if eval_data is not None else None
                 self.history.close_epoch(metrics)
                 self.telemetry.counter("train_epochs_total", **self._step_labels).inc()
@@ -781,22 +775,14 @@ class MTLTrainer:
         max_steps,
         drop_last: bool = False,
     ) -> None:
-        # Same generator calls as the sequential loader — parallel and
+        # The loader's index stream: the same generator calls as its
+        # sequential epoch, cut at the same step count, so parallel and
         # sequential runs with equal seeds walk identical batch streams.
-        # Streaming datasets hand out global indices on the shard-ordered
-        # stream; every batch lies inside one shard, so each worker's
-        # contiguous slice touches a single shard of its own dataset copy.
-        if isinstance(dataset, StreamingDataset):
-            index_stream = dataset.batch_indices(
-                batch_size, rng=self.rng, drop_last=drop_last
-            )
-        else:
-            index_stream = batch_index_iter(
-                len(dataset), batch_size, rng=self.rng, drop_last=drop_last
-            )
-        for step, idx in enumerate(index_stream):
-            if max_steps is not None and step >= max_steps:
-                break
+        # Every batch lies inside one shard, so each worker's contiguous
+        # slice touches a single shard of its own dataset copy.
+        loader = self._make_loader(dataset, batch_size, drop_last)
+        steps = self._epoch_steps([loader], max_steps)
+        for idx in itertools.islice(loader.batch_indices(), steps):
             self._parallel_train_step(executor, idx)
 
     def _parallel_train_step(
@@ -840,55 +826,33 @@ class MTLTrainer:
             )
         return grads, losses
 
-    def _make_loader(self, dataset, batch_size: int, drop_last: bool):
-        """The epoch loader for one dataset: eager or streaming."""
-        if isinstance(dataset, StreamingDataset):
-            return StreamingLoader(
-                dataset,
-                batch_size,
-                rng=self.rng,
-                drop_last=drop_last,
-                telemetry=self.telemetry,
-            )
-        return DataLoader(dataset, batch_size, rng=self.rng, drop_last=drop_last)
+    def _make_loader(self, dataset, batch_size: int, drop_last: bool) -> DataLoader:
+        """The epoch loader for one dataset, drawing from the trainer's rng."""
+        return DataLoader(
+            dataset, batch_size, rng=self.rng, drop_last=drop_last, telemetry=self.telemetry
+        )
 
     @staticmethod
-    def _close_iterator(iterator) -> None:
-        """Release a loader iterator's resources (prefetch threads)."""
-        close = getattr(iterator, "close", None)
-        if close is not None:
-            close()
+    def _epoch_steps(loaders: list[DataLoader], max_steps) -> int:
+        """Steps in one epoch: the longest loader, capped at ``max_steps``."""
+        steps = max(len(loader) for loader in loaders)
+        return steps if max_steps is None else min(steps, max_steps)
 
-    def _run_epoch_single(
-        self, dataset: ArrayDataset, batch_size: int, max_steps, drop_last: bool = False
-    ) -> None:
-        iterator = iter(self._make_loader(dataset, batch_size, drop_last))
-        # Closing in a finally (not just on exhaustion) is what guarantees
-        # a raising train step leaves no prefetch thread behind — and a
-        # generator's close() never masks the in-flight exception.
-        try:
-            for step, (inputs, targets) in enumerate(iterator):
-                if max_steps is not None and step >= max_steps:
-                    break
-                self.train_step_single(inputs, targets)
-        finally:
-            self._close_iterator(iterator)
+    def _run_epoch(self, train_data, batch_size: int, max_steps, drop_last: bool = False) -> None:
+        """One epoch; single-input is one loader feeding every task.
 
-    def _run_epoch_multi(
-        self,
-        datasets: Mapping[str, ArrayDataset],
-        batch_size: int,
-        max_steps,
-        drop_last: bool = False,
-    ) -> None:
-        iterators = {}
+        Exactly ``steps`` batches are drawn per loader, so no batch past
+        ``max_steps`` consumes the trainer's rng.  In multi-input mode a
+        shorter task loader restarts (a fresh epoch order) when it runs
+        out.
+        """
+        single = self.mode == SINGLE_INPUT
+        datasets = {None: train_data} if single else train_data
         loaders = {
             name: self._make_loader(dataset, batch_size, drop_last)
             for name, dataset in datasets.items()
         }
-        steps = max(len(loader) for loader in loaders.values())
-        if max_steps is not None:
-            steps = min(steps, max_steps)
+        steps = self._epoch_steps(list(loaders.values()), max_steps)
         empty = sorted(name for name, loader in loaders.items() if len(loader) == 0)
         if steps > 0 and empty:
             # Cycling an empty loader would StopIteration forever; name the
@@ -897,21 +861,27 @@ class MTLTrainer:
                 f"task datasets {empty} yield no batches at batch_size="
                 f"{batch_size} with drop_last={drop_last}"
             )
-        for name, loader in loaders.items():
-            iterators[name] = iter(loader)
+        names = [None] if single else [task.name for task in self.tasks]
+        iterators = {name: iter(loader) for name, loader in loaders.items()}
+        # Closing in a finally (not just on exhaustion) is what guarantees
+        # a raising train step leaves no prefetch thread behind — and a
+        # generator's close() never masks the in-flight exception.
         try:
             for _ in range(steps):
                 batches = {}
-                for task in self.tasks:
+                for name in names:
                     try:
-                        batches[task.name] = next(iterators[task.name])
+                        batches[name] = next(iterators[name])
                     except StopIteration:
-                        iterators[task.name] = iter(loaders[task.name])
-                        batches[task.name] = next(iterators[task.name])
-                self.train_step_multi(batches)
+                        iterators[name] = iter(loaders[name])
+                        batches[name] = next(iterators[name])
+                if single:
+                    self.train_step_single(*batches[None])
+                else:
+                    self.train_step_multi(batches)
         finally:
             for iterator in iterators.values():
-                self._close_iterator(iterator)
+                iterator.close()
 
     # ------------------------------------------------------------------
     # Evaluation

@@ -10,6 +10,8 @@ from repro.data import (
     Benchmark,
     DataLoader,
     TaskSpec,
+    batch_count,
+    batch_index_iter,
     train_val_test_split,
 )
 from repro.nn.functional import mse_loss
@@ -107,6 +109,28 @@ class TestDataLoader:
         dataset = ArrayDataset(np.zeros((5, 1)), np.zeros(5))
         with pytest.raises(ValueError):
             DataLoader(dataset, 0)
+
+    @pytest.mark.parametrize("n,batch", [(10, 4), (12, 4), (3, 8), (1, 1), (0, 4)])
+    @pytest.mark.parametrize("shuffle", [True, False])
+    @pytest.mark.parametrize("drop_last", [False, True])
+    def test_in_memory_epochs_follow_batch_index_iter(self, n, batch, shuffle, drop_last):
+        """An in-memory dataset is one shard: over 3 epochs the loader's
+        batches are exactly ``batch_index_iter``'s draws on the same rng."""
+        inputs = np.arange(2 * n, dtype=np.float64).reshape(n, 2)
+        dataset = ArrayDataset(inputs, {"t": np.arange(n, dtype=np.float64)})
+        loader = DataLoader(dataset, batch, seed=21, shuffle=shuffle, drop_last=drop_last)
+        reference = np.random.default_rng(21)
+        assert len(loader) == batch_count(n, batch, drop_last)
+        for _ in range(3):
+            expected = list(
+                batch_index_iter(n, batch, rng=reference, shuffle=shuffle, drop_last=drop_last)
+            )
+            batches = list(loader)
+            assert len(batches) == len(expected) == len(loader)
+            for (x, targets), idx in zip(batches, expected):
+                np.testing.assert_array_equal(x, inputs[idx])
+                np.testing.assert_array_equal(targets["t"], idx.astype(np.float64))
+        assert loader.rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestSplits:

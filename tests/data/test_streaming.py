@@ -18,7 +18,6 @@ from repro.data import (
     ShardCache,
     ShardPrefetcher,
     StreamingDataset,
-    StreamingLoader,
     as_stream,
     batch_count,
     num_shards,
@@ -93,9 +92,9 @@ class TestShardMath:
 
     def test_shard_batch_index_iter_covers_every_row_once(self):
         seen = []
-        for index, positions in shard_batch_index_iter(
-            37, 10, 4, rng=np.random.default_rng(3)
-        ):
+        order, batches = shard_batch_index_iter(37, 10, 4, rng=np.random.default_rng(3))
+        assert sorted(order.tolist()) == [0, 1, 2, 3]
+        for index, positions in batches:
             start, stop = shard_row_range(37, 10, index)
             assert np.all(positions < stop - start)
             seen.extend((index * 10 + positions).tolist())
@@ -226,15 +225,15 @@ class TestStreamingLoader:
     def test_covers_every_row_exactly_once(self, prefetch_depth):
         dataset = make_dataset(37)
         stream = as_stream(dataset, 10, prefetch_depth=prefetch_depth)
-        loader = StreamingLoader(stream, batch_size=4, seed=5)
+        loader = DataLoader(stream, batch_size=4, seed=5)
         total = sum(len(x) for x, _ in loader)
         assert total == 37
         assert len(loader) == streaming_batch_count(37, 10, 4)
 
     def test_prefetch_does_not_change_the_batch_stream(self):
         dataset = make_dataset(41)
-        plain = StreamingLoader(as_stream(dataset, 8, prefetch_depth=0), 4, seed=9)
-        prefetched = StreamingLoader(as_stream(dataset, 8, prefetch_depth=1), 4, seed=9)
+        plain = DataLoader(as_stream(dataset, 8, prefetch_depth=0), 4, seed=9)
+        prefetched = DataLoader(as_stream(dataset, 8, prefetch_depth=1), 4, seed=9)
         for (x0, t0), (x1, t1) in zip(plain, prefetched, strict=True):
             np.testing.assert_array_equal(x0, x1)
             np.testing.assert_array_equal(t0["b"], t1["b"])
@@ -242,7 +241,7 @@ class TestStreamingLoader:
     def test_batches_never_cross_shard_boundaries(self):
         rows, chunk, batch = 22, 8, 8
         dataset = ArrayDataset(np.arange(rows, dtype=np.float64), np.zeros(rows))
-        loader = StreamingLoader(
+        loader = DataLoader(
             as_stream(dataset, chunk), batch, shuffle=False
         )
         sizes = [len(x) for x, _ in loader]
@@ -250,7 +249,7 @@ class TestStreamingLoader:
 
     def test_drop_last_is_per_shard(self):
         dataset = make_dataset(22)
-        loader = StreamingLoader(as_stream(dataset, 8), 8, seed=0, drop_last=True)
+        loader = DataLoader(as_stream(dataset, 8), 8, seed=0, drop_last=True)
         sizes = [len(x) for x, _ in loader]
         assert sizes == [8, 8]  # trailing 6-row shard yields no full batch
         assert len(loader) == 2
@@ -261,16 +260,16 @@ class TestStreamingLoader:
         dataset = make_dataset(37)
         stream = as_stream(dataset, 10)
         loader_batches = list(
-            StreamingLoader(stream, 4, rng=np.random.default_rng(11))
+            DataLoader(stream, 4, rng=np.random.default_rng(11))
         )
-        index_stream = stream.batch_indices(4, rng=np.random.default_rng(11))
+        index_stream = DataLoader(stream, 4, rng=np.random.default_rng(11)).batch_indices()
         for (x, targets), idx in zip(loader_batches, index_stream, strict=True):
             x_ref, t_ref = dataset.batch(idx)
             np.testing.assert_array_equal(x, x_ref)
             np.testing.assert_array_equal(targets["a"], t_ref["a"])
 
     def test_early_exit_leaks_no_prefetch_thread(self):
-        loader = StreamingLoader(as_stream(make_dataset(40), 4, prefetch_depth=1), 4)
+        loader = DataLoader(as_stream(make_dataset(40), 4, prefetch_depth=1), 4)
         iterator = iter(loader)
         next(iterator)
         iterator.close()  # generator finally closes the prefetcher
@@ -279,9 +278,9 @@ class TestStreamingLoader:
     def test_rejects_bad_arguments(self):
         stream = as_stream(make_dataset(10), 4)
         with pytest.raises(ValueError):
-            StreamingLoader(stream, 0)
+            DataLoader(stream, 0)
         with pytest.raises(ValueError):
-            StreamingLoader(stream, 4, rng=np.random.default_rng(0), seed=1)
+            DataLoader(stream, 4, rng=np.random.default_rng(0), seed=1)
 
 
 class TestShardPrefetcher:

@@ -17,8 +17,8 @@ import pytest
 
 from repro.core.balancer import create_balancer
 from repro.data import (
+    DataLoader,
     ShardCache,
-    StreamingLoader,
     as_stream,
     make_aliexpress_stream,
     make_movielens_stream,
@@ -94,8 +94,8 @@ class TestBatchEquivalence:
     def test_streaming_batches_are_bit_identical_to_eager(self, name):
         train = make_stream(name).train
         oracle = oracle_view(train)
-        stream_loader = StreamingLoader(train, 64, seed=11)
-        oracle_loader = StreamingLoader(oracle, 64, seed=11)
+        stream_loader = DataLoader(train, 64, seed=11)
+        oracle_loader = DataLoader(oracle, 64, seed=11)
         for (x_s, t_s), (x_o, t_o) in zip(stream_loader, oracle_loader, strict=True):
             np.testing.assert_array_equal(x_s, x_o)
             if isinstance(t_s, dict):
@@ -110,8 +110,8 @@ class TestBatchEquivalence:
         for genre, dataset in train.items():
             oracle = oracle_view(dataset)
             for (x_s, t_s), (x_o, t_o) in zip(
-                StreamingLoader(dataset, 32, seed=5),
-                StreamingLoader(oracle, 32, seed=5),
+                DataLoader(dataset, 32, seed=5),
+                DataLoader(oracle, 32, seed=5),
                 strict=True,
             ):
                 np.testing.assert_array_equal(x_s, x_o)
@@ -203,7 +203,7 @@ class TestBoundedMemory:
                 benchmark = make_synthetic_stream(
                     num_samples=rows, chunk_size=128, val_records=8, test_records=8
                 )
-                for x, _ in StreamingLoader(benchmark.train, 64, seed=0):
+                for x, _ in DataLoader(benchmark.train, 64, seed=0):
                     x.sum()
                 _, peak = tracemalloc.get_traced_memory()
             finally:

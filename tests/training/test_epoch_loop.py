@@ -1,0 +1,121 @@
+"""The epoch loop over the one loader, and the dynamics it records.
+
+- an in-memory dataset trains as a one-shard stream: no prefetch thread,
+  batches indexed from the dataset's own arrays;
+- an epoch draws exactly the batches it trains on, so a
+  ``max_steps_per_epoch`` cut on a shard boundary leaves the trainer's rng
+  where a loader advanced by those batches leaves it;
+- ``record_dynamics`` accepts a recorder instance, and samples only steps
+  that resolve (one per accumulation window).
+"""
+
+import itertools
+import threading
+
+import numpy as np
+import pytest
+
+from repro.core.balancer import create_balancer
+from repro.data import DataLoader, make_synthetic_mtl, make_synthetic_stream
+from repro.obs import DynamicsRecorder
+from repro.training import MTLTrainer
+
+BENCH = make_synthetic_mtl(num_tasks=3, num_samples=200, pairwise_cosine=-0.3, seed=2)
+
+
+def make_trainer(bench=BENCH, method="equal", **kwargs):
+    model = bench.build_model("hps", np.random.default_rng(0))
+    return MTLTrainer(model, bench.tasks, create_balancer(method, seed=0), seed=4, **kwargs)
+
+
+def test_eager_fit_starts_no_prefetch_thread_and_indexes_in_place(monkeypatch):
+    dataset = BENCH.train
+    started, shards = [], []
+    original_start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        return original_start(thread)
+
+    def recording_load(index, telemetry=None):
+        shards.append(type(dataset).load_shard(dataset, index, telemetry))
+        return shards[-1]
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    monkeypatch.setattr(dataset, "load_shard", recording_load)
+    make_trainer().fit(dataset, epochs=2, batch_size=32)
+    assert "shard-prefetch" not in started
+    assert len(shards) == 2  # shard 0, once per epoch
+    for inputs, targets in shards:
+        assert np.shares_memory(inputs, dataset.inputs)
+        for name, target in targets.items():
+            assert np.shares_memory(target, dataset.targets[name])
+
+
+@pytest.mark.parametrize("prefetch_depth", [0, 1])
+def test_max_steps_on_a_shard_boundary_draws_only_trained_batches(prefetch_depth):
+    bench = make_synthetic_stream(
+        num_samples=512 + 64, chunk_size=128, val_records=32, test_records=32,
+        prefetch_depth=prefetch_depth, seed=1,
+    )
+    trainer = make_trainer(bench)
+    reference = np.random.default_rng()
+    reference.bit_generator.state = trainer.rng.bit_generator.state
+    # 4 batches of 32 fill exactly the first shard in the drawn order.
+    trainer.fit(bench.train, epochs=1, batch_size=32, max_steps_per_epoch=4)
+    loader = DataLoader(bench.train, 32, rng=reference)
+    epoch = iter(loader)
+    trained = list(itertools.islice(epoch, 4))
+    epoch.close()
+    assert len(trained) == 4
+    assert trainer.rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_parallel_max_steps_on_a_shard_boundary_matches_sequential():
+    bench = make_synthetic_stream(
+        num_samples=512 + 64, chunk_size=128, val_records=32, test_records=32,
+        prefetch_depth=0, seed=1,
+    )
+    sequential = make_trainer(bench)
+    sequential.fit(bench.train, epochs=1, batch_size=32, max_steps_per_epoch=4)
+
+    def factory():
+        return bench.build_model("hps", np.random.default_rng(0))
+
+    with make_trainer(bench, parallel=1, model_factory=factory) as parallel:
+        parallel.fit(bench.train, epochs=1, batch_size=32, max_steps_per_epoch=4)
+    assert parallel.rng.bit_generator.state == sequential.rng.bit_generator.state
+
+
+def test_record_dynamics_accepts_an_empty_recorder_instance():
+    recorder = DynamicsRecorder(capacity=64)
+    assert len(recorder) == 0  # falsy until it holds a sample
+    trainer = make_trainer(record_dynamics=recorder)
+    assert trainer.recorder is recorder
+    trainer.fit(BENCH.train, epochs=1, batch_size=32, max_steps_per_epoch=3)
+    assert [sample["step"] for sample in recorder.samples()] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("disabled", [False, None])
+def test_record_dynamics_off(disabled):
+    assert make_trainer(record_dynamics=disabled).recorder is None
+
+
+def test_accumulated_dynamics_sample_each_window_once():
+    window = 3
+    trainer = make_trainer(method="mocograd", record_dynamics=True, accumulate_steps=window)
+    seen = []
+    original = trainer.balancer.resolve_accumulated
+
+    def spying(grads, losses, steps):
+        combined = original(grads, losses, steps)
+        seen.append(trainer.balancer.gradstats.snapshot()["gcd_mean"])
+        return combined
+
+    trainer.balancer.resolve_accumulated = spying
+    trainer.fit(BENCH.train, epochs=1, batch_size=16, max_steps_per_epoch=3 * window + 1)
+    samples = trainer.recorder.samples()
+    # The trailing micro-step opens a window that never resolves: no sample.
+    assert [sample["step"] for sample in samples] == [3, 6, 9]
+    assert [sample["gcd_mean"] for sample in samples] == seen
+    assert len(set(seen)) == len(seen)
