@@ -20,8 +20,9 @@ parameters into ONE contiguous ``(d,)`` data buffer and ONE contiguous
   contiguous arena segment and collapse to a single slice view or one bulk
   copy;
 - ``zero_grad`` over the whole parameter set is one ``fill(0.0)``;
-- optimizers update ``arena.data`` / ``arena.grad`` directly with a handful
-  of fused in-place vector ops (the flat kernel in :mod:`repro.nn.optim`).
+- every optimizer in :mod:`repro.nn.optim` steps an arena: it updates
+  ``arena.data`` from ``arena.grad`` with a handful of fused in-place vector
+  ops, and rejects a plain parameter list.
 
 Packing contract and view invariants
 ------------------------------------
@@ -39,7 +40,9 @@ Packing contract and view invariants
   (rebinding would silently detach the first arena's views) or when its data
   is not a float64 array (the arena buffer is float64 and a cast would break
   the view identity); both raise ``ValueError``.  Call :meth:`unpack` first
-  to release a parameter from its arena.
+  to release a parameter from its arena; afterwards the arena holds no
+  buffers (``data`` and ``grad`` are ``None``), so an optimizer still
+  stepping it raises instead of writing to detached memory.
 """
 
 from __future__ import annotations
@@ -135,10 +138,12 @@ class ParameterArena:
                 raise ValueError("load=True requires external data/grad buffers")
             data = np.empty(total)
             grad = np.zeros(total)
-        #: the contiguous ``(d,)`` value buffer (parameter ``.data`` are views)
-        self.data: np.ndarray = data
-        #: the contiguous ``(d,)`` gradient buffer (parameter ``.grad`` are views)
-        self.grad: np.ndarray = grad
+        #: the contiguous ``(d,)`` value buffer (parameter ``.data`` are
+        #: views); ``None`` after :meth:`unpack`
+        self.data: np.ndarray | None = data
+        #: the contiguous ``(d,)`` gradient buffer (parameter ``.grad`` are
+        #: views); ``None`` after :meth:`unpack`
+        self.grad: np.ndarray | None = grad
         for param, offset in zip(params, self.offsets):
             shape = param.data.shape
             data_view = self.data[offset : offset + param.size].reshape(shape)
@@ -165,39 +170,21 @@ class ParameterArena:
         """Clear every packed gradient with a single buffer fill."""
         self.grad.fill(0.0)
 
-    def segment(self, parameters: Sequence[Parameter]) -> slice | None:
-        """The contiguous arena slice covered by ``parameters``, if any.
-
-        Returns a ``slice`` when the given parameters are all packed in this
-        arena and consecutive in packing order (so their flat concatenation
-        *is* one slice of the buffers); ``None`` otherwise.
-        """
-        seg = packed_segment(parameters)
-        if seg is None or seg[0] is not self:
-            return None
-        return seg[1]
-
-    def data_segment(self, parameters: Sequence[Parameter]) -> np.ndarray | None:
-        """Contiguous flat *view* of the given parameters' values, or None."""
-        sl = self.segment(parameters)
-        return None if sl is None else self.data[sl]
-
-    def grad_segment(self, parameters: Sequence[Parameter]) -> np.ndarray | None:
-        """Contiguous flat *view* of the given parameters' gradients, or None."""
-        sl = self.segment(parameters)
-        return None if sl is None else self.grad[sl]
-
     def unpack(self) -> None:
         """Release every parameter back to standalone (copied) arrays.
 
-        After this the arena's buffers are detached from the parameters and
-        the parameters may be packed into a new arena.
+        After this the parameters may be packed into a new arena, and the
+        arena drops its buffers: ``data`` and ``grad`` become ``None``, so
+        nothing can keep stepping memory the parameters no longer use —
+        for a shared-memory block, memory that is about to be released.
         """
         for param in self.parameters:
             param.data = param.data.copy()
             param.grad = None if param.grad is None else param.grad.copy()
             param._arena = None
             param._arena_offset = 0
+        self.data = None
+        self.grad = None
 
 
 def packed_segment(

@@ -1,8 +1,7 @@
 """First-order optimizers: SGD (with momentum), Adam, AdaGrad, RMSProp.
 
 These are the optimizers the paper compares against for convergence-rate
-purposes (§IV-C, Corollary 1).  All updates run under ``no_grad`` and mutate
-parameter data in place.
+purposes (§IV-C, Corollary 1).  All updates mutate parameter data in place.
 
 Note the separation of concerns in this reproduction: gradient *balancers*
 (MoCoGrad, PCGrad, …) combine per-task gradients into one joint gradient,
@@ -11,126 +10,100 @@ which the trainer writes into ``param.grad``; the optimizer then consumes
 
 Kernels
 -------
-Each optimizer selects its kernel from its parameters.  For parameters
-packed into a :class:`~repro.nn.arena.ParameterArena` (or any contiguous
-arena segment) the **flat** kernel keeps optimizer state (``velocity``,
-``m``, ``v``, accumulators) in single ``(d,)`` arrays and runs a handful
-of fused in-place vector ops over the arena's flat buffers, with two
-preallocated ``(d,)`` scratch buffers — zero d-length allocations per
-step.  Plain parameter lists run the per-parameter **loop** kernel.  Both
-execute the *same elementwise operation sequence*, so an arena and an
-unpacked copy of it follow bitwise identical trajectories.  One
-difference: the loop kernel skips parameters whose ``grad`` is ``None``
-(packed parameters always hold a zero-filled arena view).
+Every optimizer steps a :class:`~repro.nn.arena.ParameterArena` (wrap a
+parameter list as ``ParameterArena(params)``).  Its state (``velocity``,
+``m``, ``v``, accumulators) lives in single ``(d,)`` arrays, and ``_step``
+runs a handful of fused in-place vector ops over the arena's flat
+``data``/``grad`` buffers with two preallocated ``(d,)`` scratch buffers —
+zero d-length allocations per step.  The buffers are read through the arena
+on every step, so an optimizer whose arena was unpacked raises instead of
+writing to detached (or released shared) memory.  The per-parameter loop
+kernels in ``tests/reference/optim.py`` execute the *same elementwise
+operation sequence* and are the reference these kernels are compared with,
+bitwise.
 
 Adam's bias correction is folded into scalar coefficients
-(``alpha_t = lr·sqrt(1−β₂ᵗ)/(1−β₁ᵗ)``, ``eps_t = eps·sqrt(1−β₂ᵗ)``) on both
-paths, eliminating the ``m_hat``/``v_hat`` d-length temporaries of the
-textbook form while staying within 1e-12 of it.
+(``alpha_t = lr·sqrt(1−β₂ᵗ)/(1−β₁ᵗ)``, ``eps_t = eps·sqrt(1−β₂ᵗ)``),
+eliminating the ``m_hat``/``v_hat`` d-length temporaries of the textbook
+form while staying within 1e-12 of it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-from .arena import ParameterArena, packed_segment
-from .module import Parameter
-from .tensor import no_grad
+from .arena import ParameterArena
 
 __all__ = ["Optimizer", "SGD", "Adam", "AdaGrad", "RMSProp"]
 
 
 class Optimizer:
-    """Base optimizer over an explicit parameter list or a parameter arena.
+    """Base optimizer over a parameter arena.
 
     Parameters
     ----------
-    parameters:
-        Either a sequence of :class:`~repro.nn.module.Parameter` or a
-        :class:`~repro.nn.arena.ParameterArena`.  A sequence whose members
-        form a contiguous arena segment is treated like the arena itself.
+    arena:
+        The :class:`~repro.nn.arena.ParameterArena` whose parameters are
+        updated; pack a parameter list first with ``ParameterArena(params)``.
     lr:
         Learning rate (must be positive).
     """
 
-    def __init__(
-        self, parameters: Sequence[Parameter] | ParameterArena, lr: float
-    ) -> None:
+    def __init__(self, arena: ParameterArena, lr: float) -> None:
+        if not isinstance(arena, ParameterArena):
+            raise TypeError(
+                f"optimizers step a ParameterArena, got {type(arena).__name__}; "
+                "pack the parameters first with ParameterArena(params)"
+            )
         if lr <= 0:
             raise ValueError("learning rate must be positive")
-        if isinstance(parameters, ParameterArena):
-            self.arena: ParameterArena | None = parameters
-            self.parameters = list(parameters.parameters)
-            segment = (parameters, slice(0, parameters.size))
-        else:
-            self.parameters = list(parameters)
-            segment = packed_segment(self.parameters)
-            self.arena = segment[0] if segment is not None else None
-        if not self.parameters:
-            raise ValueError("optimizer received an empty parameter list")
-        #: True when the parameters form one contiguous arena segment and
-        #: the fused flat kernel runs; False for the per-parameter loop.
-        self.flat = segment is not None
-        if self.flat:
-            arena, sl = segment
-            # Contiguous flat views over the managed parameters: the operand
-            # buffers of _step_flat and of the one-fill zero_grad.
-            self._flat_data: np.ndarray | None = arena.data[sl]
-            self._flat_grad: np.ndarray | None = arena.grad[sl]
-            dim = self._flat_data.size
-            # Two (d,) scratch buffers shared by every flat kernel; after
-            # this warm allocation _step_flat never allocates a d-length
-            # temporary (asserted by benchmarks/bench_optim.py's probe).
-            self._scratch_a = np.empty(dim)
-            self._scratch_b = np.empty(dim)
-        else:
-            self._flat_data = None
-            self._flat_grad = None
+        self.arena = arena
+        # Two (d,) scratch buffers shared by every kernel; after this warm
+        # allocation _step never allocates a d-length temporary (asserted
+        # by benchmarks/bench_optim.py's probe).
+        self._scratch_a = np.empty(arena.size)
+        self._scratch_b = np.empty(arena.size)
         self.lr = lr
         self.step_count = 0
 
-    def zero_grad(self) -> None:
-        """Clear the gradients of every managed parameter.
+    def _buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The arena's flat ``(data, grad)`` buffers; raises once unpacked."""
+        arena = self.arena
+        if arena.data is None:
+            raise RuntimeError(
+                "the optimizer's ParameterArena was unpacked; "
+                "build a new optimizer over ParameterArena(params)"
+            )
+        return arena.data, arena.grad
 
-        On the arena path this is a single ``fill(0.0)`` over the flat grad
-        buffer; otherwise the per-parameter loop.
-        """
-        if self.flat:
-            self._flat_grad.fill(0.0)
-        else:
-            for param in self.parameters:
-                param.zero_grad()
+    def zero_grad(self) -> None:
+        """Clear every managed gradient with one fill of the grad buffer."""
+        self._buffers()[1].fill(0.0)
 
     def step(self) -> None:
-        """Apply one update using the parameters' current gradients."""
+        """Apply one update using the arena's current gradients."""
+        data, grad = self._buffers()
         self.step_count += 1
-        with no_grad():
-            if self.flat:
-                self._step_flat()
-            else:
-                self._step()
+        self._step(data, grad)
 
-    def _step(self) -> None:
-        raise NotImplementedError
-
-    def _step_flat(self) -> None:
+    def _step(self, data: np.ndarray, grad: np.ndarray) -> None:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def _flat_effective_grad(self, weight_decay: float) -> np.ndarray:
-        """The flat gradient with weight decay applied allocation-free.
+    def _effective_grad(
+        self, data: np.ndarray, grad: np.ndarray, weight_decay: float
+    ) -> np.ndarray:
+        """The gradient with weight decay applied allocation-free.
 
-        Returns the arena grad view directly when ``weight_decay`` is zero;
-        otherwise materializes ``wd·data + grad`` into scratch ``a`` (the
-        same elementwise sum the loop kernel computes) and returns it.
+        Returns ``grad`` itself when ``weight_decay`` is zero; otherwise
+        materializes ``wd·data + grad`` into scratch ``a`` and returns it.
         """
         if not weight_decay:
-            return self._flat_grad
-        np.multiply(self._flat_data, weight_decay, out=self._scratch_a)
-        self._scratch_a += self._flat_grad
+            return grad
+        np.multiply(data, weight_decay, out=self._scratch_a)
+        self._scratch_a += grad
         return self._scratch_a
 
 
@@ -139,41 +112,25 @@ class SGD(Optimizer):
 
     def __init__(
         self,
-        parameters: Sequence[Parameter] | ParameterArena,
+        arena: ParameterArena,
         lr: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(parameters, lr)
+        super().__init__(arena, lr)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        if self.flat:
-            self._velocity_flat = np.zeros(self._flat_data.size) if momentum else None
-        else:
-            self._velocity = [np.zeros_like(p.data) for p in self.parameters]
+        self._velocity = np.zeros(arena.size) if momentum else None
 
-    def _step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            param.data -= self.lr * grad
-
-    def _step_flat(self) -> None:
-        grad = self._flat_effective_grad(self.weight_decay)
+    def _step(self, data: np.ndarray, grad: np.ndarray) -> None:
+        grad = self._effective_grad(data, grad, self.weight_decay)
         if self.momentum:
-            velocity = self._velocity_flat
+            velocity = self._velocity
             velocity *= self.momentum
             velocity += grad
             grad = velocity
         np.multiply(grad, self.lr, out=self._scratch_b)
-        self._flat_data -= self._scratch_b
+        data -= self._scratch_b
 
 
 class Adam(Optimizer):
@@ -181,23 +138,18 @@ class Adam(Optimizer):
 
     def __init__(
         self,
-        parameters: Sequence[Parameter] | ParameterArena,
+        arena: ParameterArena,
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(parameters, lr)
+        super().__init__(arena, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        if self.flat:
-            dim = self._flat_data.size
-            self._m_flat = np.zeros(dim)
-            self._v_flat = np.zeros(dim)
-        else:
-            self._m = [np.zeros_like(p.data) for p in self.parameters]
-            self._v = [np.zeros_like(p.data) for p in self.parameters]
+        self._m = np.zeros(arena.size)
+        self._v = np.zeros(arena.size)
 
     def _bias_corrected_scalars(self) -> tuple[float, float]:
         """Fold both bias corrections into ``(alpha_t, eps_t)``.
@@ -205,7 +157,7 @@ class Adam(Optimizer):
         ``lr·m̂/(√v̂+eps)`` with ``m̂ = m/(1−β₁ᵗ)``, ``v̂ = v/(1−β₂ᵗ)`` equals
         ``alpha_t·m/(√v+eps_t)`` for ``alpha_t = lr·√(1−β₂ᵗ)/(1−β₁ᵗ)`` and
         ``eps_t = eps·√(1−β₂ᵗ)`` — no d-length ``m_hat``/``v_hat``
-        temporaries on either path.
+        temporaries.
         """
         t = self.step_count
         bias2_sqrt = math.sqrt(1.0 - self.beta2**t)
@@ -213,24 +165,10 @@ class Adam(Optimizer):
         eps_t = self.eps * bias2_sqrt
         return alpha_t, eps_t
 
-    def _step(self) -> None:
+    def _step(self, data: np.ndarray, grad: np.ndarray) -> None:
         alpha_t, eps_t = self._bias_corrected_scalars()
-        for param, m, v in zip(self.parameters, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (grad * grad)
-            param.data -= alpha_t * m / (np.sqrt(v) + eps_t)
-
-    def _step_flat(self) -> None:
-        alpha_t, eps_t = self._bias_corrected_scalars()
-        grad = self._flat_effective_grad(self.weight_decay)
-        m, v = self._m_flat, self._v_flat
+        grad = self._effective_grad(data, grad, self.weight_decay)
+        m, v = self._m, self._v
         scratch = self._scratch_b
         m *= self.beta1
         np.multiply(grad, 1.0 - self.beta1, out=scratch)
@@ -246,35 +184,19 @@ class Adam(Optimizer):
         update = self._scratch_a
         np.multiply(m, alpha_t, out=update)
         update /= scratch
-        self._flat_data -= update
+        data -= update
 
 
 class AdaGrad(Optimizer):
     """AdaGrad (Duchi et al., 2011)."""
 
-    def __init__(
-        self,
-        parameters: Sequence[Parameter] | ParameterArena,
-        lr: float = 1e-2,
-        eps: float = 1e-10,
-    ) -> None:
-        super().__init__(parameters, lr)
+    def __init__(self, arena: ParameterArena, lr: float = 1e-2, eps: float = 1e-10) -> None:
+        super().__init__(arena, lr)
         self.eps = eps
-        if self.flat:
-            self._accumulator_flat = np.zeros(self._flat_data.size)
-        else:
-            self._accumulator = [np.zeros_like(p.data) for p in self.parameters]
+        self._accumulator = np.zeros(arena.size)
 
-    def _step(self) -> None:
-        for param, acc in zip(self.parameters, self._accumulator):
-            if param.grad is None:
-                continue
-            acc += param.grad * param.grad
-            param.data -= self.lr * param.grad / (np.sqrt(acc) + self.eps)
-
-    def _step_flat(self) -> None:
-        grad = self._flat_grad
-        acc = self._accumulator_flat
+    def _step(self, data: np.ndarray, grad: np.ndarray) -> None:
+        acc = self._accumulator
         denom, update = self._scratch_b, self._scratch_a
         np.multiply(grad, grad, out=denom)
         acc += denom
@@ -282,7 +204,7 @@ class AdaGrad(Optimizer):
         denom += self.eps
         np.multiply(grad, self.lr, out=update)
         update /= denom
-        self._flat_data -= update
+        data -= update
 
 
 class RMSProp(Optimizer):
@@ -290,30 +212,18 @@ class RMSProp(Optimizer):
 
     def __init__(
         self,
-        parameters: Sequence[Parameter] | ParameterArena,
+        arena: ParameterArena,
         lr: float = 1e-3,
         alpha: float = 0.99,
         eps: float = 1e-8,
     ) -> None:
-        super().__init__(parameters, lr)
+        super().__init__(arena, lr)
         self.alpha = alpha
         self.eps = eps
-        if self.flat:
-            self._avg_flat = np.zeros(self._flat_data.size)
-        else:
-            self._avg = [np.zeros_like(p.data) for p in self.parameters]
+        self._avg = np.zeros(arena.size)
 
-    def _step(self) -> None:
-        for param, avg in zip(self.parameters, self._avg):
-            if param.grad is None:
-                continue
-            avg *= self.alpha
-            avg += (1.0 - self.alpha) * (param.grad * param.grad)
-            param.data -= self.lr * param.grad / (np.sqrt(avg) + self.eps)
-
-    def _step_flat(self) -> None:
-        grad = self._flat_grad
-        avg = self._avg_flat
+    def _step(self, data: np.ndarray, grad: np.ndarray) -> None:
+        avg = self._avg
         denom, update = self._scratch_b, self._scratch_a
         avg *= self.alpha
         np.multiply(grad, grad, out=denom)
@@ -323,4 +233,4 @@ class RMSProp(Optimizer):
         denom += self.eps
         np.multiply(grad, self.lr, out=update)
         update /= denom
-        self._flat_data -= update
+        data -= update

@@ -29,7 +29,7 @@ graph, so balancing costs O(K·d_feat) instead of O(K·d).
 The model's parameters always live in one contiguous
 :class:`~repro.nn.arena.ParameterArena` (shared partition first), so row
 fills and write-back are slice copies, ``zero_grad`` is one fill and the
-optimizer runs its fused flat kernel.
+optimizer steps that arena with its fused flat kernel.
 
 Observability
 -------------
@@ -73,7 +73,6 @@ from ..core.ema import EMANormalizer
 from ..data.base import MULTI_INPUT, SINGLE_INPUT, ArrayDataset, TaskSpec
 from ..data.streaming import DataLoader
 from ..nn.arena import ParameterArena
-from ..nn.module import Parameter
 from ..nn.optim import SGD, Adam, AdaGrad, Optimizer, RMSProp
 from ..nn.tensor import Tensor, backward_multi
 from ..nn.utils import grad_vector_from_slots, set_grad_from_vector
@@ -95,25 +94,23 @@ __all__ = ["MTLTrainer", "GRAD_SPACES"]
 GRAD_SPACES = ("parameters", "features")
 
 
-def _make_optimizer(
-    name: str, parameters: list[Parameter] | ParameterArena, lr: float
-) -> Optimizer:
+def _make_optimizer(name: str, arena: ParameterArena, lr: float) -> Optimizer:
     name = name.lower()
     if name == "adam":
-        return Adam(parameters, lr=lr)
+        return Adam(arena, lr=lr)
     if name == "sgd":
-        return SGD(parameters, lr=lr)
+        return SGD(arena, lr=lr)
     if name == "sgdm":
-        return SGD(parameters, lr=lr, momentum=0.9)
+        return SGD(arena, lr=lr, momentum=0.9)
     if name == "adagrad":
-        return AdaGrad(parameters, lr=lr)
+        return AdaGrad(arena, lr=lr)
     if name == "rmsprop":
-        return RMSProp(parameters, lr=lr)
+        return RMSProp(arena, lr=lr)
     raise ValueError(f"unknown optimizer {name!r}; use adam, sgd, sgdm, adagrad or rmsprop")
 
 
-def _build_arena(model: MTLModel, shared: list[Parameter]) -> ParameterArena:
-    """Pack the model into one arena with the shared parameters as a prefix.
+def _build_arena(model: MTLModel) -> ParameterArena:
+    """Pack the model into one arena in :func:`~repro.parallel.arena_order`.
 
     The ordering matters: with the shared partition contiguous at offset 0,
     the row fills and the write-back hit the zero-copy segment fast path in
@@ -122,8 +119,7 @@ def _build_arena(model: MTLModel, shared: list[Parameter]) -> ParameterArena:
     covers exactly the model's parameters.  A partial or foreign packing is
     rejected: repacking would detach the other arena's live views.
     """
-    shared_ids = {id(p) for p in shared}
-    ordered = list(shared) + [p for p in model.parameters() if id(p) not in shared_ids]
+    ordered, _ = arena_order(model)
     existing = next((p._arena for p in ordered if p._arena is not None), None)
     if existing is None:
         return ParameterArena(ordered)
@@ -359,31 +355,14 @@ class MTLTrainer:
         self.shared_buffers: SharedArenaBuffers | None = None
         #: the contiguous parameter arena (shared partition first); None
         #: only after :meth:`close` released a parallel trainer
-        self.arena: ParameterArena | None
-        if self.parallel:
-            # Parallel mode packs straight into the shared block so the
-            # fused optimizer step doubles as the parameter broadcast.
-            ordered, shared = arena_order(model)
-            dims = ArenaDims(
-                num_workers=self.parallel,
-                num_tasks=len(self.tasks),
-                dim_total=sum(p.size for p in ordered),
-                dim_shared=sum(p.size for p in shared),
-            )
-            self.shared_buffers = SharedArenaBuffers.create(dims)
-            try:
-                self.arena = ParameterArena(
-                    ordered,
-                    data=self.shared_buffers.params,
-                    grad=self.shared_buffers.parent_grad,
-                )
-            except Exception:
-                self.shared_buffers.close()
-                self.shared_buffers = None
-                raise
-        else:
-            self.arena = _build_arena(model, model.shared_parameters())
-        self.optimizer = _make_optimizer(optimizer, self.arena, lr)
+        self.arena: ParameterArena | None = None
+        try:
+            self.arena = self._pack(model)
+            self.optimizer = _make_optimizer(optimizer, self.arena, lr)
+        except BaseException:
+            # Never leave the model packed into an orphaned shared block.
+            self.close()
+            raise
         self.rng = np.random.default_rng(seed)
         self.balancer.reset(len(self.tasks))
         self.history = History([task.name for task in self.tasks])
@@ -427,18 +406,38 @@ class MTLTrainer:
         self._micro_steps = 0
 
     # ------------------------------------------------------------------
+    def _pack(self, model: MTLModel) -> ParameterArena:
+        """The model's arena; in parallel mode, packed into a new shared block."""
+        if not self.parallel:
+            return _build_arena(model)
+        # Parallel mode packs straight into the shared block so the fused
+        # optimizer step doubles as the parameter broadcast.
+        ordered, shared = arena_order(model)
+        dims = ArenaDims(
+            num_workers=self.parallel,
+            num_tasks=len(self.tasks),
+            dim_total=sum(p.size for p in ordered),
+            dim_shared=sum(p.size for p in shared),
+        )
+        self.shared_buffers = SharedArenaBuffers.create(dims)
+        return ParameterArena(
+            ordered, data=self.shared_buffers.params, grad=self.shared_buffers.parent_grad
+        )
+
     def close(self) -> None:
         """Release the parallel shared-memory block (no-op otherwise).
 
         Idempotent; required in parallel mode once the trainer is done —
         shared-memory segments outlive the process if never unlinked.  The
         model keeps its (now copied-out) parameters usable via
-        :meth:`~repro.nn.arena.ParameterArena.unpack`.
+        :meth:`~repro.nn.arena.ParameterArena.unpack`, which also leaves
+        ``trainer.optimizer`` raising instead of stepping released memory.
         """
         if self.shared_buffers is None:
             return
-        self.arena.unpack()
-        self.arena = None
+        if self.arena is not None:
+            self.arena.unpack()
+            self.arena = None
         self.shared_buffers.close()
         self.shared_buffers = None
 

@@ -79,10 +79,13 @@ class TestPacking:
         params = make_params(rng)
         arena = ParameterArena(params)
         params[0].data[...] = 5.0
+        data, grad = arena.data, arena.grad
         arena.unpack()
+        assert arena.data is None and arena.grad is None
         for param in params:
             assert param._arena is None
-            assert not np.shares_memory(param.data, arena.data)
+            assert not np.shares_memory(param.data, data)
+            assert not np.shares_memory(param.grad, grad)
         np.testing.assert_array_equal(params[0].data, np.full((3, 2), 5.0))
         # Unpacked parameters may be packed again.
         ParameterArena(params)
@@ -116,36 +119,27 @@ class TestSegments:
     def test_full_segment(self, rng):
         params = make_params(rng)
         arena = ParameterArena(params)
-        assert arena.segment(params) == slice(0, 18)
+        assert packed_segment(params) == (arena, slice(0, 18))
 
     def test_prefix_segment(self, rng):
         params = make_params(rng)
         arena = ParameterArena(params)
-        assert arena.segment(params[:2]) == slice(0, 10)
-        assert arena.segment(params[1:]) == slice(6, 18)
+        assert packed_segment(params[:2]) == (arena, slice(0, 10))
+        assert packed_segment(params[1:]) == (arena, slice(6, 18))
 
     def test_non_contiguous_returns_none(self, rng):
         params = make_params(rng)
-        arena = ParameterArena(params)
-        assert arena.segment([params[0], params[2]]) is None
-        assert arena.segment([params[1], params[0]]) is None
+        ParameterArena(params)
+        assert packed_segment([params[0], params[2]]) is None
+        assert packed_segment([params[1], params[0]]) is None
 
     def test_foreign_parameters_return_none(self, rng):
         params = make_params(rng)
-        arena = ParameterArena(params)
-        assert arena.segment([Parameter(np.zeros(2))]) is None
+        ParameterArena(params)
         assert packed_segment([Parameter(np.zeros(2))]) is None
+        assert packed_segment(params[:1] + [Parameter(np.zeros(2))]) is None
         other = ParameterArena([Parameter(np.zeros(2))])
-        assert arena.segment(other.parameters) is None
-
-    def test_data_and_grad_segment_views(self, rng):
-        params = make_params(rng)
-        arena = ParameterArena(params)
-        data_seg = arena.data_segment(params[:2])
-        grad_seg = arena.grad_segment(params[:2])
-        assert np.shares_memory(data_seg, arena.data)
-        assert np.shares_memory(grad_seg, arena.grad)
-        assert data_seg.shape == grad_seg.shape == (10,)
+        assert packed_segment(params[-1:] + other.parameters) is None
 
 
 class TestVectorFastPaths:

@@ -1,11 +1,11 @@
-"""Flat-vs-loop optimizer equivalence and kernel-selection tests."""
+"""Arena kernels vs the per-parameter loop reference, and the arena-only API."""
 
 import numpy as np
 import pytest
 
 from repro.nn import Adam, AdaGrad, Parameter, ParameterArena, RMSProp, SGD
 
-from ..reference.optim import loop_order, unpacked_copy
+from ..reference.optim import LOOP_KERNELS, LoopAdam, unpacked_copy
 
 OPTIMIZERS = {
     "sgd": (SGD, dict(lr=0.05)),
@@ -32,8 +32,7 @@ class TestFlatLoopEquivalence:
         cls, kwargs = OPTIMIZERS[name]
         arena = make_arena()
         plain = unpacked_copy(arena.parameters)
-        optimizers = {"flat": cls(arena, **kwargs), "loop": cls(plain, **kwargs)}
-        assert optimizers["flat"].flat and not optimizers["loop"].flat
+        optimizers = {"flat": cls(arena, **kwargs), "loop": LOOP_KERNELS[cls](plain, **kwargs)}
         grad_rng = np.random.default_rng(7)
         for _ in range(25):
             arena.grad[:] = grad_rng.normal(size=arena.size)
@@ -46,17 +45,15 @@ class TestFlatLoopEquivalence:
 
     @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
     def test_flat_matches_unpacked_loop(self, name):
-        """The arena fast path reproduces the plain-parameter optimizer."""
+        """The arena kernel reproduces the plain-parameter loop reference."""
         cls, kwargs = OPTIMIZERS[name]
         rng = np.random.default_rng(3)
         plain = [Parameter(rng.normal(size=shape)) for shape in SHAPES]
         rng = np.random.default_rng(3)
         packed = [Parameter(rng.normal(size=shape)) for shape in SHAPES]
         arena = ParameterArena(packed)
-        opt_plain = cls(plain, **kwargs)
+        opt_plain = LOOP_KERNELS[cls](plain, **kwargs)
         opt_flat = cls(arena, **kwargs)
-        assert not opt_plain.flat
-        assert opt_flat.flat
         grad_rng = np.random.default_rng(9)
         for _ in range(10):
             for p_plain, p_packed in zip(plain, packed):
@@ -71,15 +68,17 @@ class TestFlatLoopEquivalence:
     def test_flat_state_is_single_vector(self):
         arena = make_arena()
         opt = Adam(arena, lr=0.01)
-        assert opt._m_flat.shape == (arena.size,)
-        assert opt._v_flat.shape == (arena.size,)
+        assert opt._m.shape == (arena.size,)
+        assert opt._v.shape == (arena.size,)
 
 
 class TestAdamBiasFold:
     def test_matches_textbook_bias_correction(self):
         """Folded scalar step size ≡ m_hat/v_hat form within 1e-12."""
         arena = make_arena(seed=5)
+        plain = unpacked_copy(arena.parameters)
         opt = Adam(arena, lr=0.01, betas=(0.9, 0.999), eps=1e-8)
+        loop = LoopAdam(plain, lr=0.01, betas=(0.9, 0.999), eps=1e-8)
         reference = arena.data.copy()
         m = np.zeros(arena.size)
         v = np.zeros(arena.size)
@@ -87,54 +86,35 @@ class TestAdamBiasFold:
         for t in range(1, 30):
             grad = grad_rng.normal(size=arena.size)
             arena.grad[:] = grad
+            for packed, param in zip(arena.parameters, plain):
+                param.grad = packed.grad.copy()
             opt.step()
+            loop.step()
             m = 0.9 * m + 0.1 * grad
             v = 0.999 * v + 0.001 * grad**2
             m_hat = m / (1.0 - 0.9**t)
             v_hat = v / (1.0 - 0.999**t)
             reference -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
             np.testing.assert_allclose(arena.data, reference, rtol=1e-12, atol=0)
+            loop_data = np.concatenate([param.data.reshape(-1) for param in plain])
+            np.testing.assert_array_equal(loop_data, arena.data)
 
 
-class TestStepModeDispatch:
-    """The kernel follows the parameters: flat for arena segments."""
+class TestArenaOnly:
+    """Optimizers step a ParameterArena and nothing else."""
 
-    def test_auto_is_loop_without_arena(self):
-        opt = SGD([Parameter(np.zeros(3))], lr=0.1)
-        assert not opt.flat
-
-    def test_auto_is_flat_with_arena(self):
-        assert SGD(make_arena(), lr=0.1).flat
-
-    def test_auto_is_flat_for_packed_parameter_list(self):
-        arena = make_arena()
-        opt = SGD(arena.parameters, lr=0.1)
-        assert opt.flat
-
-    def test_flat_on_arena_segment(self):
-        """A contiguous sub-list of an arena gets its own flat window."""
-        arena = make_arena()
-        subset = arena.parameters[:2]
-        opt = SGD(subset, lr=0.1)
-        assert opt.flat
-        dim = sum(p.size for p in subset)
-        assert opt._flat_data.shape == (dim,)
-        arena.grad[:] = 1.0
-        tail_before = arena.data[dim:].copy()
-        opt.step()
-        np.testing.assert_array_equal(arena.data[dim:], tail_before)
-        np.testing.assert_allclose(arena.data[:dim] - (-0.1), make_arena().data[:dim])
-
-    def test_loop_mode_forced_on_arena(self):
-        """Packed parameters that form no contiguous segment run the loop
-        kernel, which still updates the arena through the views."""
-        arena = make_arena()
-        opt = SGD(loop_order(arena.parameters), lr=0.1)
-        assert not opt.flat
-        arena.grad[:] = 1.0
-        before = arena.data.copy()
-        opt.step()
-        np.testing.assert_allclose(arena.data, before - 0.1)
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            pytest.param(lambda arena: [Parameter(np.zeros(3))], id="plain_list"),
+            pytest.param(lambda arena: arena.parameters[:2], id="packed_sublist"),
+            pytest.param(lambda arena: tuple(arena.parameters), id="tuple"),
+        ],
+    )
+    def test_non_arena_rejected(self, wrap):
+        for cls in (SGD, Adam, AdaGrad, RMSProp):
+            with pytest.raises(TypeError, match=r"ParameterArena\(params\)"):
+                cls(wrap(make_arena()), lr=0.1)
 
     def test_zero_grad_single_fill_keeps_views(self):
         arena = make_arena()
@@ -144,6 +124,21 @@ class TestStepModeDispatch:
         assert not arena.grad.any()
         for param in arena.parameters:
             assert np.shares_memory(param.grad, arena.grad)
+
+    def test_step_raises_after_unpack(self):
+        """A stale optimizer must not keep updating detached buffers while
+        the parameters it was built for stand still."""
+        for cls, kwargs in OPTIMIZERS.values():
+            arena = make_arena()
+            opt = cls(arena, **kwargs)
+            arena.grad[:] = 1.0
+            opt.step()
+            arena.unpack()
+            with pytest.raises(RuntimeError, match="unpacked"):
+                opt.step()
+            with pytest.raises(RuntimeError, match="unpacked"):
+                opt.zero_grad()
+            assert opt.step_count == 1
 
 
 class TestFlatStepAllocations:

@@ -13,6 +13,7 @@ from repro.nn import (
     InverseSqrt,
     Linear,
     Parameter,
+    ParameterArena,
     SGD,
     StepDecay,
     load_checkpoint,
@@ -23,7 +24,7 @@ from repro.nn.layers import Sequential
 
 
 def make_opt(lr=1.0):
-    return SGD([Parameter(np.zeros(2))], lr=lr)
+    return SGD(ParameterArena([Parameter(np.zeros(2))]), lr=lr)
 
 
 class TestStepDecay:

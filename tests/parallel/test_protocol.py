@@ -3,6 +3,8 @@
 import multiprocessing as mp
 import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +134,72 @@ def test_trainer_context_manager_closes():
         trainer.fit(support.BENCH.train, epochs=1, batch_size=64, max_steps_per_epoch=1)
     assert trainer.shared_buffers is None
     assert _no_live_workers()
+
+
+def _shm_segments() -> set[str] | None:
+    """Names of the POSIX shared-memory segments, or None where unlisted."""
+    shm = Path("/dev/shm")
+    return {name for name in os.listdir(shm) if name.startswith("psm_")} if shm.is_dir() else None
+
+
+@pytest.mark.parametrize("bad_kwargs", [{"optimizer": "nope"}, {"lr": 0.0}], ids=["name", "lr"])
+def test_invalid_optimizer_releases_shared_block(bad_kwargs):
+    """A constructor that fails after allocating the shared block must
+    unlink it and leave the model unpacked, not packed into an orphan."""
+    before = _shm_segments()
+    model = support.hps_factory()
+    with pytest.raises(ValueError):
+        MTLTrainer(
+            model,
+            support.BENCH.tasks,
+            create_balancer("mocograd", seed=3),
+            parallel=2,
+            model_factory=support.hps_factory,
+            **bad_kwargs,
+        )
+    assert all(param._arena is None for param in model.parameters())
+    if before is not None:
+        assert _shm_segments() - before == set()
+
+
+_STEP_AFTER_CLOSE = """
+from repro.core.balancer import create_balancer
+from repro.training import MTLTrainer
+from tests.parallel import support
+
+trainer = MTLTrainer(
+    support.hps_factory(),
+    support.BENCH.tasks,
+    create_balancer("mocograd", seed=3),
+    optimizer="sgd",
+    parallel=2,
+    model_factory=support.hps_factory,
+)
+trainer.close()
+try:
+    trainer.optimizer.step()
+except RuntimeError as error:
+    print("raised:", error)
+"""
+
+
+def test_optimizer_step_after_close_raises():
+    """After close() released the block, a stale optimizer step must raise a
+    Python error instead of writing to unmapped memory (SIGSEGV)."""
+    import repro
+
+    root = Path(__file__).resolve().parents[2]
+    src = str(Path(repro.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _STEP_AFTER_CLOSE],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(root)])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, f"exit {result.returncode}: {result.stderr}"
+    assert "raised:" in result.stdout and "unpacked" in result.stdout
 
 
 def test_parallel_requires_model_factory():

@@ -2,8 +2,8 @@
 
 The acceptance bar for the parameter arena: for every registered optimizer,
 every architecture and both collect stages (multi-root and the per-task
-reference), training with the fused flat optimizer step must reproduce the
-per-parameter loop kernel bitwise — including telemetry counters — and the
+reference), training with the fused arena optimizer step must reproduce the
+per-parameter loop reference bitwise — including telemetry counters — and the
 arena must survive checkpoint restores and flat-vector parameter writes.
 """
 
@@ -12,16 +12,15 @@ import pytest
 
 from repro.balancers import EqualWeighting
 from repro.data import TaskSpec
-from repro.nn import ParameterArena
+from repro.nn import ParameterArena, packed_segment
 from repro.nn.functional import mse_loss
 from repro.nn.utils import parameter_vector, set_parameters_from_vector
 from repro.obs import Telemetry
 from repro.training import MTLTrainer
-from repro.training.trainer import _make_optimizer
 
 from ..arch.test_architectures import FACTORIES
 from ..arch.test_ple import make_ple
-from ..reference.optim import loop_order
+from ..reference.optim import TRAINER_OPTIMIZERS
 from ..reference.trainer import TRAINERS
 
 ALL_FACTORIES = dict(FACTORIES, ple=make_ple)
@@ -42,7 +41,7 @@ def make_batch(rng, n=12):
 def build_trainer(
     name, telemetry=None, backward_mode="multi_root", kernel="flat", optimizer="adam", **kwargs
 ):
-    """A trainer whose optimizer runs the flat kernel or the loop reference."""
+    """A trainer whose optimizer runs the arena kernel or the loop reference."""
     model = ALL_FACTORIES[name](np.random.default_rng(5))
     trainer = TRAINERS[backward_mode](
         model,
@@ -55,8 +54,7 @@ def build_trainer(
         **kwargs,
     )
     if kernel == "loop":
-        trainer.optimizer = _make_optimizer(optimizer, loop_order(model.parameters()), LR)
-    assert trainer.optimizer.flat is (kernel == "flat")
+        trainer.optimizer = TRAINER_OPTIMIZERS[optimizer](model.parameters(), lr=LR)
     return trainer
 
 
@@ -109,13 +107,12 @@ class TestTrainerArenaWiring:
         trainer = build_trainer("hps")
         shared = trainer.model.shared_parameters()
         assert trainer.arena is not None
-        assert trainer.arena.segment(shared) == slice(0, sum(p.size for p in shared))
+        assert packed_segment(shared) == (trainer.arena, slice(0, sum(p.size for p in shared)))
 
     def test_optimizer_defaults_to_flat_over_whole_arena(self):
         trainer = build_trainer("cgc")
-        assert trainer.optimizer.flat
         assert trainer.optimizer.arena is trainer.arena
-        assert trainer.optimizer._flat_data.size == trainer.arena.size
+        assert trainer.optimizer._scratch_a.size == trainer.arena.size
 
     def test_second_trainer_reuses_existing_arena(self):
         trainer = build_trainer("hps")
