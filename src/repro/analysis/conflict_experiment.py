@@ -97,13 +97,11 @@ class SharedOutputRegressor(MTLModel):
         self.encoder = MLPEncoder(in_features, [16, 8], rng)
         self.head = LinearHead(8, 1, rng)
 
-    def forward(self, x, task: str):
-        self._check_task(task)
+    def shared_features(self, x):
         return self.head(self.encoder(x))
 
-    def forward_all(self, x):
-        out = self.head(self.encoder(x))
-        return {task: out for task in self.task_names}
+    def forward_head(self, features, x, task: str):
+        return features
 
     def shared_parameters(self):
         return self.encoder.parameters() + self.head.parameters()

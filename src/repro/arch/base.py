@@ -9,8 +9,13 @@ An :class:`MTLModel` exposes the split the gradient balancers need:
   touches (light-weight θ_k); their gradients never conflict and are applied
   directly.
 
-Both single-input MTL (all tasks share each batch; ``forward_all``) and
-multi-input MTL (each task has its own batches; ``forward``) are supported.
+An architecture with a single cut between the two implements
+``shared_features(x)`` (the representation ``z`` every shared parameter
+feeds) and ``forward_head(z, x, task)``; the base class derives
+``forward(x, task)`` (multi-input MTL), ``forward_heads(z, x)`` (the
+trainer's feature space) and ``forward_all(x)`` (single-input MTL) from
+those two.  Architectures without a single cut (MTAN, PLE) override
+``forward`` and ``forward_all`` instead.
 """
 
 from __future__ import annotations
@@ -33,43 +38,50 @@ class MTLModel(Module):
         self.task_names = list(task_names)
 
     # ------------------------------------------------------------------
-    def forward(self, x, task: str) -> Tensor:
-        """Prediction of one task for input ``x`` (multi-input entry point)."""
-        raise NotImplementedError
-
-    def forward_all(self, x) -> dict[str, Tensor]:
-        """Predictions of all tasks on a shared input (single-input MTL).
-
-        The default evaluates tasks one by one; architectures with a shared
-        trunk override this to reuse the trunk computation, and the trainer
-        relies on that shared graph for efficient per-task backward passes.
-        """
-        return {task: self.forward(x, task) for task in self.task_names}
-
     def shared_features(self, x) -> Tensor:
-        """The shared representation ``z`` (for feature-level gradients).
+        """The shared representation ``z`` (the cut between θ_sh and θ_k).
 
-        Architectures whose shared parameters all feed a *single* cut
-        tensor implement this (HPS, MMoE, CGC, CrossStitch) — the trainer's
-        ``grad_space="features"`` mode balances per-task gradients of ``z``
-        and back-propagates the trunk once.  Architectures with several
-        differently-shaped shared boundary tensors (MTAN, PLE) raise, and
-        only support parameter-space balancing.
+        Every shared parameter lies strictly upstream of ``z`` and every
+        task-specific one downstream, so the trainer's
+        ``grad_space="features"`` mode can balance per-task gradients of
+        ``z`` and back-propagate the trunk once.  Architectures with several
+        differently-shaped shared boundary tensors (MTAN, PLE) have no such
+        cut: they raise here and override :meth:`forward` and
+        :meth:`forward_all` instead.
         """
         raise NotImplementedError(f"{type(self).__name__} has no single shared representation")
+
+    def forward_head(self, features: Tensor, x, task: str) -> Tensor:
+        """Task ``task``'s prediction from the shared representation.
+
+        ``x`` is the raw batch input, for architectures whose task-specific
+        parts read the input directly (MMoE/CGC gates, CGC private experts);
+        trunk-only architectures ignore it.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no single shared representation")
+
+    def forward(self, x, task: str) -> Tensor:
+        """Prediction of one task for input ``x`` (multi-input entry point)."""
+        self._check_task(task)
+        return self.forward_head(self.shared_features(x), x, task)
 
     def forward_heads(self, features: Tensor, x=None) -> dict[str, Tensor]:
         """All task predictions from a precomputed shared representation.
 
-        The counterpart of :meth:`shared_features`: the trainer detaches
-        ``features`` so per-task backward stops at the representation, then
-        calls this to run only the task-specific halves.  ``x`` is the raw
-        batch input, for architectures whose task-specific parts read the
-        input directly (MMoE/CGC gates, CGC private experts); trunk-only
-        architectures ignore it.  Must satisfy
-        ``forward_heads(shared_features(x), x) == forward_all(x)``.
+        The trainer detaches ``features`` so per-task backward stops at the
+        representation, then calls this to run only the task-specific
+        halves.
         """
-        raise NotImplementedError(f"{type(self).__name__} has no single shared representation")
+        return {task: self.forward_head(features, x, task) for task in self.task_names}
+
+    def forward_all(self, x) -> dict[str, Tensor]:
+        """Predictions of all tasks on a shared input (single-input MTL).
+
+        The trunk runs once and every head reads its output, so
+        ``forward_all(x) == forward_heads(shared_features(x), x)`` holds by
+        construction.
+        """
+        return self.forward_heads(self.shared_features(x), x)
 
     # ------------------------------------------------------------------
     def shared_parameters(self) -> list[Parameter]:

@@ -54,64 +54,29 @@ class CGC(MTLModel):
         self.heads = heads
         self.gate_input_fn = gate_input_fn or _pool_input
 
-    def named_parameters(self, prefix: str = ""):
-        pre = f"{prefix}." if prefix else ""
-        yield from self.shared_experts.named_parameters(f"{pre}shared_experts")
-        for task in self.task_names:
-            yield from self.task_experts[task].named_parameters(f"{pre}task_experts.{task}")
-            yield from self.gates[task].named_parameters(f"{pre}gates.{task}")
-            yield from self.heads[task].named_parameters(f"{pre}heads.{task}")
-
-    def modules(self):
-        yield self
-        yield from self.shared_experts.modules()
-        for task in self.task_names:
-            yield from self.task_experts[task].modules()
-            yield from self.gates[task].modules()
-            yield from self.heads[task].modules()
-
     # ------------------------------------------------------------------
     def _mix_stacked(self, x, task: str, stacked: Tensor) -> Tensor:
         gate = softmax(self.gates[task](self.gate_input_fn(x)), axis=-1)
         weights = gate.reshape(gate.shape + (1,) * (stacked.ndim - 2))
         return (stacked * weights).sum(axis=1)
 
-    def _mix(self, x, task: str, shared_outputs: list[Tensor]) -> Tensor:
-        private_outputs = [expert(x) for expert in self.task_experts[task]]
-        return self._mix_stacked(x, task, stack(shared_outputs + private_outputs, axis=1))
-
     def shared_features(self, x) -> Tensor:
         """The stacked *shared* expert bank ``(batch, S, feat...)``.
 
         Only the shared experts are balanced parameters; the private
         experts, gates and heads are task-specific and recomputed from the
-        raw input inside :meth:`forward_heads`, downstream of the cut.
+        raw input inside :meth:`forward_head`, downstream of the cut.
         """
         return stack([expert(x) for expert in self.shared_experts], axis=1)
 
-    def forward_heads(self, features: Tensor, x=None) -> dict[str, Tensor]:
+    def forward_head(self, features: Tensor, x, task: str) -> Tensor:
         if x is None:
             raise ValueError(
-                "CGC.forward_heads needs the raw input x for the gates and private experts"
+                "CGC.forward_head needs the raw input x for the gates and private experts"
             )
-        outputs = {}
-        for task in self.task_names:
-            private = stack([expert(x) for expert in self.task_experts[task]], axis=1)
-            stacked = concat([features, private], axis=1)
-            outputs[task] = self.heads[task](self._mix_stacked(x, task, stacked))
-        return outputs
-
-    def forward(self, x, task: str) -> Tensor:
-        self._check_task(task)
-        shared_outputs = [expert(x) for expert in self.shared_experts]
-        return self.heads[task](self._mix(x, task, shared_outputs))
-
-    def forward_all(self, x) -> dict[str, Tensor]:
-        shared_outputs = [expert(x) for expert in self.shared_experts]
-        return {
-            task: self.heads[task](self._mix(x, task, shared_outputs))
-            for task in self.task_names
-        }
+        private = stack([expert(x) for expert in self.task_experts[task]], axis=1)
+        stacked = concat([features, private], axis=1)
+        return self.heads[task](self._mix_stacked(x, task, stacked))
 
     # ------------------------------------------------------------------
     def shared_parameters(self) -> list[Parameter]:

@@ -60,21 +60,6 @@ class CrossStitch(MTLModel):
         self.stitches = [Parameter(init.copy()) for _ in stage_factories]
         self.heads = heads
 
-    def named_parameters(self, prefix: str = ""):
-        pre = f"{prefix}." if prefix else ""
-        for task in self.task_names:
-            yield from self.columns[task].named_parameters(f"{pre}columns.{task}")
-        for i, stitch in enumerate(self.stitches):
-            yield f"{pre}stitches.{i}", stitch
-        for task in self.task_names:
-            yield from self.heads[task].named_parameters(f"{pre}heads.{task}")
-
-    def modules(self):
-        yield self
-        for task in self.task_names:
-            yield from self.columns[task].modules()
-            yield from self.heads[task].modules()
-
     # ------------------------------------------------------------------
     def _trunk(self, x) -> dict[str, Tensor]:
         features = {task: x for task in self.task_names}
@@ -101,18 +86,8 @@ class CrossStitch(MTLModel):
         features = self._trunk(x)
         return stack([features[task] for task in self.task_names], axis=0)
 
-    def forward_heads(self, features: Tensor, x=None) -> dict[str, Tensor]:
-        return {
-            task: self.heads[task](features[t]) for t, task in enumerate(self.task_names)
-        }
-
-    def forward(self, x, task: str) -> Tensor:
-        self._check_task(task)
-        return self.heads[task](self._trunk(x)[task])
-
-    def forward_all(self, x) -> dict[str, Tensor]:
-        features = self._trunk(x)
-        return {task: self.heads[task](features[task]) for task in self.task_names}
+    def forward_head(self, features: Tensor, x, task: str) -> Tensor:
+        return self.heads[task](features[self.task_names.index(task)])
 
     # ------------------------------------------------------------------
     def shared_parameters(self) -> list[Parameter]:

@@ -25,38 +25,13 @@ class HardParameterSharing(MTLModel):
         self.encoder = encoder
         self.heads = heads
 
-    def named_parameters(self, prefix: str = ""):
-        pre = f"{prefix}." if prefix else ""
-        yield from self.encoder.named_parameters(f"{pre}encoder")
-        for task, head in self.heads.items():
-            yield from head.named_parameters(f"{pre}heads.{task}")
-
-    def modules(self):
-        yield self
-        yield from self.encoder.modules()
-        for head in self.heads.values():
-            yield from head.modules()
-
     # ------------------------------------------------------------------
     def shared_features(self, x) -> Tensor:
         return self.encoder(x)
 
-    def forward(self, x, task: str) -> Tensor:
-        self._check_task(task)
-        return self.heads[task](self.encoder(x))
-
-    def forward_all(self, x) -> dict[str, Tensor]:
-        features = self.encoder(x)
-        return {task: self.heads[task](features) for task in self.task_names}
-
-    def forward_heads(self, features: Tensor, x=None) -> dict[str, Tensor]:
-        """Apply all heads to a precomputed representation.
-
-        Used by the trainer's feature-level gradient mode: the caller
-        detaches ``features`` so per-task backward stops at the
-        representation.  ``x`` is unused (heads read only ``z``).
-        """
-        return {task: self.heads[task](features) for task in self.task_names}
+    def forward_head(self, features: Tensor, x, task: str) -> Tensor:
+        """Apply ``task``'s head to ``z``; ``x`` is unused (heads read only ``z``)."""
+        return self.heads[task](features)
 
     # ------------------------------------------------------------------
     def shared_parameters(self) -> list[Parameter]:

@@ -75,20 +75,6 @@ class MMoE(MTLModel):
         }
         self.gate_input_fn = gate_input_fn or _pool_input
 
-    def named_parameters(self, prefix: str = ""):
-        pre = f"{prefix}." if prefix else ""
-        yield from self.experts.named_parameters(f"{pre}experts")
-        for task in self.task_names:
-            yield from self.gates[task].named_parameters(f"{pre}gates.{task}")
-            yield from self.heads[task].named_parameters(f"{pre}heads.{task}")
-
-    def modules(self):
-        yield self
-        yield from self.experts.modules()
-        for task in self.task_names:
-            yield from self.gates[task].modules()
-            yield from self.heads[task].modules()
-
     # ------------------------------------------------------------------
     def _mix_stacked(self, x, task: str, stacked: Tensor) -> Tensor:
         gate_logits = self.gates[task](self.gate_input_fn(x))
@@ -96,38 +82,20 @@ class MMoE(MTLModel):
         weights = gate.reshape(gate.shape + (1,) * (stacked.ndim - 2))
         return (stacked * weights).sum(axis=1)
 
-    def _mix(self, x, task: str, expert_outputs: list[Tensor]) -> Tensor:
-        return self._mix_stacked(x, task, stack(expert_outputs, axis=1))
-
     def shared_features(self, x) -> Tensor:
         """The stacked expert bank ``(batch, E, feat...)``.
 
         Every shared parameter (the experts) is strictly upstream of this
         tensor; the gates and heads are task-specific and sit downstream
-        (the gates read the raw input, which :meth:`forward_heads` takes
+        (the gates read the raw input, which :meth:`forward_head` takes
         separately), so it is a valid feature-space cut.
         """
         return stack([expert(x) for expert in self.experts], axis=1)
 
-    def forward_heads(self, features: Tensor, x=None) -> dict[str, Tensor]:
+    def forward_head(self, features: Tensor, x, task: str) -> Tensor:
         if x is None:
-            raise ValueError("MMoE.forward_heads needs the raw input x for the gates")
-        return {
-            task: self.heads[task](self._mix_stacked(x, task, features))
-            for task in self.task_names
-        }
-
-    def forward(self, x, task: str) -> Tensor:
-        self._check_task(task)
-        expert_outputs = [expert(x) for expert in self.experts]
-        return self.heads[task](self._mix(x, task, expert_outputs))
-
-    def forward_all(self, x) -> dict[str, Tensor]:
-        expert_outputs = [expert(x) for expert in self.experts]
-        return {
-            task: self.heads[task](self._mix(x, task, expert_outputs))
-            for task in self.task_names
-        }
+            raise ValueError("MMoE.forward_head needs the raw input x for the gates")
+        return self.heads[task](self._mix_stacked(x, task, features))
 
     # ------------------------------------------------------------------
     def shared_parameters(self) -> list[Parameter]:

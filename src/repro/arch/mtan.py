@@ -100,20 +100,6 @@ class MTAN(MTLModel):
         }
         self.heads = heads
 
-    def named_parameters(self, prefix: str = ""):
-        pre = f"{prefix}." if prefix else ""
-        yield from self.backbone.named_parameters(f"{pre}backbone")
-        for task in self.task_names:
-            yield from self.attentions[task].named_parameters(f"{pre}attentions.{task}")
-            yield from self.heads[task].named_parameters(f"{pre}heads.{task}")
-
-    def modules(self):
-        yield self
-        yield from self.backbone.modules()
-        for task in self.task_names:
-            yield from self.attentions[task].modules()
-            yield from self.heads[task].modules()
-
     # ------------------------------------------------------------------
     def _streams(self, x) -> dict[str, Tensor]:
         attended = {}

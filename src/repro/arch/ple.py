@@ -91,29 +91,6 @@ class PLE(MTLModel):
         self.gate_input_fn = gate_input_fn or _pool_input
 
     # ------------------------------------------------------------------
-    def named_parameters(self, prefix: str = ""):
-        pre = f"{prefix}." if prefix else ""
-        for level, experts in enumerate(self.shared_experts):
-            yield from experts.named_parameters(f"{pre}shared_experts.{level}")
-        yield from self.shared_gates.named_parameters(f"{pre}shared_gates")
-        for task in self.task_names:
-            for level, experts in enumerate(self.task_experts[task]):
-                yield from experts.named_parameters(f"{pre}task_experts.{task}.{level}")
-            yield from self.task_gates[task].named_parameters(f"{pre}task_gates.{task}")
-            yield from self.heads[task].named_parameters(f"{pre}heads.{task}")
-
-    def modules(self):
-        yield self
-        for experts in self.shared_experts:
-            yield from experts.modules()
-        yield from self.shared_gates.modules()
-        for task in self.task_names:
-            for experts in self.task_experts[task]:
-                yield from experts.modules()
-            yield from self.task_gates[task].modules()
-            yield from self.heads[task].modules()
-
-    # ------------------------------------------------------------------
     @staticmethod
     def _mix(gate_logits: Tensor, outputs: list[Tensor]) -> Tensor:
         gate = softmax(gate_logits, axis=-1)

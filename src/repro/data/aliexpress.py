@@ -24,14 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..arch.cgc import CGC
-from ..arch.encoders import TabularEncoder
-from ..arch.heads import LinearHead
-from ..arch.hps import HardParameterSharing
-from ..arch.mmoe import MMoE
+from ..arch.factory import build_tabular_model
 from ..metrics.classification import roc_auc
 from ..nn.functional import bce_with_logits
-from ..nn.tensor import Tensor
 from .base import SINGLE_INPUT, ArrayDataset, Benchmark, TaskSpec, train_val_test_split
 from .latent import task_directions
 
@@ -101,69 +96,30 @@ def _task_specs() -> list[TaskSpec]:
 def _model_factories(embedding_dim: int, hidden: tuple[int, ...], seed: int):
     """``(build_model, build_stl_model)`` closures over the architecture knobs.
 
-    Consumes no RNG draws at definition time, so extracting this from the
-    eager builder leaves its datasets byte-identical.
+    Both are one call to :func:`~repro.arch.factory.build_tabular_model`
+    (the servable tabular spec); no RNG draws are consumed at definition
+    time, so the eager builder's datasets stay byte-identical.
     """
 
-    def _encoder(model_rng: np.random.Generator) -> TabularEncoder:
-        return TabularEncoder(_FIELD_SIZES, embedding_dim, list(hidden), model_rng)
-
-    def _gate_input(x) -> Tensor:
-        scaled = np.asarray(x, dtype=np.float64) / np.asarray(_FIELD_SIZES)
-        return Tensor(scaled)
-
     def build_model(architecture: str = "hps", model_rng: np.random.Generator | None = None):
-        model_rng = model_rng or np.random.default_rng(seed)
-        out = hidden[-1]
-        heads = {name: LinearHead(out, 1, model_rng) for name in ("CTR", "CTCVR")}
-        if architecture == "hps":
-            return HardParameterSharing(_encoder(model_rng), heads)
-        if architecture == "mmoe":
-            return MMoE(
-                lambda: _encoder(model_rng),
-                num_experts=3,
-                heads=heads,
-                gate_in_features=len(_FIELD_SIZES),
-                rng=model_rng,
-                gate_input_fn=_gate_input,
-            )
-        if architecture == "cgc":
-            return CGC(
-                lambda: _encoder(model_rng),
-                num_shared_experts=2,
-                num_task_experts=1,
-                heads=heads,
-                gate_in_features=len(_FIELD_SIZES),
-                rng=model_rng,
-                gate_input_fn=_gate_input,
-            )
-        if architecture == "ple":
-            from ..arch.ple import PLE
-            from ..nn.layers import MLP as _MLP
-
-            def _vector_gate(x):
-                if isinstance(x, Tensor):
-                    return x
-                return _gate_input(x)
-
-            return PLE(
-                [
-                    lambda: _encoder(model_rng),
-                    lambda: _MLP(out, [out], out, model_rng),
-                ],
-                num_shared_experts=2,
-                num_task_experts=1,
-                heads=heads,
-                gate_in_features=[len(_FIELD_SIZES), out],
-                rng=model_rng,
-                gate_input_fn=_vector_gate,
-            )
-        raise ValueError(f"aliexpress supports hps/mmoe/cgc/ple; got {architecture!r}")
+        return build_tabular_model(
+            architecture,
+            _FIELD_SIZES,
+            embedding_dim,
+            hidden,
+            ("CTR", "CTCVR"),
+            seed=model_rng or np.random.default_rng(seed),
+        )
 
     def build_stl_model(task_name: str, model_rng: np.random.Generator | None = None):
-        model_rng = model_rng or np.random.default_rng(seed)
-        head = {task_name: LinearHead(hidden[-1], 1, model_rng)}
-        return HardParameterSharing(_encoder(model_rng), head)
+        return build_tabular_model(
+            "hps",
+            _FIELD_SIZES,
+            embedding_dim,
+            hidden,
+            (task_name,),
+            seed=model_rng or np.random.default_rng(seed),
+        )
 
     return build_model, build_stl_model
 

@@ -55,19 +55,16 @@ class Module:
     # Traversal
     # ------------------------------------------------------------------
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
-        """Yield ``(name, parameter)`` pairs in deterministic attribute order."""
+        """Yield ``(name, parameter)`` pairs in deterministic attribute order.
+
+        Lists, tuples and dicts are walked to any depth: list items are
+        named by index and dict values by key (in insertion order), so
+        ``heads={"CTR": ...}`` yields ``heads.CTR.weight``.  These names
+        are the checkpoint format.
+        """
         for name, value in vars(self).items():
-            full = f"{prefix}{name}" if not prefix else f"{prefix}.{name}"
-            if isinstance(value, Parameter):
-                yield full, value
-            elif isinstance(value, Module):
-                yield from value.named_parameters(full)
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield from item.named_parameters(f"{full}.{i}")
-                    elif isinstance(item, Parameter):
-                        yield f"{full}.{i}", item
+            if isinstance(value, _WALKED):
+                yield from _named_parameters(value, f"{prefix}.{name}" if prefix else name)
 
     def parameters(self) -> list[Parameter]:
         """All parameters of this module and its submodules."""
@@ -79,10 +76,8 @@ class Module:
         for value in vars(self).values():
             if isinstance(value, Module):
                 yield from value.modules()
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield from item.modules()
+            elif isinstance(value, _CONTAINERS):
+                yield from _modules(value)
 
     # ------------------------------------------------------------------
     # State
@@ -128,7 +123,7 @@ class Module:
                 # flat-buffer binding survives checkpoint restores.
                 np.copyto(param.data, value)
             else:
-                param.data = value.copy()
+                param.data = np.array(value, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Call protocol
@@ -139,6 +134,33 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
+
+
+_CONTAINERS = (list, tuple, dict)
+_WALKED = (Parameter, Module) + _CONTAINERS
+
+
+def _items(container) -> Iterator[tuple[object, object]]:
+    return container.items() if isinstance(container, dict) else enumerate(container)
+
+
+def _named_parameters(value, name: str) -> Iterator[tuple[str, Parameter]]:
+    if isinstance(value, Parameter):
+        yield name, value
+    elif isinstance(value, Module):
+        yield from value.named_parameters(name)
+    else:
+        for key, item in _items(value):
+            if isinstance(item, _WALKED):
+                yield from _named_parameters(item, f"{name}.{key}")
+
+
+def _modules(container) -> Iterator[Module]:
+    for _, item in _items(container):
+        if isinstance(item, Module):
+            yield from item.modules()
+        elif isinstance(item, _CONTAINERS):
+            yield from _modules(item)
 
 
 class ModuleList(Module):

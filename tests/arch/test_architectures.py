@@ -209,7 +209,7 @@ class TestMMoESpecific:
         gate.weight.data[:] = 0.0
         gate.bias.data[:] = 0.0
         expert_outputs = [expert(x) for expert in model.experts]
-        mixed = model._mix(x, "a", expert_outputs)
+        mixed = model._mix_stacked(x, "a", model.shared_features(x))
         uniform = sum(e.data for e in expert_outputs) / len(expert_outputs)
         np.testing.assert_allclose(mixed.data, uniform)
 

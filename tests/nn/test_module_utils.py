@@ -102,6 +102,81 @@ class TestModule:
 
         assert len(WithList().parameters()) == 4
 
+    def test_dict_of_modules_walked(self, rng):
+        class WithDict(Module):
+            def __init__(self):
+                super().__init__()
+                self.heads = {"x": Linear(2, 1, rng), "y": Linear(2, 1, rng)}
+
+        model = WithDict()
+        names = [name for name, _ in model.named_parameters()]
+        assert names == ["heads.x.weight", "heads.x.bias", "heads.y.weight", "heads.y.bias"]
+        assert len(list(model.modules())) == 3
+
+    def test_dict_of_lists_of_module_lists_walked(self, rng):
+        class Nested(Module):
+            def __init__(self):
+                super().__init__()
+                self.experts = {
+                    "a": [ModuleList([Linear(2, 2, rng)]), ModuleList([Linear(2, 2, rng)])],
+                }
+
+        model = Nested()
+        names = [name for name, _ in model.named_parameters()]
+        assert names == [
+            "experts.a.0.0.weight",
+            "experts.a.0.0.bias",
+            "experts.a.1.0.weight",
+            "experts.a.1.0.bias",
+        ]
+        # self + 2 ModuleLists + 2 Linears
+        assert len(list(model.modules())) == 5
+
+    def test_list_of_parameters_walked(self):
+        class WithParams(Module):
+            def __init__(self):
+                super().__init__()
+                self.stitches = [Parameter(np.eye(2)), Parameter(np.eye(2))]
+
+        model = WithParams()
+        assert [name for name, _ in model.named_parameters()] == ["stitches.0", "stitches.1"]
+        assert model.parameters()[1] is model.stitches[1]
+
+    def test_dict_names_follow_insertion_order(self, rng):
+        class Ordered(Module):
+            def __init__(self):
+                super().__init__()
+                self.heads = {"zeta": Parameter(np.zeros(1)), "alpha": Parameter(np.zeros(1))}
+
+        assert [name for name, _ in Ordered().named_parameters()] == ["heads.zeta", "heads.alpha"]
+
+    def test_eval_reaches_every_nested_module(self, rng):
+        class Nested(Module):
+            def __init__(self):
+                super().__init__()
+                self.blocks = {"a": [ModuleList([Sequential(Linear(2, 2, rng))])]}
+                self.plain = (Linear(2, 2, rng),)
+
+        model = Nested()
+        everything = list(model.modules())
+        assert len(everything) == 6
+        model.eval()
+        assert not any(module.training for module in everything)
+        model.train()
+        assert all(module.training for module in everything)
+
+    def test_load_state_dict_casts_to_float64(self, rng):
+        """A float32 state must not leave unpacked parameters float32 (an
+        arena later refuses to pack them)."""
+        from repro.nn import ParameterArena
+
+        model = Toy(rng)
+        state = {name: value.astype(np.float32) for name, value in model.state_dict().items()}
+        model.load_state_dict(state)
+        assert all(param.data.dtype == np.float64 for param in model.parameters())
+        np.testing.assert_array_equal(model.fc1.weight.data, state["fc1.weight"])
+        ParameterArena(model.parameters())
+
     def test_forward_not_implemented(self):
         with pytest.raises(NotImplementedError):
             Module()(1)

@@ -49,6 +49,39 @@ class TestFactory:
     def test_empty_hidden_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             build_mlp_model("hps", IN_FEATURES, [], TASKS)
+        with pytest.raises(ValueError, match="non-empty"):
+            build_tabular_model("hps", FIELD_SIZES, 4, [], TASKS)
+
+    @pytest.mark.parametrize("tasks", [["a", "a"], ["a", "b", "a"]])
+    def test_duplicate_tasks_rejected(self, tasks):
+        """Specs come from checkpoint metadata: a repeated task must not
+        silently collapse into a model with fewer heads."""
+        with pytest.raises(ValueError, match="unique"):
+            build_mlp_model("hps", IN_FEATURES, HIDDEN, tasks)
+        with pytest.raises(ValueError, match="unique"):
+            build_tabular_model("hps", FIELD_SIZES, 4, HIDDEN, tasks)
+
+    def test_empty_tasks_rejected(self):
+        with pytest.raises(ValueError, match="tasks must be non-empty"):
+            build_mlp_model("hps", IN_FEATURES, HIDDEN, [])
+        with pytest.raises(ValueError, match="tasks must be non-empty"):
+            build_tabular_model("hps", FIELD_SIZES, 4, HIDDEN, [])
+
+    @pytest.mark.parametrize("architecture", TABULAR_ARCHITECTURES)
+    def test_aliexpress_models_come_from_tabular_builder(self, architecture):
+        """The benchmark's ``build_model`` is the servable tabular spec."""
+        from repro.data import make_aliexpress
+
+        bench = make_aliexpress("ES", num_records=60, embedding_dim=4, hidden=(6, 3), seed=5)
+        model = bench.build_model(architecture)
+        twin = build_tabular_model(
+            architecture, (40, 60, 12, 8, 4), 4, (6, 3), ["CTR", "CTCVR"], seed=5
+        )
+        assert [n for n, _ in model.named_parameters()] == [
+            n for n, _ in twin.named_parameters()
+        ]
+        for (_, a), (_, b) in zip(model.named_parameters(), twin.named_parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
 
 
 class TestRoundTrip:

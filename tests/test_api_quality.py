@@ -24,6 +24,8 @@ PACKAGES = [
     "repro.analysis",
     "repro.experiments",
     "repro.obs",
+    "repro.serve",
+    "repro.parallel",
 ]
 
 
