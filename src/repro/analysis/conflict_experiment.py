@@ -189,41 +189,3 @@ def tci_gcd_correlation(
         "tci": tcis,
         "pearson_r": correlation,
     }
-
-
-def _probe_gcd(trainer: MTLTrainer, benchmark, batch_size: int, num_batches: int = 5) -> float:
-    """Mean off-diagonal GCD of per-task gradients over several fresh batches."""
-    values = []
-    for batch_index in range(num_batches):
-        rng = np.random.default_rng(1000 + batch_index)
-        if benchmark.mode == "multi_input":
-            grads = _multi_input_gradients(trainer, benchmark, batch_size, rng)
-        else:
-            idx = rng.choice(
-                len(benchmark.train), size=min(batch_size, len(benchmark.train)), replace=False
-            )
-            inputs, targets = benchmark.train.batch(idx)
-            grads = trainer.task_gradients(inputs, targets)
-        matrix = pairwise_gcd(grads)
-        values.append(float(matrix[np.triu_indices(matrix.shape[0], k=1)].mean()))
-    return float(np.mean(values))
-
-
-def _multi_input_gradients(trainer, benchmark, batch_size, rng) -> np.ndarray:
-    from ..nn.utils import grad_vector
-
-    shared = trainer.model.shared_parameters()
-    grads = np.empty((len(trainer.tasks), sum(p.size for p in shared)))
-    trainer.model.train()
-    trainer.model.zero_grad()
-    for k, task in enumerate(trainer.tasks):
-        dataset = benchmark.train[task.name]
-        idx = rng.choice(len(dataset), size=min(batch_size, len(dataset)), replace=False)
-        inputs, targets = dataset.batch(idx)
-        loss = task.loss_fn(trainer.model.forward(inputs, task.name), targets)
-        for param in shared:
-            param.zero_grad()
-        loss.backward()
-        grads[k] = grad_vector(shared)
-    trainer.model.zero_grad()
-    return grads

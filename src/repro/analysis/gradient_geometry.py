@@ -1,7 +1,7 @@
 """Gradient-geometry instrumentation over training runs.
 
-Turns the trainer's ``track_conflicts`` stream and on-demand gradient
-probes into the summary statistics the paper's Section III reasons about:
+Turns the trainer's dynamics recorder (``record_dynamics=``) and on-demand
+gradient probes into the summary statistics the paper's Section III reasons about:
 per-epoch conflict trajectories, pairwise conflict matrices, and
 before/after comparisons of what a balancer does to the gradient geometry.
 """
@@ -20,31 +20,32 @@ __all__ = [
 
 
 def conflict_trajectory(trainer, window: int = 1) -> dict:
-    """Summarize a ``track_conflicts=True`` run.
+    """Summarize the conflict dynamics of a ``record_dynamics`` run.
 
-    Returns per-window means of (GCD, conflicting-pair fraction) plus
-    overall statistics.  ``window`` groups consecutive steps (e.g. set it
-    to steps-per-epoch for per-epoch curves).
+    Reads the ``gcd_mean`` / ``conflict_fraction`` of the trainer's
+    recorder samples (one per resolving step) and returns per-window means
+    plus overall statistics.  ``window`` groups samples by step — window
+    ``w`` holds steps ``w·window + 1 … (w + 1)·window`` (set it to
+    steps-per-epoch for per-epoch curves).  A bounded recorder decimates
+    long runs, so each window averages the samples it retained.
     """
-    if not trainer.conflict_stats:
-        raise ValueError("trainer has no conflict history (track_conflicts=False?)")
-    history = np.asarray(trainer.conflict_stats)  # (steps, 2)
     if window < 1:
         raise ValueError("window must be ≥ 1")
-    steps = history.shape[0]
-    num_windows = (steps + window - 1) // window
-    gcd_curve, fraction_curve = [], []
-    for w in range(num_windows):
-        chunk = history[w * window : (w + 1) * window]
-        gcd_curve.append(float(chunk[:, 0].mean()))
-        fraction_curve.append(float(chunk[:, 1].mean()))
+    if trainer.recorder is None:
+        raise ValueError("trainer has no dynamics recorder (record_dynamics=False?)")
+    samples = [sample for sample in trainer.recorder.samples() if "gcd_mean" in sample]
+    if not samples:
+        raise ValueError("the trainer's recorder holds no conflict samples yet")
+    history = np.array([(s["gcd_mean"], s["conflict_fraction"]) for s in samples])
+    groups = (np.array([s["step"] for s in samples]) - 1) // window
+    curves = np.array([history[groups == g].mean(axis=0) for g in np.unique(groups)])
     return {
-        "gcd_curve": gcd_curve,
-        "conflict_fraction_curve": fraction_curve,
+        "gcd_curve": curves[:, 0].tolist(),
+        "conflict_fraction_curve": curves[:, 1].tolist(),
         "mean_gcd": float(history[:, 0].mean()),
         "mean_conflict_fraction": float(history[:, 1].mean()),
         "max_gcd": float(history[:, 0].max()),
-        "steps": steps,
+        "steps": len(samples),
     }
 
 

@@ -22,6 +22,8 @@ records), matching the LibMTL AliExpress setup the paper builds on.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..arch.factory import build_tabular_model
@@ -93,35 +95,27 @@ def _task_specs() -> list[TaskSpec]:
     ]
 
 
-def _model_factories(embedding_dim: int, hidden: tuple[int, ...], seed: int):
-    """``(build_model, build_stl_model)`` closures over the architecture knobs.
+def _build_model(
+    embedding_dim: int,
+    hidden: tuple[int, ...],
+    seed: int,
+    architecture: str,
+    model_rng: np.random.Generator | None,
+    tasks: tuple[str, ...],
+):
+    """The benchmark's model builder, bound to its knobs with ``partial``.
 
-    Both are one call to :func:`~repro.arch.factory.build_tabular_model`
-    (the servable tabular spec); no RNG draws are consumed at definition
-    time, so the eager builder's datasets stay byte-identical.
+    One call to :func:`~repro.arch.factory.build_tabular_model` (the
+    servable tabular spec); shared by the eager and streaming builders.
     """
-
-    def build_model(architecture: str = "hps", model_rng: np.random.Generator | None = None):
-        return build_tabular_model(
-            architecture,
-            _FIELD_SIZES,
-            embedding_dim,
-            hidden,
-            ("CTR", "CTCVR"),
-            seed=model_rng or np.random.default_rng(seed),
-        )
-
-    def build_stl_model(task_name: str, model_rng: np.random.Generator | None = None):
-        return build_tabular_model(
-            "hps",
-            _FIELD_SIZES,
-            embedding_dim,
-            hidden,
-            (task_name,),
-            seed=model_rng or np.random.default_rng(seed),
-        )
-
-    return build_model, build_stl_model
+    return build_tabular_model(
+        architecture,
+        _FIELD_SIZES,
+        embedding_dim,
+        hidden,
+        tasks,
+        seed=model_rng or np.random.default_rng(seed),
+    )
 
 
 def make_aliexpress(
@@ -143,18 +137,14 @@ def make_aliexpress(
     targets = {"CTR": clicks, "CTCVR": ctcvr}
     full = ArrayDataset(records, targets)
 
-    tasks = _task_specs()
-    build_model, build_stl_model = _model_factories(embedding_dim, hidden, seed)
-
     return Benchmark(
         name=f"aliexpress-{country}",
         mode=SINGLE_INPUT,
-        tasks=tasks,
+        tasks=_task_specs(),
         train=full.subset(train_idx),
         val=full.subset(val_idx),
         test=full.subset(test_idx),
-        build_model=build_model,
-        build_stl_model=build_stl_model,
+        build_model=partial(_build_model, embedding_dim, hidden, seed),
         metadata={
             "country": country,
             "base_ctr": base_ctr,

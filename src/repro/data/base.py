@@ -242,15 +242,23 @@ def train_val_test_split(
 
 @dataclass
 class Benchmark:
-    """One reproduction benchmark: tasks + splits + model factories.
+    """One reproduction benchmark: tasks + splits + one model builder.
 
     ``mode`` is :data:`SINGLE_INPUT` or :data:`MULTI_INPUT`; splits are
     :class:`ArrayDataset` (single-input) or ``{task: ArrayDataset}``
-    (multi-input).  ``build_model(architecture, rng)`` constructs the
-    paper's network for this dataset under the requested architecture
-    (``"hps"`` always supported; CityScapes additionally supports the
-    Fig. 7 set).  ``build_stl_model(task, rng)`` builds the single-task
-    counterpart used for TCI / ΔM baselines.
+    (multi-input).  ``build_model(architecture="hps", rng=None,
+    tasks=None)`` constructs the paper's network for this dataset under the
+    requested architecture (``"hps"`` always supported; CityScapes
+    additionally supports the Fig. 7 set) with one head per name in
+    ``tasks`` — every task, in benchmark order, by default.  The
+    single-task (STL) model that TCI / ΔM are measured against is
+    ``build_model("hps", rng, tasks=(name,))``: the same builder, so the
+    baseline cannot drift from the MTL network.
+
+    The dataset passes its builder as ``build_model(architecture, rng,
+    tasks)``; construction wraps it so ``tasks`` is checked once, here,
+    before the builder draws anything from ``rng`` (``rng=None`` builds
+    from the dataset's own seed).
     """
 
     name: str
@@ -260,12 +268,31 @@ class Benchmark:
     val: object
     test: object
     build_model: Callable[..., object]
-    build_stl_model: Callable[..., object]
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.mode not in (SINGLE_INPUT, MULTI_INPUT):
             raise ValueError(f"mode must be {SINGLE_INPUT!r} or {MULTI_INPUT!r}")
+        builder = self.build_model
+
+        def build_model(architecture: str = "hps", rng=None, tasks=None):
+            return builder(architecture, rng, self._checked_tasks(tasks))
+
+        self.build_model = build_model
+
+    def _checked_tasks(self, tasks) -> tuple[str, ...]:
+        """``tasks`` as a tuple (default: all, in order); non-empty, distinct, known."""
+        if tasks is None:
+            return tuple(self.task_names)
+        tasks = tuple(tasks)
+        if not tasks:
+            raise ValueError("tasks must name at least one task")
+        if len(set(tasks)) != len(tasks):
+            raise ValueError(f"tasks must be distinct; got {list(tasks)}")
+        unknown = [name for name in tasks if name not in self.task_names]
+        if unknown:
+            raise ValueError(f"unknown tasks {unknown}; {self.name} has {self.task_names}")
+        return tasks
 
     @property
     def task_names(self) -> list[str]:

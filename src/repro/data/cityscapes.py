@@ -130,24 +130,24 @@ def make_cityscapes(
 
     head_channels = {"segmentation": NUM_CLASSES, "depth": 1}
 
-    def _dense_heads(model_rng, out_channels: int, scale: int):
+    def _dense_heads(model_rng, out_channels: int, scale: int, tasks):
         return {
-            name: DenseHead(out_channels, 16, out_ch, scale, model_rng)
-            for name, out_ch in head_channels.items()
+            name: DenseHead(out_channels, 16, head_channels[name], scale, model_rng)
+            for name in tasks
         }
 
-    def build_model(architecture: str = "hps", model_rng: np.random.Generator | None = None):
+    def build_model(architecture: str, model_rng: np.random.Generator | None, tasks):
         model_rng = model_rng or np.random.default_rng(seed)
         if architecture == "hps":
             encoder = ConvEncoder(3, list(channels), model_rng)
-            return HardParameterSharing(
-                encoder, _dense_heads(model_rng, encoder.out_channels, encoder.downsample_factor)
-            )
+            scale = encoder.downsample_factor
+            heads = _dense_heads(model_rng, encoder.out_channels, scale, tasks)
+            return HardParameterSharing(encoder, heads)
         if architecture == "mmoe":
             return MMoE(
                 lambda: ConvEncoder(3, list(channels), model_rng),
                 num_experts=3,
-                heads=_dense_heads(model_rng, channels[-1], 2 ** len(channels)),
+                heads=_dense_heads(model_rng, channels[-1], 2 ** len(channels), tasks),
                 gate_in_features=3,
                 rng=model_rng,
             )
@@ -156,7 +156,7 @@ def make_cityscapes(
                 lambda: ConvEncoder(3, list(channels), model_rng),
                 num_shared_experts=2,
                 num_task_experts=1,
-                heads=_dense_heads(model_rng, channels[-1], 2 ** len(channels)),
+                heads=_dense_heads(model_rng, channels[-1], 2 ** len(channels), tasks),
                 gate_in_features=3,
                 rng=model_rng,
             )
@@ -171,7 +171,7 @@ def make_cityscapes(
                 )
                 previous = width
             return CrossStitch(
-                factories, _dense_heads(model_rng, channels[-1], 2 ** len(channels))
+                factories, _dense_heads(model_rng, channels[-1], 2 ** len(channels), tasks)
             )
         if architecture == "mtan":
             stages = []
@@ -182,7 +182,6 @@ def make_cityscapes(
                 )
                 previous = width
             attention_factories = []
-            previous_width = channels[0]
             for i, width in enumerate(channels):
                 prev = width if i == 0 else channels[i - 1]
                 attention_factories.append(
@@ -191,17 +190,9 @@ def make_cityscapes(
             return MTAN(
                 stages,
                 attention_factories,
-                _dense_heads(model_rng, channels[-1], 2 ** len(channels)),
+                _dense_heads(model_rng, channels[-1], 2 ** len(channels), tasks),
             )
         raise ValueError(f"unknown architecture {architecture!r}")
-
-    def build_stl_model(task_name: str, model_rng: np.random.Generator | None = None):
-        model_rng = model_rng or np.random.default_rng(seed)
-        encoder = ConvEncoder(3, list(channels), model_rng)
-        head = DenseHead(
-            encoder.out_channels, 16, head_channels[task_name], encoder.downsample_factor, model_rng
-        )
-        return HardParameterSharing(encoder, {task_name: head})
 
     return Benchmark(
         name="cityscapes",
@@ -211,6 +202,5 @@ def make_cityscapes(
         val=full.subset(va),
         test=full.subset(te),
         build_model=build_model,
-        build_stl_model=build_stl_model,
         metadata={"size": _SIZE, "num_classes": NUM_CLASSES, "depth_scale": depth_scale},
     )

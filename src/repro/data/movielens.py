@@ -20,6 +20,8 @@ Generator structure:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..arch.encoders import BSTEncoder
@@ -145,47 +147,44 @@ def _task_specs(genres: tuple[str, ...]) -> list[TaskSpec]:
     ]
 
 
-def _model_factories(
+def _build_model(
     num_users: int,
     num_movies: int,
     embedding_dim: int,
     out_features: int,
-    genres: tuple[str, ...],
     seed: int,
+    architecture: str,
+    model_rng: np.random.Generator | None,
+    tasks: tuple[str, ...],
 ):
-    """``(build_model, build_stl_model)`` closures (no RNG consumed here)."""
+    """The benchmark's model builder, bound to its knobs with ``partial``.
 
-    def _encoder(model_rng: np.random.Generator) -> BSTEncoder:
+    Draws the genre heads before the encoder(s).
+    """
+    model_rng = model_rng or np.random.default_rng(seed)
+    heads = {genre: LinearHead(out_features, 1, model_rng) for genre in tasks}
+
+    def encoder() -> BSTEncoder:
         return BSTEncoder(
             num_users, num_movies, _SEQ_LEN, embedding_dim, out_features, model_rng
         )
 
-    def _gate_input(x) -> Tensor:
+    def gate_input(x) -> Tensor:
         scale = np.array([num_users, num_movies] + [num_movies] * _SEQ_LEN, dtype=np.float64)
         return Tensor(np.asarray(x, dtype=np.float64) / scale)
 
-    def build_model(architecture: str = "hps", model_rng: np.random.Generator | None = None):
-        model_rng = model_rng or np.random.default_rng(seed)
-        heads = {genre: LinearHead(out_features, 1, model_rng) for genre in genres}
-        if architecture == "hps":
-            return HardParameterSharing(_encoder(model_rng), heads)
-        if architecture == "mmoe":
-            return MMoE(
-                lambda: _encoder(model_rng),
-                num_experts=3,
-                heads=heads,
-                gate_in_features=2 + _SEQ_LEN,
-                rng=model_rng,
-                gate_input_fn=_gate_input,
-            )
-        raise ValueError(f"movielens supports hps/mmoe; got {architecture!r}")
-
-    def build_stl_model(task_name: str, model_rng: np.random.Generator | None = None):
-        model_rng = model_rng or np.random.default_rng(seed)
-        head = {task_name: LinearHead(out_features, 1, model_rng)}
-        return HardParameterSharing(_encoder(model_rng), head)
-
-    return build_model, build_stl_model
+    if architecture == "hps":
+        return HardParameterSharing(encoder(), heads)
+    if architecture == "mmoe":
+        return MMoE(
+            encoder,
+            num_experts=3,
+            heads=heads,
+            gate_in_features=2 + _SEQ_LEN,
+            rng=model_rng,
+            gate_input_fn=gate_input,
+        )
+    raise ValueError(f"movielens supports hps/mmoe; got {architecture!r}")
 
 
 def make_movielens(
@@ -230,19 +229,15 @@ def make_movielens(
         val[genre] = dataset.subset(va)
         test[genre] = dataset.subset(te)
 
-    tasks = _task_specs(tuple(genres))
-    build_model, build_stl_model = _model_factories(
-        num_users, num_movies, embedding_dim, out_features, tuple(genres), seed
-    )
-
     return Benchmark(
         name="movielens",
         mode=MULTI_INPUT,
-        tasks=tasks,
+        tasks=_task_specs(tuple(genres)),
         train=train,
         val=val,
         test=test,
-        build_model=build_model,
-        build_stl_model=build_stl_model,
+        build_model=partial(
+            _build_model, num_users, num_movies, embedding_dim, out_features, seed
+        ),
         metadata={"genres": tuple(genres), "relatedness": relatedness},
     )

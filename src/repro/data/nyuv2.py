@@ -166,26 +166,19 @@ def make_nyuv2(
 
     head_channels = {"segmentation": NUM_CLASSES, "depth": 1, "normal": 3}
 
-    def _heads(model_rng, encoder):
+    def _heads(model_rng, encoder, tasks):
         scale = encoder.downsample_factor
         return {
-            name: DenseHead(encoder.out_channels, 16, out_ch, scale, model_rng)
-            for name, out_ch in head_channels.items()
+            name: DenseHead(encoder.out_channels, 16, head_channels[name], scale, model_rng)
+            for name in tasks
         }
 
-    def build_model(architecture: str = "hps", model_rng: np.random.Generator | None = None):
+    def build_model(architecture: str, model_rng: np.random.Generator | None, tasks):
         if architecture != "hps":
             raise ValueError("nyuv2 reproduction uses the paper's HPS stack only")
         model_rng = model_rng or np.random.default_rng(seed)
         encoder = ConvEncoder(3, list(channels), model_rng)
-        return HardParameterSharing(encoder, _heads(model_rng, encoder))
-
-    def build_stl_model(task_name: str, model_rng: np.random.Generator | None = None):
-        model_rng = model_rng or np.random.default_rng(seed)
-        encoder = ConvEncoder(3, list(channels), model_rng)
-        scale = encoder.downsample_factor
-        head = DenseHead(encoder.out_channels, 16, head_channels[task_name], scale, model_rng)
-        return HardParameterSharing(encoder, {task_name: head})
+        return HardParameterSharing(encoder, _heads(model_rng, encoder, tasks))
 
     return Benchmark(
         name="nyuv2",
@@ -195,6 +188,5 @@ def make_nyuv2(
         val=full.subset(va),
         test=full.subset(te),
         build_model=build_model,
-        build_stl_model=build_stl_model,
         metadata={"size": _SIZE, "num_classes": NUM_CLASSES},
     )

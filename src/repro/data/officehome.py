@@ -152,22 +152,16 @@ def make_officehome(
         for domain in DOMAINS
     ]
 
-    def build_model(architecture: str = "hps", model_rng: np.random.Generator | None = None):
+    def build_model(architecture: str, model_rng: np.random.Generator | None, tasks):
         if architecture != "hps":
             raise ValueError("officehome reproduction uses the paper's HPS stack only")
         model_rng = model_rng or np.random.default_rng(seed)
         encoder = _PooledConvEncoder(channels, model_rng)
         heads = {
             domain: LinearHead(encoder.out_features, num_classes, model_rng)
-            for domain in DOMAINS
+            for domain in tasks
         }
         return HardParameterSharing(encoder, heads)
-
-    def build_stl_model(task_name: str, model_rng: np.random.Generator | None = None):
-        model_rng = model_rng or np.random.default_rng(seed)
-        encoder = _PooledConvEncoder(channels, model_rng)
-        head = {task_name: LinearHead(encoder.out_features, num_classes, model_rng)}
-        return HardParameterSharing(encoder, head)
 
     return Benchmark(
         name="officehome",
@@ -177,6 +171,5 @@ def make_officehome(
         val=val,
         test=test,
         build_model=build_model,
-        build_stl_model=build_stl_model,
         metadata={"num_classes": num_classes, "size": _SIZE},
     )

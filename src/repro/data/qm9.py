@@ -185,18 +185,13 @@ def make_qm9(
 
     in_features = _NUM_ATOM_TYPES + 1
 
-    def build_model(architecture: str = "hps", model_rng: np.random.Generator | None = None):
+    def build_model(architecture: str, model_rng: np.random.Generator | None, tasks):
         if architecture != "hps":
             raise ValueError("qm9 reproduction uses the paper's GCN + HPS stack only")
         model_rng = model_rng or np.random.default_rng(seed)
         encoder = GCNEncoder(in_features, list(hidden), model_rng)
-        heads = {prop: LinearHead(hidden[-1], 1, model_rng) for prop in properties}
+        heads = {prop: LinearHead(hidden[-1], 1, model_rng) for prop in tasks}
         return HardParameterSharing(encoder, heads)
-
-    def build_stl_model(task_name: str, model_rng: np.random.Generator | None = None):
-        model_rng = model_rng or np.random.default_rng(seed)
-        encoder = GCNEncoder(in_features, list(hidden), model_rng)
-        return HardParameterSharing(encoder, {task_name: LinearHead(hidden[-1], 1, model_rng)})
 
     return Benchmark(
         name="qm9",
@@ -206,6 +201,5 @@ def make_qm9(
         val=val,
         test=test,
         build_model=build_model,
-        build_stl_model=build_stl_model,
         metadata={"properties": tuple(properties), "noise": noise},
     )

@@ -33,6 +33,7 @@ order over the same distributions:
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from .aliexpress import (
     _COUNTRY_PROFILES,
     _FIELD_SIZES,
     _LATENT_DIM as _ALI_LATENT_DIM,
-    _model_factories as _ali_model_factories,
+    _build_model as _ali_build_model,
     _sigmoid,
     _task_specs as _ali_task_specs,
     COUNTRIES,
@@ -50,15 +51,14 @@ from .base import MULTI_INPUT, SINGLE_INPUT, Benchmark
 from .latent import correlated_task_matrix, task_directions
 from .movielens import (
     GENRES,
-    _SEQ_LEN,
     _World,
-    _model_factories as _ml_model_factories,
+    _build_model as _ml_build_model,
     _task_specs as _ml_task_specs,
 )
 from .shardcache import ShardCache
 from .streaming import ChunkedSource, StreamingDataset
 from .synthetic import (
-    _model_factories as _syn_model_factories,
+    _build_model as _syn_build_model,
     _task_specs as _syn_task_specs,
     uniform_conflict_gram,
 )
@@ -216,7 +216,6 @@ def make_aliexpress_stream(
     val = StreamingDataset(source("val", val_records)).materialize()
     test = StreamingDataset(source("test", test_records)).materialize()
 
-    build_model, build_stl_model = _ali_model_factories(embedding_dim, hidden, seed)
     stream_source = train.source
     return Benchmark(
         name=f"aliexpress-{country}-stream",
@@ -225,8 +224,7 @@ def make_aliexpress_stream(
         train=train,
         val=val,
         test=test,
-        build_model=build_model,
-        build_stl_model=build_stl_model,
+        build_model=partial(_ali_build_model, embedding_dim, hidden, seed),
         metadata={
             "country": country,
             "base_ctr": stream_source.base_ctr,
@@ -348,9 +346,6 @@ def make_movielens_stream(
             source(genre, g, "test", test_records)
         ).materialize()
 
-    build_model, build_stl_model = _ml_model_factories(
-        num_users, num_movies, embedding_dim, out_features, tuple(genres), seed
-    )
     return Benchmark(
         name="movielens-stream",
         mode=MULTI_INPUT,
@@ -358,8 +353,9 @@ def make_movielens_stream(
         train=train,
         val=val,
         test=test,
-        build_model=build_model,
-        build_stl_model=build_stl_model,
+        build_model=partial(
+            _ml_build_model, num_users, num_movies, embedding_dim, out_features, seed
+        ),
         metadata={
             "genres": tuple(genres),
             "relatedness": relatedness,
@@ -478,9 +474,6 @@ def make_synthetic_stream(
     val = StreamingDataset(source("val", val_records)).materialize()
     test = StreamingDataset(source("test", test_records)).materialize()
 
-    build_model, build_stl_model = _syn_model_factories(
-        in_features, hidden, num_tasks, seed
-    )
     return Benchmark(
         name=f"synthetic-{task_type}-stream",
         mode=SINGLE_INPUT,
@@ -488,8 +481,7 @@ def make_synthetic_stream(
         train=train,
         val=val,
         test=test,
-        build_model=build_model,
-        build_stl_model=build_stl_model,
+        build_model=partial(_syn_build_model, in_features, hidden, seed),
         metadata={
             "task_gram": train_source.task_gram,
             "noise": noise,

@@ -15,6 +15,8 @@ Useful for:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..arch.encoders import MLPEncoder
@@ -62,29 +64,21 @@ def _task_specs(task_type: str, num_tasks: int) -> list[TaskSpec]:
     ]
 
 
-def _model_factories(
-    in_features: int, hidden: tuple[int, ...], num_tasks: int, seed: int
+def _build_model(
+    in_features: int,
+    hidden: tuple[int, ...],
+    seed: int,
+    architecture: str,
+    model_rng: np.random.Generator | None,
+    tasks: tuple[str, ...],
 ):
-    """``(build_model, build_stl_model)`` closures (no RNG consumed here)."""
-
-    def build_model(architecture: str = "hps", model_rng: np.random.Generator | None = None):
-        if architecture != "hps":
-            raise ValueError("the synthetic benchmark ships an HPS factory only")
-        model_rng = model_rng or np.random.default_rng(seed)
-        encoder = MLPEncoder(in_features, list(hidden), model_rng)
-        heads = {
-            f"task{k}": LinearHead(hidden[-1], 1, model_rng) for k in range(num_tasks)
-        }
-        return HardParameterSharing(encoder, heads)
-
-    def build_stl_model(task_name: str, model_rng: np.random.Generator | None = None):
-        model_rng = model_rng or np.random.default_rng(seed)
-        encoder = MLPEncoder(in_features, list(hidden), model_rng)
-        return HardParameterSharing(
-            encoder, {task_name: LinearHead(hidden[-1], 1, model_rng)}
-        )
-
-    return build_model, build_stl_model
+    """The benchmark's HPS builder, bound to its knobs with ``partial``."""
+    if architecture != "hps":
+        raise ValueError("the synthetic benchmark ships an HPS factory only")
+    model_rng = model_rng or np.random.default_rng(seed)
+    encoder = MLPEncoder(in_features, list(hidden), model_rng)
+    heads = {name: LinearHead(hidden[-1], 1, model_rng) for name in tasks}
+    return HardParameterSharing(encoder, heads)
 
 
 def make_synthetic_mtl(
@@ -134,18 +128,14 @@ def make_synthetic_mtl(
     dataset = ArrayDataset(inputs, targets)
     train_idx, val_idx, test_idx = train_val_test_split(num_samples, rng)
 
-    tasks = _task_specs(task_type, num_tasks)
-    build_model, build_stl_model = _model_factories(in_features, hidden, num_tasks, seed)
-
     return Benchmark(
         name=f"synthetic-{task_type}",
         mode=SINGLE_INPUT,
-        tasks=tasks,
+        tasks=_task_specs(task_type, num_tasks),
         train=dataset.subset(train_idx),
         val=dataset.subset(val_idx),
         test=dataset.subset(test_idx),
-        build_model=build_model,
-        build_stl_model=build_stl_model,
+        build_model=partial(_build_model, in_features, hidden, seed),
         metadata={
             "task_gram": task_gram,
             "noise": noise,

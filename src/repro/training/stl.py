@@ -1,9 +1,11 @@
 """Single-task learning (STL) — the baseline row of every table.
 
-Trains one independent model per task (the benchmark's
-``build_stl_model``) and evaluates it, providing both the STL rows of
-Tables I–IV and the single-task risks that TCI (Definition 2) and ΔM
-(Eq. 27) are measured against.
+Trains one independent model per task and evaluates it, providing both the
+STL rows of Tables I–IV and the single-task risks that TCI (Definition 2)
+and ΔM (Eq. 27) are measured against.  The STL model is the benchmark's
+one builder with a single head, ``build_model("hps", rng,
+tasks=(name,))``, so the baseline is the MTL network minus the other
+tasks' heads, never a separately maintained copy.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ def train_stl(
     """Train one single-task model; return its test metrics."""
     task = benchmark.task(task_name)
     rng = np.random.default_rng(seed)
-    model = benchmark.build_stl_model(task_name, rng)
+    model = benchmark.build_model("hps", rng, tasks=(task_name,))
     # A single-task model is a one-task MTLModel: reuse the MTL trainer
     # with the trivial balancer (balancing a single gradient is a no-op).
     trainer = MTLTrainer(

@@ -222,11 +222,6 @@ class MTLTrainer:
     seed:
         Seeds batch order; balancer randomness is seeded separately through
         the balancer's own ``seed``.
-    track_conflicts:
-        When True, record the mean pairwise GCD and the conflicting-pair
-        fraction of the per-task gradients at every step
-        (``trainer.conflict_stats``) — the live version of the paper's
-        Section III diagnostics.
     telemetry:
         A :class:`repro.obs.Telemetry` instance, or None to create a
         private one attached to the process-wide default sinks (installed
@@ -281,11 +276,14 @@ class MTLTrainer:
         step that resolves — every step, or with ``accumulate_steps=W``
         the last micro-step of each window — samples the balancer's
         :class:`~repro.core.gradstats.GradStats`
-        (per-task grad norms, pairwise GCD, cosine extrema) plus the
-        balancer's :meth:`~repro.core.balancer.GradientBalancer.dynamics`
-        state (MoCoGrad: λ, momentum norms) and per-task losses;
-        :meth:`fit` flushes the retained samples to the telemetry sinks
-        as ``dynamics`` events (``repro report --dynamics`` renders them).
+        (per-task grad norms, pairwise GCD, mean GCD, conflicting-pair
+        fraction, cosine extrema) plus the balancer's
+        :meth:`~repro.core.balancer.GradientBalancer.dynamics` state
+        (MoCoGrad: λ, momentum norms) and per-task losses — the live
+        version of the paper's Section III diagnostics, summarized by
+        :func:`repro.analysis.conflict_trajectory`.  :meth:`fit` flushes
+        the retained samples to the telemetry sinks as ``dynamics``
+        events (``repro report --dynamics`` renders them).
     """
 
     def __init__(
@@ -298,7 +296,6 @@ class MTLTrainer:
         optimizer: str = "adam",
         lr: float = 1e-3,
         seed: int | None = None,
-        track_conflicts: bool = False,
         telemetry: Telemetry | None = None,
         profile: str | Profiler | None = None,
         record_dynamics: bool | int | DynamicsRecorder = False,
@@ -367,7 +364,6 @@ class MTLTrainer:
         self.balancer.reset(len(self.tasks))
         self.history = History([task.name for task in self.tasks])
         self.step_count = 0
-        self.track_conflicts = track_conflicts
         self.telemetry = telemetry if telemetry is not None else Telemetry(sinks=default_sinks())
         self.balancer.telemetry = self.telemetry
         self._step_labels = {"method": self.balancer.name, "mode": self.mode}
@@ -390,8 +386,6 @@ class MTLTrainer:
                 self.recorder = DynamicsRecorder()
             else:
                 self.recorder = DynamicsRecorder(capacity=int(record_dynamics))
-        #: per-step ``(mean_gcd, conflict_fraction)`` when tracking is on
-        self.conflict_stats: list[tuple[float, float]] = []
         # Preallocated (K, dim) per-task gradient workspaces, reused across
         # steps and keyed by dim (allocated lazily once a dim is seen) — the
         # parameter-space d and the batch-shaped feature-space d_feat can
@@ -551,7 +545,6 @@ class MTLTrainer:
         """Accumulate → resolve → write-back → step (resolve once per window)."""
         window = self.accumulate_steps
         if window > 1:
-            self._record_conflicts(grads)
             if not self._accumulate(grads, losses):
                 return
             grads, losses = self._acc_grads, self._acc_losses
@@ -559,8 +552,6 @@ class MTLTrainer:
             self.arena.grad *= 1.0 / window
         with telemetry.span("balance", method=self.balancer.name):
             combined = self.balancer.resolve_accumulated(grads, losses, window)
-        if window == 1:
-            self._record_conflicts(grads, stats=self.balancer.gradstats)
         self.source.write_back(combined, window, telemetry)
         with telemetry.span("optimizer_step"):
             self.optimizer.step()
@@ -628,31 +619,6 @@ class MTLTrainer:
             return sample
 
         self.recorder.record(self.step_count, build)
-
-    def _record_conflicts(self, grads: np.ndarray, stats=None) -> None:
-        """Append this step's (mean GCD, conflict fraction) diagnostics.
-
-        Called after the balancer has run where possible, so the
-        balance-time :attr:`~repro.core.balancer.GradientBalancer.gradstats`
-        can be reused — conflict tracking then costs zero extra Gram GEMMs.
-        A stats object over a *different* matrix (a balancer that skipped
-        ``_check_inputs``, an accumulate micro-step) is rejected by
-        identity and rebuilt.
-        """
-        if not self.track_conflicts:
-            return
-        from ..core.conflict import conflict_fraction, pairwise_gcd
-        from ..core.gradstats import GradStats
-
-        # One GradStats feeds both diagnostics — one GEMM instead of two.
-        if stats is None or stats.grads is not grads:
-            stats = GradStats(np.asarray(grads, dtype=np.float64))
-        matrix = pairwise_gcd(grads, stats=stats)
-        num_tasks = matrix.shape[0]
-        mean_gcd = (
-            float(matrix[np.triu_indices(num_tasks, k=1)].mean()) if num_tasks > 1 else 0.0
-        )
-        self.conflict_stats.append((mean_gcd, conflict_fraction(grads, stats=stats)))
 
     # ------------------------------------------------------------------
     # Gradient inspection (used by the TCI/GCD analysis)

@@ -17,7 +17,7 @@ def tracked_trainer():
     bench = make_synthetic_mtl(num_tasks=3, num_samples=200, pairwise_cosine=-0.4, seed=0)
     model = bench.build_model("hps", np.random.default_rng(0))
     trainer = MTLTrainer(
-        model, bench.tasks, create_balancer("equal"), lr=5e-3, seed=0, track_conflicts=True
+        model, bench.tasks, create_balancer("equal"), lr=5e-3, seed=0, record_dynamics=True
     )
     trainer.fit(bench.train, epochs=3, batch_size=40)
     return bench, trainer

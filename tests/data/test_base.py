@@ -154,7 +154,7 @@ class TestBenchmark:
     def _dummy(self, mode=SINGLE_INPUT):
         spec = TaskSpec("t", mse_loss, {}, {})
         data = ArrayDataset(np.zeros((4, 2)), {"t": np.zeros(4)})
-        return Benchmark("test", mode, [spec], data, data, data, lambda *a: None, lambda *a: None)
+        return Benchmark("test", mode, [spec], data, data, data, lambda *a: a)
 
     def test_task_lookup(self):
         bench = self._dummy()
@@ -164,6 +164,13 @@ class TestBenchmark:
 
     def test_task_names(self):
         assert self._dummy().task_names == ["t"]
+
+    def test_build_model_defaults_to_every_task(self):
+        assert self._dummy().build_model() == ("hps", None, ("t",))
+
+    def test_build_model_checks_tasks(self):
+        with pytest.raises(ValueError, match="unknown tasks"):
+            self._dummy().build_model("hps", None, tasks=("missing",))
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):

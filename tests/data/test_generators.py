@@ -74,7 +74,7 @@ class TestAliExpress:
 
     def test_stl_model_single_task(self, rng):
         bench = make_aliexpress("ES", num_records=200)
-        model = bench.build_stl_model("CTCVR", rng)
+        model = bench.build_model("hps", rng, tasks=("CTCVR",))
         assert model.task_names == ["CTCVR"]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.arch import HardParameterSharing, LinearHead, MLPEncoder
 from repro.balancers import EqualWeighting
+from repro.core.conflict import conflict_fraction, pairwise_gcd
 from repro.data import ArrayDataset, TaskSpec
 from repro.nn.functional import mse_loss
 from repro.training import BestCheckpoint, EarlyStopping, MTLTrainer
@@ -118,13 +119,33 @@ class TestConflictTracking:
             {"a": LinearHead(4, 1, rng), "b": LinearHead(4, 1, rng)},
         )
         trainer = MTLTrainer(
-            model, tasks, EqualWeighting(), seed=0, track_conflicts=True
+            model, tasks, EqualWeighting(), seed=0, record_dynamics=True
         )
         trainer.fit(data, epochs=2, batch_size=16)
-        assert len(trainer.conflict_stats) == trainer.step_count
-        for mean_gcd, fraction in trainer.conflict_stats:
-            assert 0.0 <= mean_gcd <= 2.0
-            assert 0.0 <= fraction <= 1.0
+        samples = trainer.recorder.samples()
+        assert len(samples) == trainer.step_count
+        for sample in samples:
+            assert 0.0 <= sample["gcd_mean"] <= 2.0
+            assert 0.0 <= sample["conflict_fraction"] <= 1.0
+
+    def test_samples_match_step_gradients(self, rng):
+        """Each sample is the mean GCD / conflict fraction of that step's
+        per-task gradients, as Definition 3 computes them directly."""
+        x = rng.normal(size=(16, 3))
+        data = ArrayDataset(x, {"a": x @ np.ones(3), "b": x @ rng.normal(size=3)})
+        tasks = [TaskSpec("a", mse_loss, {}, {}), TaskSpec("b", mse_loss, {}, {})]
+        model = HardParameterSharing(
+            MLPEncoder(3, [4], rng),
+            {"a": LinearHead(4, 1, rng), "b": LinearHead(4, 1, rng)},
+        )
+        trainer = MTLTrainer(model, tasks, EqualWeighting(), seed=0, record_dynamics=True)
+        inputs, targets = data.all()
+        for _ in range(3):
+            grads = trainer.task_gradients(inputs, targets)
+            trainer.train_step_single(inputs, targets)
+            sample = trainer.recorder.samples()[-1]
+            assert sample["gcd_mean"] == pytest.approx(pairwise_gcd(grads)[0, 1], abs=1e-12)
+            assert sample["conflict_fraction"] == conflict_fraction(grads)
 
     def test_opposite_tasks_flagged_conflicting(self, rng):
         """Opposite targets competing for one shared output must conflict."""
@@ -135,9 +156,9 @@ class TestConflictTracking:
         data = ArrayDataset(x, {"a": y, "b": -y})
         tasks = [TaskSpec("a", mse_loss, {}, {}), TaskSpec("b", mse_loss, {}, {})]
         model = SharedOutputRegressor(["a", "b"], 10, rng)
-        trainer = MTLTrainer(model, tasks, EqualWeighting(), lr=1e-2, seed=0, track_conflicts=True)
+        trainer = MTLTrainer(model, tasks, EqualWeighting(), lr=1e-2, seed=0, record_dynamics=True)
         trainer.fit(data, epochs=6, batch_size=32)
-        fractions = [fraction for _, fraction in trainer.conflict_stats[-4:]]
+        fractions = [sample["conflict_fraction"] for sample in trainer.recorder.samples()[-4:]]
         assert np.mean(fractions) > 0.5
 
     def test_disabled_by_default(self, rng):
@@ -147,4 +168,4 @@ class TestConflictTracking:
         model = HardParameterSharing(MLPEncoder(3, [4], rng), {"a": LinearHead(4, 1, rng)})
         trainer = MTLTrainer(model, tasks, EqualWeighting(), seed=0)
         trainer.fit(data, epochs=1, batch_size=8)
-        assert trainer.conflict_stats == []
+        assert trainer.recorder is None

@@ -272,9 +272,9 @@ class TestWorkspaceCache:
 class TestConflictTrackingCost:
     @pytest.mark.parametrize("space", ("parameters", "features"))
     def test_one_gram_evaluation_per_step(self, rng, monkeypatch, space):
-        """Regression: ``track_conflicts=True`` built a second GradStats per
-        step, doubling the K×K Gram GEMMs.  The resolve tail now hands the
-        balancer's own stats to the conflict recorder."""
+        """Regression: conflict tracking once built a second GradStats per
+        step, doubling the K×K Gram GEMMs.  The dynamics recorder samples
+        the balancer's own stats instead."""
         calls = []
         original = gradstats_module.gram_matrix
 
@@ -288,12 +288,12 @@ class TestConflictTrackingCost:
             make_model(rng, tasks), tasks,
             balancer=create_balancer("mocograd", seed=0),
             grad_space=space,
-            track_conflicts=True,
+            record_dynamics=True,
         )
         x, targets = dataset.batch(np.arange(16))
         for _ in range(3):
             trainer.train_step_single(x, targets)
-        assert len(trainer.conflict_stats) == 3
+        assert len(trainer.recorder.samples()) == 3
         assert len(calls) == 3  # exactly one Gram per step, not two
 
 
