@@ -1,69 +1,8 @@
-"""Ablation — conflict-stress test: MoCoGrad vs baselines under heavy conflict.
-
-The paper attributes MoCoGrad's gains to noisy-gradient robustness under
-task conflict.  This bench constructs the regime directly: a MovieLens
-instance with near-zero inter-genre relatedness (strong conflicts) and
-small batches (noisy gradients), seed-averaged.  Expected shape: MoCoGrad's
-across-task RMSE beats plain joint training and the current-gradient-only
-surgery methods (PCGrad, CAGrad) — the paper's core claim in its cleanest
-setting.
-"""
-
-import numpy as np
-
-from repro import MTLTrainer, create_balancer
-from repro.data import make_movielens
-from repro.data.movielens import GENRES
-from repro.experiments import format_table
-
-SETTINGS = {
-    "quick": {"records_per_genre": 300, "epochs": 6, "seeds": 3},
-    "full": {"records_per_genre": 600, "epochs": 10, "seeds": 5},
-}
-
-# gradnorm is the repo's extension baseline (paper ref. [44]); included to
-# position it against the compared methods under heavy conflict.
-METHODS = ("equal", "pcgrad", "cagrad", "gradnorm", "mocograd")
+"""Conflict-stress bench: asserts MoCoGrad's RMSE beats plain joint training
+and PCGrad — the paper's core claim in its cleanest setting."""
 
 
-def _run(preset):
-    params = SETTINGS[preset]
-    benchmark = make_movielens(
-        genres=GENRES[:4],
-        records_per_genre=params["records_per_genre"],
-        relatedness=0.05,
-        seed=0,
-    )
-    averages = {}
-    for method in METHODS:
-        values = []
-        for seed in range(params["seeds"]):
-            model = benchmark.build_model("hps", np.random.default_rng(seed))
-            trainer = MTLTrainer(
-                model,
-                benchmark.tasks,
-                create_balancer(method, seed=seed),
-                mode=benchmark.mode,
-                lr=3e-3,
-                seed=seed,
-            )
-            trainer.fit(benchmark.train, params["epochs"], 24)
-            metrics = trainer.evaluate(benchmark.test)
-            values.append(np.mean([m["rmse"] for m in metrics.values()]))
-        averages[method] = (float(np.mean(values)), float(np.std(values)))
-    return averages
-
-
-def test_ablation_conflict_stress(benchmark, emit, preset):
-    averages = benchmark.pedantic(lambda: _run(preset), rounds=1, iterations=1)
-    rows = [[m, avg, std] for m, (avg, std) in sorted(averages.items(), key=lambda kv: kv[1][0])]
-    emit(
-        "ablation_conflict_stress",
-        format_table(
-            ["Method", "Avg RMSE ↓", "std"],
-            rows,
-            title="Ablation — conflict-stress MovieLens (relatedness 0.05)",
-        ),
-    )
+def test_ablation_conflict_stress(regenerate):
+    averages = regenerate("ablation_conflict_stress")
     assert averages["mocograd"][0] < averages["equal"][0]
     assert averages["mocograd"][0] < averages["pcgrad"][0]

@@ -1,113 +1,18 @@
-"""Ablation — MoCoGrad's internal design choices.
-
-DESIGN.md documents two ambiguities in the paper's Algorithm 1 (momentum
-update cadence; raw vs calibrated momentum source) and the λ calibration
-strength.  This bench measures all variants on the conflict-stress
-workload so the fidelity choices are backed by numbers, and additionally
-verifies the paper's §VI-C feature-level gradient speedup.
-"""
+"""MoCoGrad ablation benches: every design variant trains to a finite RMSE,
+and the paper's §VI-C feature-level gradients speed up the step."""
 
 import numpy as np
 
-from repro import MTLTrainer, create_balancer
-from repro.data import make_aliexpress, make_movielens
-from repro.data.movielens import GENRES
-from repro.experiments import format_table
 
-SETTINGS = {
-    "quick": {"records_per_genre": 250, "epochs": 5, "seeds": 2},
-    "full": {"records_per_genre": 500, "epochs": 8, "seeds": 4},
-}
-
-VARIANTS = {
-    "per_step/raw λ=0.12": {},
-    "per_pair/raw λ=0.12": {"momentum_update": "per_pair"},
-    "per_step/calibrated λ=0.12": {"momentum_source": "calibrated"},
-    "per_step/raw λ=0.06": {"calibration": 0.06},
-    "per_step/raw λ=0.30": {"calibration": 0.30},
-    "per_step/raw β₁=0.5": {"beta1": 0.5},
-}
-
-
-def _run_variants(preset):
-    params = SETTINGS[preset]
-    benchmark = make_movielens(
-        genres=GENRES[:3],
-        records_per_genre=params["records_per_genre"],
-        relatedness=0.05,
-        seed=0,
-    )
-    results = {}
-    for label, kwargs in VARIANTS.items():
-        values = []
-        for seed in range(params["seeds"]):
-            model = benchmark.build_model("hps", np.random.default_rng(seed))
-            trainer = MTLTrainer(
-                model,
-                benchmark.tasks,
-                create_balancer("mocograd", seed=seed, **kwargs),
-                mode=benchmark.mode,
-                lr=3e-3,
-                seed=seed,
-            )
-            trainer.fit(benchmark.train, params["epochs"], 24)
-            metrics = trainer.evaluate(benchmark.test)
-            values.append(np.mean([m["rmse"] for m in metrics.values()]))
-        results[label] = float(np.mean(values))
-    return results
-
-
-def test_ablation_mocograd_modes(benchmark, emit, preset):
-    results = benchmark.pedantic(lambda: _run_variants(preset), rounds=1, iterations=1)
-    rows = sorted(results.items(), key=lambda kv: kv[1])
-    emit(
-        "ablation_mocograd_modes",
-        format_table(
-            ["Variant", "Avg RMSE ↓"],
-            [[k, v] for k, v in rows],
-            title="Ablation — MoCoGrad design choices (conflict-stress MovieLens)",
-        ),
-    )
+def test_ablation_mocograd_modes(regenerate):
+    results = regenerate("ablation_mocograd_modes")
     assert all(np.isfinite(v) for v in results.values())
 
 
-def _run_grad_space_study():
-    data = make_aliexpress("ES", num_records=1200, seed=0)
-    timings, aucs = {}, {}
-    for space in ("parameters", "features"):
-        model = data.build_model("hps", np.random.default_rng(0))
-        trainer = MTLTrainer(
-            model,
-            data.tasks,
-            create_balancer("mocograd", seed=0),
-            mode=data.mode,
-            grad_space=space,
-            lr=2e-3,
-            seed=0,
-        )
-        # Batch must divide the 960-sample train split: in feature space
-        # d_feat follows the batch shape, and MoCoGrad's (K, d_feat)
-        # momentum rejects a trailing partial batch (see DESIGN.md,
-        # "Gradient spaces").
-        trainer.fit(data.train, 4, 120)
-        timings[space] = trainer.median_step_seconds
-        metrics = trainer.evaluate(data.test)
-        aucs[space] = float(np.mean([m["auc"] for m in metrics.values()]))
-    return timings, aucs
-
-
-def test_ablation_feature_gradients_speedup(benchmark, emit):
+def test_ablation_feature_gradients_speedup(regenerate):
     """The paper's feature-level gradients must (a) speed up the step and
     (b) keep AUC in the same range as parameter-level balancing."""
-    timings, aucs = benchmark.pedantic(_run_grad_space_study, rounds=1, iterations=1)
-    emit(
-        "ablation_grad_source",
-        format_table(
-            ["grad_space", "ms / step", "mean AUC"],
-            [[s, timings[s] * 1000, aucs[s]] for s in ("parameters", "features")],
-            title="Ablation — parameter-level vs feature-level gradients (§VI-C)",
-            float_digits=3,
-        ),
-    )
+    result = regenerate("ablation_grad_source")
+    timings, aucs = result["seconds_per_step"], result["auc"]
     assert timings["features"] < timings["parameters"]
     assert abs(aucs["features"] - aucs["parameters"]) < 0.1

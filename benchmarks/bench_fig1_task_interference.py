@@ -1,49 +1,9 @@
-"""Fig. 1 — task A's RMSE vs the number of jointly trained tasks.
-
-Regenerates both panels: (a) HPS architecture, (b) MMoE architecture.
-The paper's qualitative finding — performance of task A fluctuates and
-degrades as unrelated tasks join — is asserted on the HPS panel.
-"""
-
-import numpy as np
-
-from repro.analysis import task_interference_curve
-from repro.experiments import format_table
-
-SETTINGS = {
-    "quick": {"records_per_genre": 250, "epochs": 5},
-    "full": {"records_per_genre": 500, "epochs": 10},
-}
+"""Fig. 1 bench: asserts the paper's shape on the HPS panel — task A's RMSE
+degrades as unrelated tasks join."""
 
 
-def _run(preset):
-    params = SETTINGS[preset]
-    curves = {}
-    for architecture in ("hps", "mmoe"):
-        curves[architecture] = task_interference_curve(
-            architecture=architecture,
-            records_per_genre=params["records_per_genre"],
-            relatedness=0.05,
-            epochs=params["epochs"],
-            seed=0,
-        )
-    return curves
-
-
-def test_fig1_task_interference(benchmark, emit, preset):
-    curves = benchmark.pedantic(lambda: _run(preset), rounds=1, iterations=1)
-    rows = []
-    for arch, curve in curves.items():
-        for task_set, rmse in zip(curve["task_sets"], curve["rmse"]):
-            rows.append([arch, task_set, rmse])
-    emit(
-        "fig1",
-        format_table(
-            ["Arch", "Task set", "Task-A RMSE"],
-            rows,
-            title="Fig. 1 — task interference on MovieLens-sim",
-        ),
-    )
-    hps = curves["hps"]["rmse"]
+def test_fig1_task_interference(regenerate):
+    result = regenerate("fig1")
+    hps = result["hps"]["rmse"]
     # Paper shape: joint training with conflicting genres degrades task A.
     assert max(hps[1:]) > hps[0]

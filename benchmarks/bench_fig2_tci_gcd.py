@@ -1,45 +1,9 @@
-"""Fig. 2 — correlation between Task Conflict Intensity and Gradient
-Conflict Degree across conflict levels.
-
-The paper's central empirical claim: larger GCD ↔ larger TCI (gradient
-conflict drives task conflict).  Reproduced on the instrumented
-shared-output workload (see `repro.analysis.conflict_experiment` and
-DESIGN.md for the substitution rationale), asserting a strong positive
-Pearson correlation over the ground-truth task-angle sweep.
-"""
-
-from repro.analysis import tci_gcd_correlation
-from repro.experiments import ascii_scatter, format_table
-
-SETTINGS = {
-    "quick": {"num_samples": 300, "epochs": 15, "seeds": 3},
-    "full": {"num_samples": 600, "epochs": 25, "seeds": 5},
-}
+"""Fig. 2 bench: asserts the paper's central claim — larger GCD ↔ larger TCI
+(a strong positive Pearson correlation over the task-angle sweep)."""
 
 
-def test_fig2_tci_gcd_correlation(benchmark, emit, preset):
-    params = SETTINGS[preset]
-    result = benchmark.pedantic(
-        lambda: tci_gcd_correlation(
-            num_samples=params["num_samples"],
-            epochs=params["epochs"],
-            seeds=params["seeds"],
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    rows = [
-        [cosine, gcd, tci]
-        for cosine, gcd, tci in zip(result["cosine"], result["gcd"], result["tci"])
-    ]
-    rows.append(["pearson_r", result["pearson_r"], ""])
-    table = format_table(
-        ["True task cosine", "mean GCD", "TCI"],
-        rows,
-        title="Fig. 2 — TCI vs GCD (instrumented conflict dial)",
-    )
-    scatter = ascii_scatter(result["gcd"], result["tci"], x_label="GCD", y_label="TCI")
-    emit("fig2", table + "\n\n" + scatter)
+def test_fig2_tci_gcd_correlation(regenerate):
+    result = regenerate("fig2")
     # Paper shape: strong positive correlation between gradient conflict
     # and task-performance degradation.
     assert result["pearson_r"] > 0.5

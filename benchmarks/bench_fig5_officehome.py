@@ -3,11 +3,8 @@
 from repro.experiments import fig5_officehome as experiment
 
 
-def test_fig5_officehome(benchmark, emit, preset):
-    result = benchmark.pedantic(
-        lambda: experiment.run(preset=preset), rounds=1, iterations=1
-    )
-    emit("fig5", experiment.format_result(result))
+def test_fig5_officehome(regenerate, preset):
+    result = regenerate("fig5")
     num_classes = experiment.PRESETS[preset]["num_classes"]
     chance = 1.0 / num_classes
     for method, avg in result["avg_accuracy"].items():

@@ -1,45 +1,11 @@
-"""Fig. 6 — training-loss convergence curves of all methods on NYUv2.
-
-Regenerates the four panels (per-task + average loss per epoch).  Asserts
-the paper's basic claim for MoCoGrad: its loss decreases through training
-and ends at a competitive average loss.
-"""
+"""Fig. 6 bench: asserts MoCoGrad's average loss decreases through training
+and ends at a competitive value."""
 
 import numpy as np
 
-from repro.analysis import convergence_curves
-from repro.experiments import METHODS, ascii_line_chart, format_table
 
-SETTINGS = {
-    "quick": {"num_scenes": 80, "epochs": 5},
-    "full": {"num_scenes": 200, "epochs": 12},
-}
-
-
-def test_fig6_convergence(benchmark, emit, preset):
-    params = SETTINGS[preset]
-    result = benchmark.pedantic(
-        lambda: convergence_curves(
-            methods=METHODS,
-            num_scenes=params["num_scenes"],
-            epochs=params["epochs"],
-            seed=0,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    headers = ["Method"] + [f"epoch{e + 1}" for e in range(params["epochs"])]
-    rows = [
-        [method] + [round(v, 4) for v in curves["average"]]
-        for method, curves in result["curves"].items()
-    ]
-    table = format_table(headers, rows, title="Fig. 6 — average training loss per epoch")
-    chart = ascii_line_chart(
-        {m: result["curves"][m]["average"] for m in ("equal", "mgda", "nashmtl", "mocograd")},
-        y_label="avg loss",
-    )
-    emit("fig6", table + "\n\n" + chart)
-
+def test_fig6_convergence(regenerate):
+    result = regenerate("fig6")
     moco = np.asarray(result["curves"]["mocograd"]["average"])
     assert moco[-1] < moco[0]  # converging
     finals = {m: c["average"][-1] for m, c in result["curves"].items()}

@@ -1,40 +1,10 @@
-"""Fig. 7 — MoCoGrad under five MTL architectures on CityScapes.
+"""Fig. 7 bench: asserts MoCoGrad improves over STL under every architecture."""
 
-Regenerates the ΔM-per-architecture bars.  Paper shape: MoCoGrad improves
-over single-task learning under every architecture.
-"""
-
-from repro.analysis import architecture_sweep
 from repro.arch import ARCHITECTURES
-from repro.experiments import ascii_bar_chart, format_percent, format_table
-
-SETTINGS = {
-    "quick": {"num_scenes": 100, "epochs": 4},
-    "full": {"num_scenes": 300, "epochs": 8},
-}
 
 
-def test_fig7_architectures(benchmark, emit, preset):
-    params = SETTINGS[preset]
-    result = benchmark.pedantic(
-        lambda: architecture_sweep(
-            architectures=ARCHITECTURES,
-            num_scenes=params["num_scenes"],
-            epochs=params["epochs"],
-            seed=0,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    rows = [
-        [arch, format_percent(delta)] for arch, delta in result["delta_m"].items()
-    ]
-    table = format_table(
-        ["Architecture", "ΔM (MoCoGrad vs STL)"],
-        rows,
-        title="Fig. 7 — MoCoGrad × architecture on CityScapes-sim",
-    )
-    emit("fig7", table + "\n\n" + ascii_bar_chart(result["delta_m"]))
+def test_fig7_architectures(regenerate):
+    result = regenerate("fig7")
     # Paper shape: positive ΔM under every architecture.
     positive = [arch for arch, delta in result["delta_m"].items() if delta > 0]
     assert len(positive) >= len(ARCHITECTURES) - 1  # allow one noisy panel

@@ -1,43 +1,11 @@
-"""Fig. 8 — backward time per optimization step, by method.
-
-Regenerates the per-method timing bars on the AliExpress stack.  Paper
-shape asserted: Nash-MTL is the slowest (inner equilibrium solve each
-step); MoCoGrad is comparable to the projection-style methods (PCGrad,
-GradVac) — i.e. cheap enough for practice.
-"""
-
-from repro.analysis import backward_time_study
-from repro.experiments import METHODS, format_table
-
-SETTINGS = {
-    "quick": {"num_records": 1200, "steps": 20},
-    "full": {"num_records": 4000, "steps": 60},
-}
+"""Fig. 8 bench: asserts Nash-MTL is the slowest (inner equilibrium solve each
+step) and MoCoGrad stays comparable to PCGrad/GradVac — cheap enough for
+practice."""
 
 
-def test_fig8_backward_time(benchmark, emit, preset):
-    params = SETTINGS[preset]
-    result = benchmark.pedantic(
-        lambda: backward_time_study(
-            methods=METHODS,
-            num_records=params["num_records"],
-            steps=params["steps"],
-            seed=0,
-        ),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig8_backward_time(regenerate):
+    result = regenerate("fig8")
     times = result["seconds_per_step"]
-    rows = [[m, t * 1000.0] for m, t in sorted(times.items(), key=lambda kv: kv[1])]
-    emit(
-        "fig8",
-        format_table(
-            ["Method", "ms / step"],
-            rows,
-            title="Fig. 8 — backward time per step on AliExpress-sim",
-            float_digits=3,
-        ),
-    )
     projection_like = max(times["pcgrad"], times["gradvac"], times["mocograd"])
     assert times["nashmtl"] > times["equal"]
     # MoCoGrad stays in the cheap family: within 3× of PCGrad/GradVac

@@ -1,47 +1,15 @@
-"""Fig. 9 — sensitivity of MoCoGrad to the calibration strength λ.
-
-Regenerates the λ sweep on Office-Home.  The paper reports an interior
-optimum (λ ≈ 0.12) with degradation at both extremes; at synthetic scale
-we assert the weaker, noise-robust form of that shape: the best λ over the
-sweep is strictly better than the worst (λ matters), and every setting
-trains to above-chance accuracy.
-"""
+"""Fig. 9 bench: the paper's interior optimum (λ ≈ 0.12) is not resolvable at
+synthetic scale, so this asserts the noise-robust form of the shape — the
+best λ beats the worst (λ matters) and every λ trains above chance."""
 
 import numpy as np
 
-from repro.analysis import DEFAULT_LAMBDA_GRID, lambda_sensitivity
-from repro.experiments import ascii_bar_chart, format_table
-
-SETTINGS = {
-    "quick": {"num_classes": 8, "samples_per_domain": 80, "epochs": 20},
-    "full": {"num_classes": 10, "samples_per_domain": 150, "epochs": 35},
-}
+from repro.experiments import fig9_lambda as experiment
 
 
-def test_fig9_lambda_sensitivity(benchmark, emit, preset):
-    params = SETTINGS[preset]
-    result = benchmark.pedantic(
-        lambda: lambda_sensitivity(
-            lambda_grid=DEFAULT_LAMBDA_GRID,
-            num_classes=params["num_classes"],
-            samples_per_domain=params["samples_per_domain"],
-            epochs=params["epochs"],
-            seed=0,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    rows = list(zip(result["lambda"], result["avg_accuracy"]))
-    table = format_table(
-        ["λ", "Avg ACC"],
-        rows,
-        title="Fig. 9 — λ sensitivity on Office-Home-sim",
-        float_digits=3,
-    )
-    bars = ascii_bar_chart(
-        {f"λ={lam:.2f}": acc for lam, acc in rows}, sort=False, fmt="{:.3f}"
-    )
-    emit("fig9", table + "\n\n" + bars)
+def test_fig9_lambda_sensitivity(regenerate, preset):
+    params = experiment.PRESETS[preset]
+    result = regenerate("fig9")
     accs = np.asarray(result["avg_accuracy"])
     chance = 1.0 / params["num_classes"]
     assert np.all(accs > chance)

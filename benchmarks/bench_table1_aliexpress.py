@@ -5,14 +5,9 @@ Run with ``-s`` to see the table inline; it is also written to
 ``benchmarks/results/table1.txt``.
 """
 
-from repro.experiments import table1_aliexpress as experiment
 
-
-def test_table1_aliexpress(benchmark, emit, preset):
-    result = benchmark.pedantic(
-        lambda: experiment.run(preset=preset), rounds=1, iterations=1
-    )
-    emit("table1", experiment.format_result(result))
+def test_table1_aliexpress(regenerate):
+    result = regenerate("table1")
     # Sanity on the regenerated rows: AUCs are meaningful (> chance) for
     # every method — the table is measuring trained models, not noise.
     for method, aucs in result["auc"].items():

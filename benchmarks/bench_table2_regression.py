@@ -4,14 +4,9 @@ Regenerates the paper's Table II: per-method across-task average error plus
 ΔM against the single-task baseline for both regression suites.
 """
 
-from repro.experiments import table2_regression as experiment
 
-
-def test_table2_regression(benchmark, emit, preset):
-    result = benchmark.pedantic(
-        lambda: experiment.run(preset=preset), rounds=1, iterations=1
-    )
-    emit("table2", experiment.format_result(result))
+def test_table2_regression(regenerate):
+    result = regenerate("table2")
     # Paper shape on QM9: with little data per property, sharing helps —
     # the best MTL method clearly beats STL (ΔM > 0).
     mtl_deltas = [

@@ -1,13 +1,8 @@
 """Table III — NYUv2 scene understanding (seg / depth / normals, 9 metrics + ΔM)."""
 
-from repro.experiments import table3_nyuv2 as experiment
 
-
-def test_table3_nyuv2(benchmark, emit, preset):
-    result = benchmark.pedantic(
-        lambda: experiment.run(preset=preset), rounds=1, iterations=1
-    )
-    emit("table3", experiment.format_result(result))
+def test_table3_nyuv2(regenerate):
+    result = regenerate("table3")
     for method, metrics in result["metrics"].items():
         assert 0.0 <= metrics["segmentation"]["miou"] <= 1.0, method
         assert metrics["depth"]["abs_err"] >= 0.0, method

@@ -1,13 +1,8 @@
 """Table IV — CityScapes 2-task scene understanding (seg + depth + ΔM)."""
 
-from repro.experiments import table4_cityscapes as experiment
 
-
-def test_table4_cityscapes(benchmark, emit, preset):
-    result = benchmark.pedantic(
-        lambda: experiment.run(preset=preset), rounds=1, iterations=1
-    )
-    emit("table4", experiment.format_result(result))
+def test_table4_cityscapes(regenerate):
+    result = regenerate("table4")
     # Paper shape: joint training helps on this strongly-related task pair —
     # the best balancing method lands a positive ΔM over STL.
     deltas = {m: d for m, d in result["delta_m"].items() if m != "stl"}

@@ -1,8 +1,9 @@
 """Shared configuration for the benchmark harness.
 
-Each benchmark regenerates one table or figure of the paper (see DESIGN.md's
-experiment index), prints the rows, and writes them to
-``benchmarks/results/<id>.txt``.
+Each artifact benchmark regenerates one table or figure of the paper (see
+DESIGN.md's experiment index) with its ``repro.experiments.REGISTRY``
+runner, prints the rows, writes them to ``benchmarks/results/<id>.txt``
+and asserts the paper's shape on the result.
 
 Preset selection: set ``REPRO_BENCH_PRESET=full`` for the larger
 configurations (minutes per table); the default ``quick`` preset keeps the
@@ -17,13 +18,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import REGISTRY
+
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
 
 
 @pytest.fixture(scope="session")
@@ -31,12 +28,19 @@ def preset() -> str:
     return os.environ.get("REPRO_BENCH_PRESET", "quick")
 
 
-@pytest.fixture(scope="session")
-def emit(results_dir):
-    """Fixture returning a writer that prints a result and persists it."""
+@pytest.fixture
+def regenerate(benchmark, preset):
+    """Fixture returning ``regenerate(id)``: runs that artifact once at the
+    session preset (timed by pytest-benchmark), prints its text, writes it
+    to ``results/<id>.txt`` and returns the result."""
 
-    def _emit(name: str, text: str) -> None:
+    def _regenerate(identifier: str):
+        module, _ = REGISTRY[identifier]
+        result = benchmark.pedantic(lambda: module.run(preset=preset), rounds=1, iterations=1)
+        text = module.format_result(result)
         print("\n" + text)
-        (results_dir / f"{name}.txt").write_text(text + "\n")
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{identifier}.txt").write_text(text + "\n")
+        return result
 
-    return _emit
+    return _regenerate

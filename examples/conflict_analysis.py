@@ -2,7 +2,7 @@
 
 1. Shows task A's RMSE degrading as more (conflicting) genres join the
    joint run — the paper's Fig. 1 motivation.
-2. Sweeps the inter-task relatedness knob and plots (as text) the positive
+2. Sweeps a ground-truth task-angle dial and plots (as text) the positive
    correlation between Gradient Conflict Degree and Task Conflict
    Intensity — the paper's Fig. 2 evidence that gradient conflict *is*
    task conflict.
@@ -13,30 +13,18 @@
 
 import numpy as np
 
-from repro.analysis import task_interference_curve, tci_gcd_correlation
 from repro.core import MoCoGrad, calibrated_gradient_bound, check_theorem1
-from repro.experiments import ascii_scatter
+from repro.experiments import REGISTRY
 
 
 def main() -> None:
-    print("=== Fig. 1: task A RMSE vs number of joint tasks (HPS) ===")
-    curve = task_interference_curve(
-        records_per_genre=250, relatedness=0.05, epochs=5, seed=0
-    )
-    for task_set, rmse in zip(curve["task_sets"], curve["rmse"]):
-        bar = "#" * int(rmse * 20)
-        print(f"  {task_set:<30s} RMSE {rmse:.4f}  {bar}")
-    print(
-        "  → joint training with unrelated genres degrades task A "
-        f"({curve['rmse'][0]:.3f} → {curve['rmse'][-1]:.3f})"
-    )
+    # Fig. 1 and Fig. 2 come from the same runners as `python -m repro fig1`
+    # and the benchmark harness, at the quick preset.
+    for identifier in ("fig1", "fig2"):
+        module, _ = REGISTRY[identifier]
+        print(module.format_result(module.run("quick")), end="\n\n")
 
-    print("\n=== Fig. 2: TCI vs GCD across conflict levels ===")
-    corr = tci_gcd_correlation(num_samples=250, epochs=10, seeds=2)
-    print(ascii_scatter(corr["gcd"], corr["tci"], x_label="mean GCD", y_label="TCI"))
-    print(f"  Pearson r = {corr['pearson_r']:.3f} (paper finds a strong positive correlation)")
-
-    print("\n=== Theorem 1: calibrated gradient bound ===")
+    print("=== Theorem 1: calibrated gradient bound ===")
     rng = np.random.default_rng(0)
     balancer = MoCoGrad(calibration=0.5, seed=0)
     balancer.reset(3)

@@ -20,7 +20,9 @@ Quick start::
     print(trainer.evaluate(bench.test))
 """
 
-from . import analysis, arch, balancers, core, data, experiments, metrics, nn, obs, serve, training
+# First: experiments' figure runners import analysis, which imports experiments.runner.
+from . import experiments  # isort: skip
+from . import analysis, arch, balancers, core, data, metrics, nn, obs, serve, training
 from .core import (
     GradientBalancer,
     GradStats,

@@ -2,9 +2,9 @@
 
 Usage::
 
-    python -m repro list                       # available experiments
+    python -m repro list                       # every paper artifact id
     python -m repro table1 --preset quick      # Table I rows
-    python -m repro fig8                       # backward-time study
+    python -m repro fig8 --seed 1              # backward-time study, seed 1
     python -m repro table4 --methods equal,mocograd
     python -m repro table1 --telemetry out.jsonl   # stream telemetry events
     python -m repro report out.jsonl               # pretty-print a saved run
@@ -18,8 +18,11 @@ Flight recorder (see DESIGN.md, "Flight recorder")::
     python -m repro report run.jsonl --dynamics    # per-step GCD/λ sparklines
     # open https://ui.perfetto.dev (or chrome://tracing) and load trace.json
 
-Outputs the same rows the benchmark harness writes to
-``benchmarks/results/``; this entry point is the scriptable path.
+Every artifact id runs its :data:`repro.experiments.REGISTRY` module,
+the same code the benchmark harness runs to write
+``benchmarks/results/<id>.txt``.  ``--preset`` and ``--seed`` reach every
+artifact; ``--methods`` is accepted only by artifacts that compare
+methods (tables, Fig. 5, 6, 8 and the conflict-stress ablation).
 ``--telemetry PATH`` installs a process-wide JSONL sink: every trainer
 created during the run streams its tracing spans and metric snapshots
 into it (schema in DESIGN.md, "Observability").
@@ -28,72 +31,18 @@ into it (schema in DESIGN.md, "Observability").
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 
 from . import obs
-from .analysis import (
-    architecture_sweep,
-    backward_time_study,
-    convergence_curves,
-    lambda_sensitivity,
-    task_interference_curve,
-    tci_gcd_correlation,
-)
-from .experiments import METHODS, REGISTRY, format_percent, format_table
+from .experiments import REGISTRY
 
 
-def _run_table(identifier: str, preset: str, methods) -> str:
+def _run_artifact(identifier: str, **kwargs) -> str:
+    """Run one registered paper artifact and render it as text."""
     module, _ = REGISTRY[identifier]
-    result = module.run(preset=preset, methods=methods)
-    return module.format_result(result)
-
-
-def _run_fig1(preset: str, methods) -> str:
-    rows = []
-    for architecture in ("hps", "mmoe"):
-        curve = task_interference_curve(architecture=architecture, relatedness=0.05)
-        for task_set, rmse in zip(curve["task_sets"], curve["rmse"]):
-            rows.append([architecture, task_set, rmse])
-    return format_table(["Arch", "Task set", "Task-A RMSE"], rows, title="Fig. 1")
-
-
-def _run_fig2(preset: str, methods) -> str:
-    result = tci_gcd_correlation()
-    rows = list(zip(result["cosine"], result["gcd"], result["tci"]))
-    table = format_table(["True task cosine", "mean GCD", "TCI"], rows, title="Fig. 2")
-    return table + f"\nPearson r = {result['pearson_r']:.3f}"
-
-
-def _run_fig6(preset: str, methods) -> str:
-    result = convergence_curves(methods=methods)
-    headers = ["Method"] + [f"epoch{i + 1}" for i in range(result["epochs"])]
-    rows = [[m] + list(c["average"]) for m, c in result["curves"].items()]
-    return format_table(headers, rows, title="Fig. 6 — average loss per epoch")
-
-
-def _run_fig7(preset: str, methods) -> str:
-    result = architecture_sweep()
-    rows = [[arch, format_percent(d)] for arch, d in result["delta_m"].items()]
-    return format_table(["Architecture", "ΔM"], rows, title="Fig. 7")
-
-
-def _run_fig8(preset: str, methods) -> str:
-    result = backward_time_study(methods=methods)
-    backward = result["backward_seconds_per_step"]
-    rows = [
-        [m, t * 1000.0, backward[m] * 1000.0]
-        for m, t in sorted(result["seconds_per_step"].items(), key=lambda kv: kv[1])
-    ]
-    return format_table(
-        ["Method", "ms/step", "backward ms/step"], rows, title="Fig. 8", float_digits=3
-    )
-
-
-def _run_fig9(preset: str, methods) -> str:
-    result = lambda_sensitivity()
-    rows = list(zip(result["lambda"], result["avg_accuracy"]))
-    return format_table(["λ", "Avg ACC"], rows, title="Fig. 9", float_digits=3)
+    return module.format_result(module.run(**kwargs))
 
 
 def _run_serve(args) -> str:
@@ -172,16 +121,6 @@ def _run_serve(args) -> str:
             f"p99 ≤ {digest['p99_seconds'] * 1000.0:g} ms"
         )
     return "\n".join(lines)
-
-
-ANALYSIS_RUNNERS = {
-    "fig1": _run_fig1,
-    "fig2": _run_fig2,
-    "fig6": _run_fig6,
-    "fig7": _run_fig7,
-    "fig8": _run_fig8,
-    "fig9": _run_fig9,
-}
 
 
 def _run_train(args) -> str:
@@ -269,13 +208,12 @@ def _run_train(args) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    experiments = sorted(set(REGISTRY) | set(ANALYSIS_RUNNERS))
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate tables/figures of the MoCoGrad paper.",
     )
     parser.add_argument(
-        "experiment", choices=experiments + ["list", "report", "serve", "train"]
+        "experiment", choices=list(REGISTRY) + ["list", "report", "serve", "train"]
     )
     parser.add_argument(
         "path",
@@ -289,7 +227,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--methods",
         default=None,
-        help="comma-separated balancer names (default: the paper's method list)",
+        help="comma-separated balancer names (default: the artifact's method list; "
+        "only for artifacts that compare methods)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0, help="RNG seed (artifacts, train, serve)"
     )
     parser.add_argument(
         "--telemetry",
@@ -345,7 +287,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     train.add_argument("--steps", type=int, default=200, help="train: optimization steps")
     train.add_argument("--tasks", type=int, default=4, help="train/serve: task count K")
-    train.add_argument("--seed", type=int, default=0, help="train/serve: RNG seed")
     serve = parser.add_argument_group("serve subcommand (micro-batched inference demo)")
     serve.add_argument(
         "--checkpoint",
@@ -384,10 +325,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
-        for identifier in experiments:
-            label = REGISTRY[identifier][1] if identifier in REGISTRY else "analysis figure"
-            print(f"{identifier:8s} {label}")
+        width = max(map(len, REGISTRY))
+        for identifier, (_, label) in REGISTRY.items():
+            print(f"{identifier:{width}s} {label}")
         return 0
+
+    artifact = {}
+    if args.experiment in REGISTRY:
+        artifact = {"preset": args.preset, "seed": args.seed}
+        if args.methods:
+            run = REGISTRY[args.experiment][0].run
+            if "methods" not in inspect.signature(run).parameters:
+                parser.error(f"{args.experiment} does not take --methods")
+            artifact["methods"] = tuple(args.methods.split(","))
 
     if args.experiment == "report":
         if not args.path:
@@ -416,19 +366,17 @@ def main(argv: list[str] | None = None) -> int:
                 "type": "run",
                 "experiment": args.experiment,
                 "preset": args.preset,
+                "seed": args.seed,
                 "ts": time.time(),
             }
         )
     try:
-        methods = tuple(args.methods.split(",")) if args.methods else METHODS
         if args.experiment == "serve":
             print(_run_serve(args))
         elif args.experiment == "train":
             print(_run_train(args))
-        elif args.experiment in REGISTRY:
-            print(_run_table(args.experiment, args.preset, methods))
         else:
-            print(ANALYSIS_RUNNERS[args.experiment](args.preset, methods))
+            print(_run_artifact(args.experiment, **artifact))
     finally:
         if sink is not None:
             obs.configure_sinks([])

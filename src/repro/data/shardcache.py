@@ -25,10 +25,11 @@ silently trusted.  ``load`` validates magic, version, key/seed/shard
 match, header integrity, and that every array's ``offset + nbytes`` fits
 the actual file size — any mismatch (torn write, truncation, stale
 schema, hash collision) returns ``None`` and best-effort deletes the
-file so the caller regenerates and rewrites it.  Writes are atomic:
-payload goes to a same-directory temp file, is flushed + fsynced, then
-``os.replace``d into place — a writer killed mid-flush leaves only a
-temp file that no reader ever opens.
+file so the caller regenerates and rewrites it.  Writes are atomic
+(:func:`repro.nn.serialization.atomic_write`): payload goes to a
+same-directory temp file, is flushed + fsynced, then ``os.replace``d into
+place — a writer killed mid-flush leaves only a temp file that no reader
+ever opens.
 
 Loaded arrays are read-only ``np.memmap`` views, so a "loaded" shard
 costs address space, not resident memory, until its pages are touched —
@@ -39,13 +40,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
-import tempfile
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
+
+from ..nn.serialization import atomic_write
 
 __all__ = ["ShardCache", "MAGIC", "CACHE_VERSION"]
 
@@ -169,22 +170,9 @@ class ShardCache:
         path = self.path_for(key, seed, index)
         if path.exists():
             return path
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=path.name, suffix=".tmp"
+        return atomic_write(
+            path, lambda fh: self._write_to(fh, key, seed, index, inputs, targets)
         )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                self._write_to(fh, key, seed, index, inputs, targets)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
 
     @staticmethod
     def _write_to(fh, key: str, seed: int, index: int, inputs, targets) -> None:

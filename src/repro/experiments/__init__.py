@@ -1,21 +1,11 @@
 """``repro.experiments`` — per-table/figure reproduction runners.
 
-Each module exposes ``run(preset)`` returning structured results and
-``format_result`` printing the paper's layout.  The registry maps
-experiment ids (``table1`` … ``fig9``) to their entry points; see DESIGN.md
-for the experiment index.
+Each module exposes ``run(preset, …, seed)`` returning structured results
+and ``format_result`` printing the paper's layout.  :data:`REGISTRY` maps
+every artifact id (``fig1`` … ``ablation_grad_source``) to its module, in
+paper order; see DESIGN.md for the experiment index.
 """
 
-from . import (
-    fig5_officehome,
-    table1_aliexpress,
-    table2_regression,
-    table3_nyuv2,
-    table4_cityscapes,
-)
-from .plots import ascii_bar_chart, ascii_line_chart, ascii_scatter
-from .reporting import format_percent, format_table
-from .summary import ARTIFACT_ORDER, missing_results, summarize_results
 from .runner import (
     METHODS,
     MethodResult,
@@ -25,6 +15,10 @@ from .runner import (
     run_methods,
     run_stl_baseline,
 )
+from .plots import ascii_bar_chart, ascii_line_chart, ascii_scatter
+from .registry import ARTIFACT_ORDER, REGISTRY
+from .reporting import format_percent, format_table
+from .summary import missing_results, summarize_results
 
 __all__ = [
     "METHODS",
@@ -36,11 +30,6 @@ __all__ = [
     "average_metric_dicts",
     "format_table",
     "format_percent",
-    "table1_aliexpress",
-    "table2_regression",
-    "table3_nyuv2",
-    "table4_cityscapes",
-    "fig5_officehome",
     "REGISTRY",
     "ARTIFACT_ORDER",
     "summarize_results",
@@ -49,12 +38,3 @@ __all__ = [
     "ascii_line_chart",
     "ascii_bar_chart",
 ]
-
-#: Experiment id → (module with run/format_result, paper artifact).
-REGISTRY = {
-    "table1": (table1_aliexpress, "Table I — AliExpress AUC"),
-    "table2": (table2_regression, "Table II — QM9/MovieLens regression"),
-    "table3": (table3_nyuv2, "Table III — NYUv2"),
-    "table4": (table4_cityscapes, "Table IV — CityScapes"),
-    "fig5": (fig5_officehome, "Fig. 5 — Office-Home accuracy"),
-}

@@ -1,34 +1,19 @@
 """Combine the benchmark harness outputs into one report.
 
 ``pytest benchmarks/ --benchmark-only`` writes each regenerated table to
-``benchmarks/results/<id>.txt``; :func:`summarize_results` stitches them
-into a single document in the paper's artifact order — handy for diffing
-two runs or pasting into an issue.
+``benchmarks/results/<id>.txt``, the same text ``python -m repro <id>``
+prints; :func:`summarize_results` stitches them into a single document in
+the paper's artifact order — handy for diffing two runs or pasting into
+an issue.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-__all__ = ["ARTIFACT_ORDER", "summarize_results", "missing_results"]
+from .registry import ARTIFACT_ORDER
 
-#: artifact id → one-line description, in the paper's presentation order.
-ARTIFACT_ORDER = (
-    ("fig1", "Fig. 1 — task interference vs task count"),
-    ("fig2", "Fig. 2 — TCI vs GCD correlation"),
-    ("table1", "Table I — AliExpress AUC"),
-    ("table2", "Table II — QM9 / MovieLens regression"),
-    ("table3", "Table III — NYUv2"),
-    ("table4", "Table IV — CityScapes"),
-    ("fig5", "Fig. 5 — Office-Home accuracy"),
-    ("fig6", "Fig. 6 — convergence curves"),
-    ("fig7", "Fig. 7 — architecture sweep"),
-    ("fig8", "Fig. 8 — backward time"),
-    ("fig9", "Fig. 9 — λ sensitivity"),
-    ("ablation_conflict_stress", "Ablation — conflict stress"),
-    ("ablation_mocograd_modes", "Ablation — MoCoGrad design choices"),
-    ("ablation_grad_source", "Ablation — feature-level gradients"),
-)
+__all__ = ["ARTIFACT_ORDER", "summarize_results", "missing_results"]
 
 
 def missing_results(results_dir) -> list[str]:
@@ -53,9 +38,6 @@ def summarize_results(results_dir, include_missing: bool = True) -> str:
             sections.append(path.read_text().rstrip())
         elif include_missing:
             sections.append("")
-            sections.append(
-                f"*(not generated — run `pytest benchmarks/bench_{identifier}*.py "
-                "--benchmark-only`)*"
-            )
+            sections.append(f"*(not generated — run `python -m repro {identifier}`)*")
         sections.append("")
     return "\n".join(sections)

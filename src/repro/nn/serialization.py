@@ -17,23 +17,46 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
 from .module import Module
 
-__all__ = ["save_checkpoint", "load_checkpoint", "load_state"]
+__all__ = ["atomic_write", "save_checkpoint", "load_checkpoint", "load_state"]
 
 _META_KEY = "__checkpoint_meta__"
+
+
+def atomic_write(path, write: Callable[[BinaryIO], None]) -> Path:
+    """Create or replace ``path`` with the bytes ``write(fh)`` emits, crash-safely.
+
+    ``write`` fills a same-directory temp file that is fsynced, then renamed
+    over ``path``, so a crash never leaves a torn file under the final name;
+    on any error the temp file is removed and the error re-raised.
+    """
+    path = Path(path)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+    return path
 
 
 def save_checkpoint(model: Module, path, metadata: dict | None = None) -> Path:
     """Write the model's parameters (and JSON-serializable metadata) to ``path``.
 
-    Crash-safe: the archive is written to a temp file in the destination
-    directory, fsynced, then renamed over ``path`` — a crash mid-write
-    leaves any previous checkpoint intact and never a torn file under the
-    final name (same idiom as ``ShardCache.store``).
+    Crash-safe through :func:`atomic_write`: a crash mid-write leaves any
+    previous checkpoint intact and never a torn file under the final name.
     """
     path = Path(path)
     if path.suffix != ".npz":
@@ -45,22 +68,7 @@ def save_checkpoint(model: Module, path, metadata: dict | None = None) -> Path:
     payload[_META_KEY] = np.frombuffer(
         json.dumps(metadata or {}).encode("utf-8"), dtype=np.uint8
     )
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
+    return atomic_write(path, lambda fh: np.savez_compressed(fh, **payload))
 
 
 def load_state(path) -> tuple[dict[str, np.ndarray], dict]:

@@ -54,6 +54,16 @@ class TestTciGcd:
         )
         assert result["gcd"][1] > result["gcd"][0]
 
+    def test_seed_offsets_the_streams(self):
+        """``seed`` shifts the streams: seeds ``0, 1`` average streams 0 and 1."""
+        config = dict(cosine_grid=(0.5,), num_samples=80, epochs=2)
+        first = tci_gcd_correlation(seeds=1, seed=0, **config)
+        second = tci_gcd_correlation(seeds=1, seed=1, **config)
+        both = tci_gcd_correlation(seeds=2, seed=0, **config)
+        for key in ("gcd", "tci"):
+            assert both[key][0] == np.mean([first[key][0], second[key][0]])
+        assert first["gcd"] != second["gcd"]
+
 
 class TestConvergence:
     def test_curve_lengths(self):

@@ -88,7 +88,11 @@ class TestRunner:
 
 class TestRegistry:
     def test_all_tables_and_figures_present(self):
-        assert set(REGISTRY) == {"table1", "table2", "table3", "table4", "fig5"}
+        assert list(REGISTRY) == [
+            "fig1", "fig2", "table1", "table2", "table3", "table4", "fig5", "fig6", "fig7",
+            "fig8", "fig9", "ablation_conflict_stress", "ablation_mocograd_modes",
+            "ablation_grad_source",
+        ]
 
     def test_registry_modules_have_interface(self):
         for module, _ in REGISTRY.values():

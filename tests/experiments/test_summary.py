@@ -1,6 +1,8 @@
 """Tests for the results summarizer."""
 
-from repro.experiments import ARTIFACT_ORDER, missing_results, summarize_results
+import re
+
+from repro.experiments import ARTIFACT_ORDER, REGISTRY, missing_results, summarize_results
 
 
 class TestSummary:
@@ -25,6 +27,11 @@ class TestSummary:
     def test_missing_marker_rendered(self, tmp_path):
         report = summarize_results(tmp_path)
         assert "not generated" in report
+
+    def test_missing_hint_names_a_registered_artifact(self, tmp_path):
+        report = summarize_results(tmp_path)
+        hinted = re.findall(r"`python -m repro (\S+)`", report)
+        assert sorted(hinted) == sorted(REGISTRY)
 
     def test_missing_sections_omittable(self, tmp_path):
         report = summarize_results(tmp_path, include_missing=False)

@@ -1,18 +1,33 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import functools
+from pathlib import Path
+
 import pytest
 
-from repro.__main__ import ANALYSIS_RUNNERS, main
+from repro.__main__ import main
+from repro.experiments import ARTIFACT_ORDER, REGISTRY
+
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+
+#: Artifacts whose ``run`` compares a list of methods (and so takes --methods).
+TAKES_METHODS = {
+    "table1", "table2", "table3", "table4", "fig5", "fig6", "fig8", "ablation_conflict_stress"
+}
+
+
+def _task_a_rmse(text: str) -> list:
+    """The task-A RMSE column of a rendered Fig. 1 table, in row order."""
+    rows = [line for line in text.splitlines() if line.startswith(("hps ", "mmoe "))]
+    return [float(row.rsplit("|", 1)[1]) for row in rows]
 
 
 class TestCLI:
     def test_list_prints_all_experiments(self, capsys):
         assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for identifier in ("table1", "table2", "table3", "table4", "fig5"):
-            assert identifier in out
-        for identifier in ANALYSIS_RUNNERS:
-            assert identifier in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == [i for i, _ in ARTIFACT_ORDER]
+        assert len(lines) == 14
 
     def test_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
@@ -25,14 +40,48 @@ class TestCLI:
     def test_methods_argument_parsing(self, capsys, monkeypatch):
         captured = {}
 
-        def fake_run_table(identifier, preset, methods):
-            captured["methods"] = methods
+        def fake_run_artifact(identifier, **kwargs):
+            captured.update(kwargs)
             return "ok"
 
-        monkeypatch.setattr("repro.__main__._run_table", fake_run_table)
+        monkeypatch.setattr("repro.__main__._run_artifact", fake_run_artifact)
         main(["table1", "--methods", "equal,mocograd"])
         assert captured["methods"] == ("equal", "mocograd")
         assert "ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("identifier", [i for i, _ in ARTIFACT_ORDER])
+    def test_run_receives_preset_seed_and_methods(self, identifier, capsys, monkeypatch):
+        module, _ = REGISTRY[identifier]
+        captured = {}
+
+        @functools.wraps(module.run)
+        def fake_run(**kwargs):
+            captured.update(kwargs)
+            return {"fake": True}
+
+        monkeypatch.setattr(module, "run", fake_run)
+        monkeypatch.setattr(module, "format_result", lambda result: f"ok {result}")
+        assert main([identifier, "--preset", "full", "--seed", "7"]) == 0
+        assert captured == {"preset": "full", "seed": 7}
+        assert "ok {'fake': True}" in capsys.readouterr().out
+
+        captured.clear()
+        argv = [identifier, "--seed", "3", "--methods", "equal,mocograd"]
+        if identifier in TAKES_METHODS:
+            assert main(argv) == 0
+            assert captured == {"preset": "quick", "seed": 3, "methods": ("equal", "mocograd")}
+        else:
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert captured == {}
+            assert "does not take --methods" in capsys.readouterr().err
+
+    def test_fig1_matches_committed_result(self, capsys):
+        """The CLI runs the same Fig. 1 code as the bench that wrote fig1.txt."""
+        assert main(["fig1", "--preset", "quick"]) == 0
+        committed = _task_a_rmse((RESULTS_DIR / "fig1.txt").read_text())
+        assert len(committed) == 6
+        assert _task_a_rmse(capsys.readouterr().out) == pytest.approx(committed, abs=1e-3)
 
 
 class TestTelemetryCLI:
@@ -40,7 +89,7 @@ class TestTelemetryCLI:
         """--telemetry installs a JSONL sink that real trainers write to."""
         from repro import obs
 
-        def fake_run_table(identifier, preset, methods):
+        def fake_run_artifact(identifier, **kwargs):
             # Simulate what any experiment does: train under the ambient sinks.
             telemetry = obs.Telemetry(sinks=obs.default_sinks())
             with telemetry.span("step", method="equal"):
@@ -49,7 +98,7 @@ class TestTelemetryCLI:
             telemetry.flush()
             return "ok"
 
-        monkeypatch.setattr("repro.__main__._run_table", fake_run_table)
+        monkeypatch.setattr("repro.__main__._run_artifact", fake_run_artifact)
         path = str(tmp_path / "out.jsonl")
         assert main(["table1", "--telemetry", path]) == 0
         events = obs.load_events(path)
@@ -62,10 +111,10 @@ class TestTelemetryCLI:
     def test_sink_closed_even_when_run_raises(self, tmp_path, monkeypatch):
         from repro import obs
 
-        def boom(identifier, preset, methods):
+        def boom(identifier, **kwargs):
             raise RuntimeError("experiment failed")
 
-        monkeypatch.setattr("repro.__main__._run_table", boom)
+        monkeypatch.setattr("repro.__main__._run_artifact", boom)
         path = str(tmp_path / "out.jsonl")
         with pytest.raises(RuntimeError):
             main(["table1", "--telemetry", path])
