@@ -21,13 +21,20 @@ tracemalloc probe checks the bounded-memory claim directly: the
 streaming peak must stay flat (within ``MEMORY_GATE``) when the row
 count grows 10x, while the eager peak grows with it.
 
+A ``movielens_shard`` row times the MovieLens history sampler on one
+4,096-row shard of a 6,000-user x 4,000-movie world (the end-to-end
+``ml9`` workload's shard): the blocked per-user sampler against its
+full-product reference in ``tests/reference/movielens.py``.  Both must
+return bitwise equal histories.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_streaming.py [--smoke] [--out PATH]
 
 ``--smoke`` shrinks the run for CI and exits non-zero if ``prefetch`` or
-``cache_warm`` is slower than ``eager`` (speedup < 1.0) or the streaming
-peak is not flat across the 10x row-count step.
+``cache_warm`` is slower than ``eager`` (speedup < 1.0), the streaming
+peak is not flat across the 10x row-count step, or the MovieLens sampler
+is slower than (or differs from) its reference.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 from benchlib import provenance
+from tests.reference import movielens as reference
 
 from repro.data import (
     AliExpressStream,
@@ -48,6 +57,7 @@ from repro.data import (
     ShardCache,
     StreamingDataset,
     as_stream,
+    make_movielens_stream,
 )
 
 COUNTRY = "ES"
@@ -57,6 +67,8 @@ SEED = 0
 #: peak at 1x rows (the truly row-independent ideal is 1.0; slack covers
 #: allocator jitter and the fixed world/calibration block).
 MEMORY_GATE = 1.5
+#: The ``movielens_shard`` world and shard: perfbench ``ml9``'s sizes.
+ML_USERS, ML_MOVIES, ML_ROWS = 6000, 4000, 4096
 
 
 def build_dataset(
@@ -108,6 +120,42 @@ def peak_bytes(mode: str, rows: int, chunk: int) -> int:
     finally:
         tracemalloc.stop()
     return int(peak)
+
+
+def movielens_shard(repeats: int) -> dict:
+    """Best-of-``repeats`` seconds of the reference and blocked samplers on one shard."""
+    bench = make_movielens_stream(
+        genres=("Crime",),
+        records_per_genre=ML_ROWS,
+        chunk_size=ML_ROWS,
+        num_users=ML_USERS,
+        num_movies=ML_MOVIES,
+        val_records=1,
+        test_records=1,
+        seed=SEED,
+    )
+    world = bench.train["Crime"].source.world
+    users = np.random.default_rng(SEED).integers(0, ML_USERS, size=ML_ROWS)
+    samplers = {
+        "oracle": lambda rng: reference.history_block(world, users, rng),
+        "blocked": lambda rng: world.history_block(users, rng),
+    }
+    best, histories = {}, {}
+    for _ in range(repeats):
+        for name, sample in samplers.items():
+            start = time.perf_counter()
+            histories[name] = sample(np.random.default_rng(SEED))
+            seconds = time.perf_counter() - start
+            best[name] = min(best.get(name, seconds), seconds)
+    return {
+        "rows": ML_ROWS,
+        "num_users": ML_USERS,
+        "num_movies": ML_MOVIES,
+        "oracle_seconds": best["oracle"],
+        "seconds": best["blocked"],
+        "speedup": best["oracle"] / best["blocked"],
+        "bitwise_equal": histories["oracle"].tobytes() == histories["blocked"].tobytes(),
+    }
 
 
 def run(
@@ -169,6 +217,7 @@ def run(
         **provenance(),
         "results": results,
         "memory": memory,
+        "movielens_shard": movielens_shard(repeats),
     }
 
 
@@ -213,6 +262,12 @@ def main(argv: list[str] | None = None) -> int:
         f"({memory['peak_ratio']:.2f}x); eager @ {memory['rows_10x']} rows: "
         f"{memory['eager_peak_10x_bytes'] / 1e6:.1f} MB"
     )
+    shard = report["movielens_shard"]
+    print(
+        f"movielens_shard: {shard['seconds'] * 1e3:.0f} ms vs reference "
+        f"{shard['oracle_seconds'] * 1e3:.0f} ms ({shard['speedup']:.2f}x, "
+        f"bitwise equal: {shard['bitwise_equal']})"
+    )
     print(f"wrote {args.out}")
 
     if args.smoke:
@@ -226,6 +281,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"streaming peak grew {memory['peak_ratio']:.2f}x across a 10x "
                 f"row-count step (gate: {MEMORY_GATE}x)"
             )
+        if shard["speedup"] < 1.0:
+            failures.append(
+                f"movielens_shard slower than its reference ({shard['speedup']:.2f}x)"
+            )
+        if not shard["bitwise_equal"]:
+            failures.append("movielens_shard histories differ from the reference")
         if failures:
             print("FAIL: " + "; ".join(failures), file=sys.stderr)
             return 1

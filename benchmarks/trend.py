@@ -1,10 +1,15 @@
 """Bench-trend harness: speedup history keyed by git SHA, with a gate.
 
-Aggregates every ``BENCH_*.json`` report at the repository root into one
+Aggregates the ``BENCH_*.json`` reports at the repository root into one
 ``BENCH_trend.json`` history file, prints a comparison table of the
 current numbers against the committed baseline (the most recent history
 entry from a *different* commit), and exits non-zero when any tracked
 speedup regressed by more than ``--threshold`` (relative).
+
+Only real measurements enter the history: a report counts as current when
+its ``git_sha`` is HEAD's.  A report measured at another commit is printed
+as ``stale <sha>`` and is neither gated nor recorded, so an old file left
+on disk cannot be stamped with a later commit.
 
 Tracked metrics (label → speedup):
 
@@ -20,6 +25,8 @@ Tracked metrics (label → speedup):
 - ``streaming/prefetch`` / ``streaming/warm_cache`` — double-buffered
   streaming and warm mmap-cache epochs vs the eager materialize-then-
   iterate baseline (``bench_streaming.py``);
+- ``streaming/movielens_shard`` — the blocked MovieLens history sampler
+  vs its full-product reference on one shard (``bench_streaming.py``);
 - ``serve/batched`` / ``serve/no_grad`` — micro-batched request serving
   vs one-forward-per-request, and the no-autograd inference forward vs
   the graph-building forward (``bench_serve.py``).
@@ -103,6 +110,10 @@ def extract_metrics(report: dict) -> dict[str, float]:
             label = tracked.get(row["mode"])
             if label is not None:
                 metrics[label] = float(row["speedup"])
+        if "movielens_shard" in report:
+            metrics["streaming/movielens_shard"] = float(
+                report["movielens_shard"]["speedup"]
+            )
     elif kind == "serve":
         # sequential and graph rows are the baselines (speedup 1.0 by
         # construction) — only the two fast paths are trend-tracked.
@@ -114,9 +125,26 @@ def extract_metrics(report: dict) -> dict[str, float]:
     return metrics
 
 
-def collect_current(root: Path) -> dict[str, float]:
-    """Read every BENCH_*.json (except the trend file) under ``root``."""
-    metrics: dict[str, float] = {}
+def measured_at(report: dict, sha: str) -> bool:
+    """Whether ``report`` was measured at commit ``sha``.
+
+    Abbreviated SHAs may differ in length, so either may prefix the other;
+    an unknown SHA on either side never matches.
+    """
+    recorded = str(report.get("git_sha", "unknown"))
+    if "unknown" in (recorded, sha):
+        return False
+    return recorded.startswith(sha) or sha.startswith(recorded)
+
+
+def collect_measured(root: Path, sha: str) -> tuple[dict[str, float], dict[str, str]]:
+    """Read every BENCH_*.json (except the trend file) under ``root``.
+
+    Returns ``{label: speedup}`` of the reports measured at ``sha`` and
+    ``{label: recorded sha}`` of the stale rest.
+    """
+    current: dict[str, float] = {}
+    stale: dict[str, str] = {}
     for path in sorted(root.glob("BENCH_*.json")):
         if path.name == TREND_FILE:
             continue
@@ -125,8 +153,12 @@ def collect_current(root: Path) -> dict[str, float]:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"warning: skipping unreadable {path.name}: {exc}", file=sys.stderr)
             continue
-        metrics.update(extract_metrics(report))
-    return metrics
+        metrics = extract_metrics(report)
+        if measured_at(report, sha):
+            current.update(metrics)
+        else:
+            stale.update(dict.fromkeys(metrics, str(report.get("git_sha", "unknown"))))
+    return current, stale
 
 
 def load_history(path: Path) -> list[dict]:
@@ -157,9 +189,17 @@ def baseline_entry(history: list[dict], sha: str) -> dict | None:
 
 
 def compare(
-    current: dict[str, float], baseline: dict[str, float], threshold: float
+    current: dict[str, float],
+    baseline: dict[str, float],
+    threshold: float,
+    stale: dict[str, str] | None = None,
 ) -> tuple[list[list], list[str]]:
-    """Build comparison rows and the list of regressed labels."""
+    """Build comparison rows and the list of regressed labels.
+
+    ``stale`` labels (``{label: sha}``) get a ``stale <sha>`` row and are
+    never gated.
+    """
+    stale = stale or {}
     rows: list[list] = []
     regressions: list[str] = []
     for label in sorted(current):
@@ -174,7 +214,11 @@ def compare(
             status = "REGRESSED"
             regressions.append(label)
         rows.append([label, f"{base:.2f}x", f"{now:.2f}x", f"{delta:+.1%} {status}"])
-    for label in sorted(set(baseline) - set(current)):
+    for label in sorted(stale):
+        base = baseline.get(label)
+        base_cell = "-" if base is None else f"{base:.2f}x"
+        rows.append([label, base_cell, "-", f"stale {stale[label]}"])
+    for label in sorted(set(baseline) - set(current) - set(stale)):
         rows.append([label, f"{baseline[label]:.2f}x", "-", "missing"])
     return rows, regressions
 
@@ -212,28 +256,28 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    current = collect_current(args.root)
-    if not current:
+    sha = git_sha()
+    current, stale = collect_measured(args.root, sha)
+    if not current and not stale:
         print("no BENCH_*.json reports found — run the benchmarks first", file=sys.stderr)
         return 2
 
     trend_path = args.root / TREND_FILE
     history = load_history(trend_path)
-    sha = git_sha()
     baseline = baseline_entry(history, sha)
 
     if baseline is None:
         print(f"no baseline in {TREND_FILE}; recording first entry at {sha}")
-        rows = [[label, "-", f"{value:.2f}x", "new"] for label, value in sorted(current.items())]
-        print(format_rows(rows))
-        regressions: list[str] = []
+        rows, regressions = compare(current, {}, args.threshold, stale)
     else:
         print(
             f"baseline: {baseline.get('sha', '?')}  current: {sha}  "
             f"gate: -{args.threshold:.0%}"
         )
-        rows, regressions = compare(current, baseline.get("metrics", {}), args.threshold)
-        print(format_rows(rows))
+        rows, regressions = compare(
+            current, baseline.get("metrics", {}), args.threshold, stale
+        )
+    print(format_rows(rows))
 
     if regressions:
         print(
@@ -243,7 +287,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
 
-    if not args.check:
+    if not current:
+        print(f"no report was measured at {sha}; nothing recorded")
+    elif not args.check:
         history = [entry for entry in history if entry.get("sha") != sha]
         history.append({"sha": sha, "ts": time.time(), "metrics": current})
         save_history(trend_path, history)

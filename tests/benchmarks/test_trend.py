@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 BENCHMARKS_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
+#: The commit every test runs at; reports written with it are current.
+HEAD = "cafe123"
 
 
 @pytest.fixture(scope="module")
@@ -23,13 +25,22 @@ def trend():
         sys.path.remove(str(BENCHMARKS_DIR))
 
 
-def _write_reports(root: Path, grad_speedup=1.8, adam_speedup=6.0):
+@pytest.fixture(autouse=True)
+def at_head(trend, monkeypatch):
+    monkeypatch.setattr(trend, "git_sha", lambda short=True: HEAD)
+
+
+def _current(trend, root: Path) -> dict[str, float]:
+    return trend.collect_measured(root, HEAD)[0]
+
+
+def _write_reports(root: Path, grad_speedup=1.8, adam_speedup=6.0, sha=HEAD):
     (root / "BENCH_grad_collection.json").write_text(
         json.dumps(
             {
                 "benchmark": "grad_collection",
                 "schema": 2,
-                "git_sha": "aaaaaaa",
+                "git_sha": sha,
                 "results": [
                     {"num_tasks": 2, "speedup": 1.2},
                     {"num_tasks": 8, "speedup": grad_speedup},
@@ -42,6 +53,7 @@ def _write_reports(root: Path, grad_speedup=1.8, adam_speedup=6.0):
             {
                 "benchmark": "balancers",
                 "schema": 2,
+                "git_sha": sha,
                 "results": [
                     {"balancer": "mocograd", "num_tasks": 8, "speedup": 2.0,
                      "gated": True},
@@ -59,8 +71,24 @@ def _write_reports(root: Path, grad_speedup=1.8, adam_speedup=6.0):
             {
                 "benchmark": "optim",
                 "schema": 2,
+                "git_sha": sha,
                 "results": [{"optimizer": "adam", "speedup": adam_speedup}],
                 "train_step": {"speedup": 1.2},
+            }
+        )
+    )
+    (root / "BENCH_streaming.json").write_text(
+        json.dumps(
+            {
+                "benchmark": "streaming",
+                "schema": 2,
+                "git_sha": sha,
+                "results": [
+                    {"mode": "eager", "speedup": 1.0},
+                    {"mode": "prefetch", "speedup": 1.1},
+                    {"mode": "cache_cold", "speedup": 0.5},
+                ],
+                "movielens_shard": {"oracle_seconds": 0.5, "seconds": 0.1, "speedup": 5.0},
             }
         )
     )
@@ -69,12 +97,14 @@ def _write_reports(root: Path, grad_speedup=1.8, adam_speedup=6.0):
 class TestExtraction:
     def test_labels_and_skipped_loop_dispatch_rows(self, trend, tmp_path):
         _write_reports(tmp_path)
-        metrics = trend.collect_current(tmp_path)
+        metrics = _current(trend, tmp_path)
         assert metrics == {
             "grad_collection/K2": 1.2,
             "grad_collection/K8": 1.8,
             "balancers/mocograd/K8": 2.0,  # ungated diagnostic rows skipped
             "optim/adam": 6.0,  # an old report's train_step row is no metric
+            "streaming/prefetch": 1.1,  # eager and cold-cache rows are diagnostics
+            "streaming/movielens_shard": 5.0,
         }
 
     def test_serve_report_tracks_only_fast_paths(self, trend, tmp_path):
@@ -83,6 +113,7 @@ class TestExtraction:
                 {
                     "benchmark": "serve",
                     "schema": 2,
+                    "git_sha": HEAD,
                     "results": [
                         {"mode": "sequential", "speedup": 1.0},
                         {"mode": "batched", "speedup": 3.5},
@@ -92,15 +123,15 @@ class TestExtraction:
                 }
             )
         )
-        metrics = trend.collect_current(tmp_path)
+        metrics = _current(trend, tmp_path)
         assert metrics == {"serve/batched": 3.5, "serve/no_grad": 1.6}
 
     def test_trend_file_and_garbage_ignored(self, trend, tmp_path):
         _write_reports(tmp_path)
         (tmp_path / "BENCH_trend.json").write_text('{"schema": 1, "history": []}')
         (tmp_path / "BENCH_broken.json").write_text("{not json")
-        metrics = trend.collect_current(tmp_path)
-        assert "optim/adam" in metrics and len(metrics) == 4
+        metrics = _current(trend, tmp_path)
+        assert "optim/adam" in metrics and len(metrics) == 6
 
 
 class TestGate:
@@ -116,7 +147,7 @@ class TestGate:
     def test_passes_when_numbers_hold(self, trend, tmp_path):
         _write_reports(tmp_path)
         history = [{"sha": "bbbbbbb", "ts": 0.0,
-                    "metrics": trend.collect_current(tmp_path)}]
+                    "metrics": _current(trend, tmp_path)}]
         (tmp_path / "BENCH_trend.json").write_text(
             json.dumps({"schema": 1, "history": history})
         )
@@ -124,7 +155,7 @@ class TestGate:
 
     def test_fails_on_injected_regression(self, trend, tmp_path, capsys):
         _write_reports(tmp_path)
-        baseline = trend.collect_current(tmp_path)
+        baseline = _current(trend, tmp_path)
         (tmp_path / "BENCH_trend.json").write_text(
             json.dumps({"schema": 1, "history": [
                 {"sha": "bbbbbbb", "ts": 0.0, "metrics": baseline}
@@ -144,7 +175,7 @@ class TestGate:
         (tmp_path / "BENCH_trend.json").write_text(
             json.dumps({"schema": 1, "history": [
                 {"sha": "bbbbbbb", "ts": 0.0,
-                 "metrics": trend.collect_current(tmp_path)}
+                 "metrics": _current(trend, tmp_path)}
             ]})
         )
         _write_reports(tmp_path, adam_speedup=5.0)  # -17% < default 30% gate
@@ -155,19 +186,18 @@ class TestGate:
         (tmp_path / "BENCH_trend.json").write_text(
             json.dumps({"schema": 1, "history": [
                 {"sha": "bbbbbbb", "ts": 0.0,
-                 "metrics": trend.collect_current(tmp_path)}
+                 "metrics": _current(trend, tmp_path)}
             ]})
         )
         _write_reports(tmp_path, adam_speedup=5.0)
         assert trend.main(["--root", str(tmp_path), "--check", "--threshold", "0.1"]) == 1
 
-    def test_reruns_at_same_sha_replace_entry(self, trend, tmp_path, monkeypatch):
+    def test_reruns_at_same_sha_replace_entry(self, trend, tmp_path):
         _write_reports(tmp_path)
-        monkeypatch.setattr(trend, "git_sha", lambda short=True: "cafe123")
         assert trend.main(["--root", str(tmp_path)]) == 0
         assert trend.main(["--root", str(tmp_path)]) == 0
         data = json.loads((tmp_path / "BENCH_trend.json").read_text())
-        assert [e["sha"] for e in data["history"]] == ["cafe123"]
+        assert [e["sha"] for e in data["history"]] == [HEAD]
 
     def test_no_reports_is_an_error(self, trend, tmp_path):
         assert trend.main(["--root", str(tmp_path)]) == 2
@@ -193,7 +223,7 @@ class TestHistoryHygiene:
         data = json.loads((tmp_path / "BENCH_trend.json").read_text())
         assert data["schema"] == trend.TREND_SCHEMA and len(data["history"]) == 1
 
-    def test_history_is_capped(self, trend, tmp_path, monkeypatch):
+    def test_history_is_capped(self, trend, tmp_path):
         _write_reports(tmp_path)
         history = [
             {"sha": f"sha{i}", "ts": float(i), "metrics": {"optim/adam": 6.0}}
@@ -202,8 +232,60 @@ class TestHistoryHygiene:
         (tmp_path / "BENCH_trend.json").write_text(
             json.dumps({"schema": 1, "history": history})
         )
-        monkeypatch.setattr(trend, "git_sha", lambda short=True: "cafe123")
         assert trend.main(["--root", str(tmp_path)]) == 0
         data = json.loads((tmp_path / "BENCH_trend.json").read_text())
         assert len(data["history"]) == trend.MAX_HISTORY
-        assert data["history"][-1]["sha"] == "cafe123"
+        assert data["history"][-1]["sha"] == HEAD
+
+
+class TestMeasuredAtHead:
+    def test_stale_report_is_printed_not_recorded(self, trend, tmp_path, capsys):
+        _write_reports(tmp_path)  # all current ...
+        (tmp_path / "BENCH_grad_collection.json").write_text(
+            json.dumps(  # ... except one file left over from an older commit
+                {
+                    "benchmark": "grad_collection",
+                    "schema": 2,
+                    "git_sha": "6618cfb",
+                    "results": [{"num_tasks": 8, "speedup": 1.8}],
+                }
+            )
+        )
+        assert trend.main(["--root", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "grad_collection/K8" in out and "stale 6618cfb" in out
+        recorded = json.loads((tmp_path / "BENCH_trend.json").read_text())["history"]
+        assert [entry["sha"] for entry in recorded] == [HEAD]
+        assert "optim/adam" in recorded[0]["metrics"]
+        assert "grad_collection/K8" not in recorded[0]["metrics"]
+
+    def test_stale_report_is_not_gated(self, trend, tmp_path, capsys):
+        _write_reports(tmp_path)
+        (tmp_path / "BENCH_trend.json").write_text(
+            json.dumps({"schema": 1, "history": [
+                {"sha": "bbbbbbb", "ts": 0.0, "metrics": _current(trend, tmp_path)}
+            ]})
+        )
+        _write_reports(tmp_path, adam_speedup=2.0, sha="bbbbbbb")
+        assert trend.main(["--root", str(tmp_path), "--check"]) == 0
+        assert "stale bbbbbbb" in capsys.readouterr().out
+
+    def test_only_stale_reports_record_nothing(self, trend, tmp_path, capsys):
+        _write_reports(tmp_path, sha="e9631f2")
+        assert trend.main(["--root", str(tmp_path)]) == 0
+        assert "nothing recorded" in capsys.readouterr().out
+        assert not (tmp_path / "BENCH_trend.json").exists()
+
+    @pytest.mark.parametrize(
+        "recorded, head, fresh",
+        [
+            ("cafe123", "cafe123", True),
+            ("cafe1234", "cafe123", True),  # abbreviations of one commit
+            ("cafe124", "cafe123", False),
+            ("unknown", "unknown", False),
+            (None, HEAD, False),  # a report without provenance
+        ],
+    )
+    def test_measured_at(self, trend, recorded, head, fresh):
+        report = {} if recorded is None else {"git_sha": recorded}
+        assert trend.measured_at(report, head) is fresh
