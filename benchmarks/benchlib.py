@@ -7,11 +7,15 @@ Every ``BENCH_*.json`` report carries the same provenance block so
   changes incompatibly);
 - ``git_sha`` — the commit the numbers were measured at (``"unknown"``
   outside a git checkout);
+- ``source_sha1`` — a digest of the measured code (``src/``,
+  ``tests/reference/`` and ``benchmarks/*.py``, as on disk), so a report
+  measured on a tree before it was committed still names that tree;
 - ``platform`` / ``python`` / ``numpy`` — the environment fingerprint.
 """
 
 from __future__ import annotations
 
+import hashlib
 import platform
 import subprocess
 import sys
@@ -48,11 +52,26 @@ def git_sha(short: bool = True) -> str:
     return sha if out.returncode == 0 and sha else "unknown"
 
 
+def source_digest() -> str:
+    """SHA-1 over the path and bytes of every Python file the benches run."""
+    digest = hashlib.sha1()
+    files = [
+        *(REPO_ROOT / "src").rglob("*.py"),
+        *(REPO_ROOT / "tests" / "reference").rglob("*.py"),
+        *(REPO_ROOT / "benchmarks").glob("*.py"),
+    ]
+    for path in sorted(files):
+        digest.update(str(path.relative_to(REPO_ROOT)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def provenance() -> dict:
     """The provenance block every benchmark report embeds."""
     return {
         "schema": BENCH_SCHEMA,
         "git_sha": git_sha(),
+        "source_sha1": source_digest(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -7,15 +7,19 @@ entry from a *different* commit), and exits non-zero when any tracked
 speedup regressed by more than ``--threshold`` (relative).
 
 Only real measurements enter the history: a report counts as current when
-its ``git_sha`` is HEAD's.  A report measured at another commit is printed
-as ``stale <sha>`` and is neither gated nor recorded, so an old file left
-on disk cannot be stamped with a later commit.
+its ``git_sha`` is HEAD's, or when its ``source_sha1`` is the digest of the
+code on disk (a report measured on a tree before that tree was committed).
+Any other report is printed as ``stale <sha>`` and is neither gated nor
+recorded, so an old file left on disk cannot be stamped with a later
+commit.
 
 Tracked metrics (label → speedup):
 
 - ``grad_collection/K{K}`` — multi-root vs per-task backward;
 - ``balancers/{name}/K{K}`` — vectorized vs loop pairwise kernels
   (small-K diagnostic rows, ``"gated": false``, are skipped);
+- ``balancers/mocograd_ml9`` — MoCoGrad's direct Σ ĝ vs its full-matrix
+  reference at the ``ml9`` shape (``bench_balancers.py``);
 - ``optim/{name}`` — flat vs loop optimizer step;
 - ``parallel/K{K}/W{W}`` — W shared-memory workers vs sequential (only
   recorded when the host has at least W usable cores — see
@@ -55,7 +59,7 @@ import sys
 import time
 from pathlib import Path
 
-from benchlib import REPO_ROOT, git_sha
+from benchlib import REPO_ROOT, git_sha, source_digest
 
 TREND_SCHEMA = 1
 TREND_FILE = "BENCH_trend.json"
@@ -84,6 +88,8 @@ def extract_metrics(report: dict) -> dict[str, float]:
             metrics[f"balancers/{row['balancer']}/K{row['num_tasks']}"] = float(
                 row["speedup"]
             )
+        if "mocograd_ml9" in report:
+            metrics["balancers/mocograd_ml9"] = float(report["mocograd_ml9"]["speedup"])
     elif kind == "optim":
         for row in report.get("results", []):
             metrics[f"optim/{row['optimizer']}"] = float(row["speedup"])
@@ -125,12 +131,16 @@ def extract_metrics(report: dict) -> dict[str, float]:
     return metrics
 
 
-def measured_at(report: dict, sha: str) -> bool:
-    """Whether ``report`` was measured at commit ``sha``.
+def measured_at(report: dict, sha: str, source: str | None = None) -> bool:
+    """Whether ``report`` was measured at commit ``sha`` (or on ``source``).
 
     Abbreviated SHAs may differ in length, so either may prefix the other;
-    an unknown SHA on either side never matches.
+    an unknown SHA on either side never matches.  ``source`` is the
+    :func:`~benchlib.source_digest` of the code on disk: a report that
+    recorded the same digest measured exactly this code.
     """
+    if source is not None and report.get("source_sha1") == source:
+        return True
     recorded = str(report.get("git_sha", "unknown"))
     if "unknown" in (recorded, sha):
         return False
@@ -145,6 +155,7 @@ def collect_measured(root: Path, sha: str) -> tuple[dict[str, float], dict[str, 
     """
     current: dict[str, float] = {}
     stale: dict[str, str] = {}
+    source = source_digest()
     for path in sorted(root.glob("BENCH_*.json")):
         if path.name == TREND_FILE:
             continue
@@ -154,7 +165,7 @@ def collect_measured(root: Path, sha: str) -> tuple[dict[str, float], dict[str, 
             print(f"warning: skipping unreadable {path.name}: {exc}", file=sys.stderr)
             continue
         metrics = extract_metrics(report)
-        if measured_at(report, sha):
+        if measured_at(report, sha, source):
             current.update(metrics)
         else:
             stale.update(dict.fromkeys(metrics, str(report.get("git_sha", "unknown"))))

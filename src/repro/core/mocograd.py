@@ -38,10 +38,30 @@ product:
 
 with the conflict mask and norms read from the shared per-step
 :class:`~repro.core.gradstats.GradStats` cache and all telemetry counters
-derived from mask sums.  The per-pair loop it replaced is the reference
-implementation the tests compare against (``tests/reference/``).
-``momentum_update="per_pair"`` is inherently sequential (momentum mutates
-mid-loop) and runs the per-pair loop.
+derived from mask sums.  :meth:`MoCoGrad.balance` needs only the sum of
+that matrix, and with ``momentum_source="raw"`` (the default) nothing
+else reads ``ĝ``, so it never forms it:
+
+    Σ_i ĝ_i = Σ_i g_i + (λ · s ⊙ colsum(C)) · m
+
+— one row-sum plus one GEMV over ``(K, d)``.  A step with no applied
+calibration returns ``grads.sum(axis=0)``.  :meth:`MoCoGrad.calibrate`
+(the analysis API), ``momentum_source="calibrated"`` (whose Eq. (9)
+reads ``ĝ``) and ``momentum_update="per_pair"`` (inherently sequential:
+momentum mutates mid-loop, so it runs the per-pair loop) keep the full
+matrix.  The per-pair loop and the full-matrix ``balance`` are the
+reference implementations the tests compare against
+(``tests/reference/``).
+
+Momentum state: every per-step path advances Eq. (9) *in place* —
+``m *= β; m += (1−β)·g`` through one reused ``(K, d)`` buffer — which is
+bitwise equal to ``β·m + (1−β)·g``.  The per-task norms ``‖m_k‖`` are
+taken at most once per step (one ``einsum`` pass, cached until the next
+update) and feed the ``mocograd_momentum_norm`` gauges,
+:meth:`MoCoGrad.dynamics` and the direct path's next zero-momentum mask
+and scale (the full-matrix path keeps its own ``np.linalg.norm``, so its
+trajectories are unchanged).  Because the state mutates in place,
+:attr:`MoCoGrad.momentum` returns a copy.
 """
 
 from __future__ import annotations
@@ -108,18 +128,28 @@ class MoCoGrad(GradientBalancer):
         self.momentum_update = momentum_update
         self.momentum_source = momentum_source
         self._momentum: np.ndarray | None = None
+        #: ``‖m_k‖`` of the current momentum, ``None`` until first read.
+        self._momentum_norms: np.ndarray | None = None
+        #: reused ``(K, d)`` scratch of the in-place Eq. (9) update
+        self._buffer: np.ndarray | None = None
         self.step_count = 0
 
     # ------------------------------------------------------------------
     def reset(self, num_tasks: int) -> None:
         super().reset(num_tasks)
         self._momentum = None
+        self._momentum_norms = None
+        self._buffer = None
         self.step_count = 0
 
     @property
     def momentum(self) -> np.ndarray | None:
-        """The per-task first-moment estimates ``m`` of shape ``(K, d)``."""
-        return self._momentum
+        """A copy of the per-task first-moment estimates ``m`` (``(K, d)``).
+
+        The state advances in place every step, so a live view would move
+        under its holder; the copy taken here never changes.
+        """
+        return None if self._momentum is None else self._momentum.copy()
 
     # ------------------------------------------------------------------
     def calibrate(self, grads: np.ndarray, stats: GradStats | None = None) -> np.ndarray:
@@ -133,21 +163,7 @@ class MoCoGrad(GradientBalancer):
         """
         grads = np.asarray(grads, dtype=np.float64)
         num_tasks = grads.shape[0]
-        if self._momentum is None:
-            self._momentum = np.zeros_like(grads)
-        elif self._momentum.shape != grads.shape:
-            # Silently zero-resetting here would invalidate Eq. (9)'s
-            # momentum history mid-run without any signal; make the caller
-            # decide.
-            self.telemetry.counter("mocograd_momentum_shape_mismatch_total").inc()
-            raise ValueError(
-                f"gradient matrix shape {grads.shape} does not match momentum state "
-                f"{self._momentum.shape}; the task count or shared-parameter set "
-                "changed mid-run — call reset() to start a fresh momentum history"
-            )
-        if self.telemetry.enabled:
-            # λ in effect for this step (step_count has not advanced yet).
-            self.telemetry.gauge("mocograd_lambda").set(self.current_calibration())
+        self._begin_step(grads)
         previous_momentum = self._momentum
 
         if self.momentum_update == "per_pair":
@@ -170,16 +186,83 @@ class MoCoGrad(GradientBalancer):
             if stats is None or stats.grads is not grads:
                 stats = GradStats(grads)
             calibrated = self._calibrate_per_step(grads, stats, previous_momentum)
-            source = calibrated if self.momentum_source == "calibrated" else grads
-            self._momentum = self.beta1 * previous_momentum + (1.0 - self.beta1) * source
+            self._advance_momentum(calibrated if self.momentum_source == "calibrated" else grads)
+        self._end_step()
+        return calibrated
 
-        self.step_count += 1
+    def _begin_step(self, grads: np.ndarray) -> None:
+        """Check (or create) the momentum state before anything mutates."""
+        if self._momentum is None:
+            self._momentum = np.zeros_like(grads)
+            self._momentum_norms = np.zeros(grads.shape[0])
+        elif self._momentum.shape != grads.shape:
+            # Silently zero-resetting here would invalidate Eq. (9)'s
+            # momentum history mid-run without any signal; make the caller
+            # decide.
+            self.telemetry.counter("mocograd_momentum_shape_mismatch_total").inc()
+            raise ValueError(
+                f"gradient matrix shape {grads.shape} does not match momentum state "
+                f"{self._momentum.shape}; the task count or shared-parameter set "
+                "changed mid-run — call reset() to start a fresh momentum history"
+            )
         if self.telemetry.enabled:
-            for task_index, norm in enumerate(np.linalg.norm(self._momentum, axis=1)):
+            # λ in effect for this step (step_count has not advanced yet).
+            self.telemetry.gauge("mocograd_lambda").set(self.current_calibration())
+
+    def _advance_momentum(self, source: np.ndarray) -> None:
+        """Eq. (9) in place: ``m ← β·m + (1−β)·source``, bitwise."""
+        momentum = self._momentum
+        if self._buffer is None:
+            self._buffer = np.empty_like(momentum)
+        momentum *= self.beta1
+        np.multiply(source, 1.0 - self.beta1, out=self._buffer)
+        momentum += self._buffer
+
+    def _end_step(self) -> None:
+        """Advance the step count and publish the post-update norms."""
+        self.step_count += 1
+        self._momentum_norms = None
+        if self.telemetry.enabled:
+            for task_index, norm in enumerate(self._current_norms()):
                 self.telemetry.gauge("mocograd_momentum_norm", task=str(task_index)).set(
                     float(norm)
                 )
-        return calibrated
+
+    def _current_norms(self) -> np.ndarray:
+        """``‖m_k‖`` of the current momentum: one pass, cached per step."""
+        if self._momentum_norms is None:
+            momentum = self._momentum
+            self._momentum_norms = np.sqrt(np.einsum("kd,kd->k", momentum, momentum))
+        return self._momentum_norms
+
+    def _calibration_plan(
+        self, stats: GradStats, momentum_norms: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Eq. (8)'s applied-pair mask ``C`` and partner scales ``s``.
+
+        Counts conflicts, zero-momentum skips and applied calibrations
+        from mask sums — exactly the per-pair loop's increments — and
+        returns ``None`` when no calibration applies this step.
+        """
+        conflict = stats.conflict_mask  # (K, K) ordered pairs, diag False
+        conflicts = int(conflict.sum())
+        telemetry = self.telemetry
+        if conflicts:
+            telemetry.counter("mocograd_conflicts_total").inc(conflicts)
+        live = momentum_norms >= _EPS
+        # Eq. (8) is undefined for a zero-momentum partner: those columns
+        # of the conflict mask are zeroed and counted as skips.
+        effective = conflict & live[None, :]
+        applied = int(effective.sum())
+        skipped = conflicts - applied
+        if skipped:
+            telemetry.counter("mocograd_skipped_zero_momentum_total").inc(skipped)
+        if applied == 0:
+            return None
+        telemetry.counter("mocograd_calibrations_total").inc(applied)
+        scale = np.zeros_like(momentum_norms)
+        np.divide(stats.norms, momentum_norms, out=scale, where=live)
+        return effective, scale
 
     def _calibrate_per_step(
         self,
@@ -191,28 +274,11 @@ class MoCoGrad(GradientBalancer):
 
         Valid because per-step calibration is order-free: every term reads
         raw gradients and step-(t−1) momentum, and accumulation commutes.
-        Telemetry counter values are derived from mask sums and match the
-        per-pair loop's increments exactly.
         """
-        conflict = stats.conflict_mask  # (K, K) ordered pairs, diag False
-        conflicts = int(conflict.sum())
-        telemetry = self.telemetry
-        if conflicts:
-            telemetry.counter("mocograd_conflicts_total").inc(conflicts)
-        momentum_norms = np.linalg.norm(previous_momentum, axis=1)
-        live = momentum_norms >= _EPS
-        # Eq. (8) is undefined for a zero-momentum partner: those columns
-        # of the conflict mask are zeroed and counted as skips.
-        effective = conflict & live[None, :]
-        applied = int(effective.sum())
-        skipped = conflicts - applied
-        if skipped:
-            telemetry.counter("mocograd_skipped_zero_momentum_total").inc(skipped)
-        if applied == 0:
+        plan = self._calibration_plan(stats, np.linalg.norm(previous_momentum, axis=1))
+        if plan is None:
             return grads.copy()
-        telemetry.counter("mocograd_calibrations_total").inc(applied)
-        scale = np.zeros_like(momentum_norms)
-        np.divide(stats.norms, momentum_norms, out=scale, where=live)
+        effective, scale = plan
         return grads + self.current_calibration() * (
             effective.astype(np.float64) @ (scale[:, None] * previous_momentum)
         )
@@ -226,9 +292,7 @@ class MoCoGrad(GradientBalancer):
         """
         sample: dict = {"lambda": self.current_calibration()}
         if self._momentum is not None:
-            sample["momentum_norms"] = [
-                float(n) for n in np.linalg.norm(self._momentum, axis=1)
-            ]
+            sample["momentum_norms"] = [float(n) for n in self._current_norms()]
         return sample
 
     def current_calibration(self) -> float:
@@ -262,10 +326,25 @@ class MoCoGrad(GradientBalancer):
 
     # ------------------------------------------------------------------
     def balance(self, grads: np.ndarray, losses: np.ndarray) -> np.ndarray:
-        """Algorithm 1: calibrate all tasks, return ``g^new = Σ_i ĝ_i``."""
+        """Algorithm 1: calibrate all tasks, return ``g^new = Σ_i ĝ_i``.
+
+        Under the defaults (``per_step``, ``raw``) the sum comes straight
+        from the ``(K,)`` Eq. (8) weights without forming ``ĝ`` (see the
+        module docstring); the other modes sum :meth:`calibrate`.
+        """
         grads, _ = self._check_inputs(grads, losses)
-        calibrated = self.calibrate(grads, stats=self._stats)
-        return calibrated.sum(axis=0)
+        if self.momentum_update == "per_pair" or self.momentum_source == "calibrated":
+            return self.calibrate(grads, stats=self._stats).sum(axis=0)
+        self._begin_step(grads)
+        plan = self._calibration_plan(self._stats, self._current_norms())
+        direction = grads.sum(axis=0)
+        if plan is not None:
+            effective, scale = plan
+            weights = self.current_calibration() * (scale * effective.sum(axis=0))
+            direction += weights @ self._momentum
+        self._advance_momentum(grads)
+        self._end_step()
+        return direction
 
     def __repr__(self) -> str:
         return (

@@ -63,6 +63,7 @@ def _write_reports(root: Path, grad_speedup=1.8, adam_speedup=6.0, sha=HEAD):
                     {"balancer": "pcgrad", "num_tasks": 4, "speedup": 1.0,
                      "vectorized_kernel": False},
                 ],
+                "mocograd_ml9": {"oracle_seconds": 0.03, "seconds": 0.015, "speedup": 2.0},
             }
         )
     )
@@ -102,6 +103,7 @@ class TestExtraction:
             "grad_collection/K2": 1.2,
             "grad_collection/K8": 1.8,
             "balancers/mocograd/K8": 2.0,  # ungated diagnostic rows skipped
+            "balancers/mocograd_ml9": 2.0,
             "optim/adam": 6.0,  # an old report's train_step row is no metric
             "streaming/prefetch": 1.1,  # eager and cold-cache rows are diagnostics
             "streaming/movielens_shard": 5.0,
@@ -131,7 +133,7 @@ class TestExtraction:
         (tmp_path / "BENCH_trend.json").write_text('{"schema": 1, "history": []}')
         (tmp_path / "BENCH_broken.json").write_text("{not json")
         metrics = _current(trend, tmp_path)
-        assert "optim/adam" in metrics and len(metrics) == 6
+        assert "optim/adam" in metrics and len(metrics) == 7
 
 
 class TestGate:
@@ -289,3 +291,16 @@ class TestMeasuredAtHead:
     def test_measured_at(self, trend, recorded, head, fresh):
         report = {} if recorded is None else {"git_sha": recorded}
         assert trend.measured_at(report, head) is fresh
+
+    def test_same_source_counts_as_measured(self, trend, tmp_path, capsys):
+        """A report measured on the tree before it was committed names the
+        parent commit but the same code: it is current, not stale."""
+        _write_reports(tmp_path, sha="e9631f2")
+        path = tmp_path / "BENCH_optim.json"
+        report = json.loads(path.read_text())
+        report["source_sha1"] = trend.source_digest()
+        path.write_text(json.dumps(report))
+        assert _current(trend, tmp_path) == {"optim/adam": 6.0}
+        report["source_sha1"] = "0" * 40
+        path.write_text(json.dumps(report))
+        assert _current(trend, tmp_path) == {}

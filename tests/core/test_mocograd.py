@@ -186,6 +186,44 @@ class TestStateManagement:
         balancer.calibrate(np.ones((2, 7)))
         assert balancer.momentum.shape == (2, 7)
 
+    def test_balance_shape_mismatch_leaves_momentum_untouched(self):
+        """The direct path updates momentum in place; a rejected call must
+        raise before the first write."""
+        balancer = MoCoGrad(seed=0)
+        balancer.balance(make_conflicting_grads(), np.ones(2))
+        balancer.balance(make_conflicting_grads(), np.ones(2))
+        momentum_before = balancer.momentum
+        with pytest.raises(ValueError, match="reset\\(\\)"):
+            balancer.balance(np.ones((2, 7)), np.ones(2))
+        assert np.array_equal(balancer.momentum, momentum_before)
+        assert balancer.step_count == 2
+
+    @pytest.mark.parametrize("update", ["per_step", "per_pair"])
+    def test_held_momentum_does_not_move(self, update):
+        """``momentum`` is a copy: the in-place Eq. (9) update of the next
+        step never reaches an array a caller already holds."""
+        balancer = MoCoGrad(momentum_update=update, seed=0)
+        balancer.balance(make_conflicting_grads(), np.ones(2))
+        held = balancer.momentum
+        snapshot = held.copy()
+        balancer.balance(make_aligned_grads(), np.ones(2))
+        assert np.array_equal(held, snapshot)
+        assert not np.array_equal(balancer.momentum, snapshot)
+        held[:] = 0.0
+        assert not np.array_equal(balancer.momentum, held)
+
+    def test_dynamics_reports_post_update_norms(self):
+        balancer = MoCoGrad(beta1=0.5, seed=0)
+        grads = make_conflicting_grads()
+        balancer.balance(grads, np.ones(2))
+        np.testing.assert_allclose(
+            balancer.dynamics()["momentum_norms"], 0.5 * np.linalg.norm(grads, axis=1)
+        )
+        balancer.balance(grads, np.ones(2))
+        np.testing.assert_allclose(
+            balancer.dynamics()["momentum_norms"], 0.75 * np.linalg.norm(grads, axis=1)
+        )
+
     def test_deterministic_with_seed(self):
         rng = np.random.default_rng(7)
         grads = [rng.normal(size=(4, 20)) for _ in range(5)]

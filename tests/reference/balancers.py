@@ -1,7 +1,8 @@
-"""Per-pair loop kernels of the pairwise balancers.
+"""Reference kernels of the pairwise balancers.
 
-Each class replaces exactly one production kernel with the O(K²) loop of
-d-length BLAS-1 calls it was vectorized from; everything else (input
+Each class replaces exactly one production kernel with the slower form it
+was optimized from — the O(K²) loop of d-length BLAS-1 calls, or for
+MoCoGrad's direction the full calibrated matrix; everything else (input
 checks, conflict telemetry, state, registry name) is inherited, so the
 reference and the production balancer must agree on outputs to fp
 tolerance and on telemetry counters exactly.
@@ -17,8 +18,16 @@ from repro.core.conflict import cosine_similarity
 from repro.core.mocograd import MoCoGrad
 
 
-class LoopMoCoGrad(MoCoGrad):
-    """MoCoGrad whose ``per_step`` Eq. (8) runs pair by pair."""
+class MatrixMoCoGrad(MoCoGrad):
+    """MoCoGrad whose ``balance`` forms every calibrated ``ĝ_i`` and sums them."""
+
+    def balance(self, grads, losses):
+        grads, _ = self._check_inputs(grads, losses)
+        return self.calibrate(grads, stats=self._stats).sum(axis=0)
+
+
+class LoopMoCoGrad(MatrixMoCoGrad):
+    """MoCoGrad whose ``per_step`` Eq. (8) runs pair by pair (full matrix)."""
 
     def _calibrate_per_step(self, grads, stats, previous_momentum):
         calibrated = grads.copy()
