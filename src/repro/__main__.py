@@ -16,6 +16,7 @@ Flight recorder (see DESIGN.md, "Flight recorder")::
     python -m repro train --balancer mocograd --steps 200 \
         --profile trace.json --record-dynamics --telemetry run.jsonl
     python -m repro report run.jsonl --dynamics    # per-step GCD/λ sparklines
+    python -m repro report run.jsonl --ops         # per-op forward/backward cost
     # open https://ui.perfetto.dev (or chrome://tracing) and load trace.json
 
 Every artifact id runs its :data:`repro.experiments.REGISTRY` module,
@@ -31,6 +32,7 @@ into it (schema in DESIGN.md, "Observability").
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import sys
 import time
@@ -129,6 +131,7 @@ def _run_train(args) -> str:
 
     from .core.balancer import available_balancers, create_balancer
     from .data import make_synthetic_mtl, make_synthetic_stream
+    from .nn import OpProfile
     from .training import MTLTrainer
 
     if args.balancer not in available_balancers():
@@ -163,9 +166,14 @@ def _run_train(args) -> str:
         profile=args.profile,
         record_dynamics=args.record_dynamics,
     )
-    trainer.fit(
-        benchmark.train, epochs=1, batch_size=64, max_steps_per_epoch=args.steps
-    )
+    # The flight recorder also profiles the engine op by op.
+    ops = OpProfile() if args.profile else contextlib.nullcontext()
+    with ops:
+        trainer.fit(
+            benchmark.train, epochs=1, batch_size=64, max_steps_per_epoch=args.steps
+        )
+    if args.profile:
+        trainer.telemetry.emit({"type": "ops", "tid": trainer.telemetry.id, **ops.to_dict()})
     lines = [
         f"trained {args.balancer} on {benchmark.name} — "
         f"{trainer.step_count} steps, K={args.tasks}",
@@ -188,7 +196,7 @@ def _run_train(args) -> str:
             + (f" (dir {args.cache_dir})" if args.cache_dir else "")
         )
     if trainer.profiler is not None:
-        lines += ["", trainer.profiler.format_self_times()]
+        lines += ["", trainer.profiler.format_self_times(), "", obs.format_ops(ops.to_dict())]
         if args.profile:
             lines.append(
                 f"\nwrote Chrome trace to {args.profile} — load it in "
@@ -245,12 +253,19 @@ def main(argv: list[str] | None = None) -> int:
         help="report: render per-step conflict-dynamics sparklines instead "
         "of the timing/conflict digest",
     )
+    parser.add_argument(
+        "--ops",
+        action="store_true",
+        help="report: render the per-op engine profile (calls, ms, bytes per "
+        "autograd op) a --profile run records",
+    )
     train = parser.add_argument_group("train subcommand (flight-recorder demo)")
     train.add_argument(
         "--profile",
         metavar="PATH",
         default=None,
-        help="train: export a Chrome trace_event JSON timeline to PATH",
+        help="train: export a Chrome trace_event JSON timeline to PATH and "
+        "record the per-op engine profile (render it with report --ops)",
     )
     train.add_argument(
         "--record-dynamics",
@@ -350,6 +365,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(exc))
         if args.dynamics:
             print(obs.format_dynamics(obs.summarize_dynamics(events)))
+        elif args.ops:
+            print(obs.format_ops(obs.summarize_ops(events)))
         else:
             print(obs.format_report(obs.summarize_events(events)))
         return 0

@@ -40,8 +40,7 @@ def backward_time_study(
     {method: s}, "steps": n, "grad_space": ...}``.
     """
     benchmark = make_aliexpress("ES", num_records=num_records, seed=seed)
-    step_timings: dict[str, float] = {}
-    backward_timings: dict[str, float] = {}
+    trainers: dict[str, MTLTrainer] = {}
     for method in methods:
         model = benchmark.build_model("hps", np.random.default_rng(seed))
         # A private telemetry per method keeps span populations separate
@@ -59,13 +58,20 @@ def backward_time_study(
         # Warm-up step excluded from the statistics (first-call overheads).
         trainer.fit(benchmark.train, 1, batch_size, max_steps_per_epoch=1)
         trainer.telemetry.reset_timings()
-        remaining = steps
-        while remaining > 0:
-            chunk = min(remaining, max(1, len(benchmark.train) // batch_size))
+        trainers[method] = trainer
+    # Every method trains in the same one-epoch chunks, taken in turn and in
+    # ABBA order, so a slow phase of the host lands on all the medians alike
+    # instead of on whichever methods happened to run during it.
+    order = list(trainers.values())
+    remaining, turn = steps, 0
+    while remaining > 0:
+        chunk = min(remaining, max(1, len(benchmark.train) // batch_size))
+        for trainer in order if turn % 2 == 0 else reversed(order):
             trainer.fit(benchmark.train, 1, batch_size, max_steps_per_epoch=chunk)
-            remaining -= chunk
-        step_timings[method] = trainer.median_step_seconds
-        backward_timings[method] = trainer.median_backward_seconds
+        remaining -= chunk
+        turn += 1
+    step_timings = {method: t.median_step_seconds for method, t in trainers.items()}
+    backward_timings = {method: t.median_backward_seconds for method, t in trainers.items()}
     return {
         "seconds_per_step": step_timings,
         "backward_seconds_per_step": backward_timings,

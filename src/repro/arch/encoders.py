@@ -20,6 +20,7 @@ import numpy as np
 
 from ..nn.attention import TransformerBlock
 from ..nn.conv import Conv2d, MaxPool2d
+from ..nn.functional import field_lookup
 from ..nn.graph import GraphConv, GraphReadout
 from ..nn.layers import Embedding, Linear, ReLU, Sequential
 from ..nn.module import Module, ModuleList, Parameter
@@ -87,8 +88,7 @@ class TabularEncoder(Module):
             raise ValueError(
                 f"expected (batch, {len(self.field_sizes)}) integer fields; got {x.shape}"
             )
-        embedded = [emb(x[:, i]) for i, emb in enumerate(self.embeddings)]
-        return self.mlp(concat(embedded, axis=1))
+        return self.mlp(field_lookup([emb.weight for emb in self.embeddings], x))
 
 
 class ConvEncoder(Module):

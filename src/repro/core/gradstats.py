@@ -24,6 +24,8 @@ and if nobody reads :attr:`gram` the GEMM never runs.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["GradStats", "gram_matrix"]
@@ -120,11 +122,15 @@ class GradStats:
         if self._cosine is None:
             norms = self.norms
             safe = np.where(self.nonzero, norms, 1.0)
-            cos = self.gram / np.outer(safe, safe)
-            dead = ~self.nonzero
-            cos[dead, :] = 0.0
-            cos[:, dead] = 0.0
-            np.clip(cos, -1.0, 1.0, out=cos)
+            cos = self.gram / (safe[:, None] * safe[None, :])
+            if not self.nonzero.all():
+                dead = ~self.nonzero
+                cos[dead, :] = 0.0
+                cos[:, dead] = 0.0
+            # clip as two ufuncs: np.clip's Python wrapper costs more than
+            # the K×K work on this per-step path.
+            np.maximum(cos, -1.0, out=cos)
+            np.minimum(cos, 1.0, out=cos)
             np.fill_diagonal(cos, 1.0)
             self._cosine = cos
         return self._cosine
@@ -201,8 +207,7 @@ class GradStats:
         pairs = num_tasks * (num_tasks - 1) // 2
         if pairs == 0:
             return 0, 0
-        upper = self.conflict_mask[np.triu_indices(num_tasks, k=1)]
-        return pairs, int(np.count_nonzero(upper))
+        return pairs, int(np.count_nonzero(self.conflict_mask[_upper_triangle(num_tasks)]))
 
     def __repr__(self) -> str:
         computed = [
@@ -217,3 +222,9 @@ class GradStats:
         ]
         shape = self.grads.shape
         return f"GradStats(shape={shape}, computed={computed})"
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_triangle(num_tasks: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(num_tasks, k=1)``, built once per task count."""
+    return np.triu_indices(num_tasks, k=1)

@@ -33,6 +33,7 @@ from .layers import (
 )
 from .arena import ParameterArena, packed_segment
 from .module import Module, ModuleList, Parameter
+from .profile import OpProfile
 from .optim import Adam, AdaGrad, Optimizer, RMSProp, SGD
 from .schedulers import CosineAnnealing, InversePower, InverseSqrt, Scheduler, StepDecay
 from .serialization import load_checkpoint, load_state, save_checkpoint
@@ -62,6 +63,7 @@ __all__ = [
     "functional",
     "init",
     "Tensor",
+    "OpProfile",
     "as_tensor",
     "backward_multi",
     "register_multi_adjoint",

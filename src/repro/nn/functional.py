@@ -7,11 +7,23 @@ otherwise, because the multi-task trainer back-propagates one scalar per task.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .tensor import Tensor, as_tensor, where
+from .tensor import (
+    Tensor,
+    _matmul_grads,
+    _scatter_rows,
+    as_tensor,
+    register_multi_adjoint,
+    unbroadcast_lead,
+    where,
+)
 
 __all__ = [
+    "linear",
+    "field_lookup",
     "relu",
     "leaky_relu",
     "sigmoid",
@@ -27,6 +39,59 @@ __all__ = [
     "nll_loss",
     "cosine_similarity",
 ]
+
+
+# ----------------------------------------------------------------------
+# Fused ops.  Each is one graph node whose forward and adjoint run the
+# numpy calls of the composite it replaces, in the same order, so values
+# and gradients are bitwise equal to that composite (the composites are
+# the oracles in tests/reference/nn.py).
+# ----------------------------------------------------------------------
+def linear(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x @ weight.T + bias`` as one node (``x`` may be an ndarray)."""
+    x = as_tensor(x)
+    data = x.data @ weight.data.T
+    parents = (x, weight)
+    if bias is not None:
+        data = data + bias.data
+        parents = (x, weight, bias)
+    return x._make_child(data, parents, "linear")
+
+
+def _adj_linear(node, g):
+    # The composite's add -> matmul -> transpose adjoints, in that order.
+    x, weight = node._prev[:2]
+    grad_x, grad_wt = _matmul_grads(x.data, weight.data.T, g, x.requires_grad, weight.requires_grad)
+    grad_w = None if grad_wt is None else grad_wt.transpose(0, 2, 1)
+    if len(node._prev) == 2:
+        return grad_x, grad_w
+    return grad_x, grad_w, unbroadcast_lead(g, node._prev[2].data.shape)
+
+
+def field_lookup(tables, ids) -> Tensor:
+    """``concat([tables[f][ids[:, f]] for f], axis=1)`` as one node.
+
+    ``ids`` is a ``(batch, F)`` integer matrix and ``tables`` the ``F``
+    embedding weights, all of one width.  The backward scatters every
+    field into one stacked table with a single ``np.bincount`` and hands
+    each table its slice.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    data = np.concatenate([table.data[ids[:, f]] for f, table in enumerate(tables)], axis=1)
+    out = tables[0]._make_child(data, tables, "field_lookup")
+    if out.requires_grad:
+        out._ctx = ids
+    return out
+
+
+def _adj_field_lookup(node, g):
+    ids = node._ctx
+    sizes = np.array([table.data.shape[0] for table in node._prev])
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    rows = ids % sizes + offsets[:-1]
+    g = g.reshape((g.shape[0],) + ids.shape + node._prev[0].data.shape[1:])
+    stacked = _scatter_rows(g, rows, int(offsets[-1]))
+    return tuple(stacked[:, start:stop] for start, stop in zip(offsets[:-1], offsets[1:]))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -92,14 +157,40 @@ def huber_loss(prediction: Tensor, target, delta: float = 1.0) -> Tensor:
 
 
 def bce_with_logits(logits: Tensor, target) -> Tensor:
-    """Numerically stable binary cross entropy on raw logits.
+    """Numerically stable binary cross entropy on raw logits, as one node.
 
-    Uses ``max(x, 0) - x*y + log(1 + exp(-|x|))``.
+    The mean of ``max(x, 0) - x*y + log(1 + exp(-|x|))``; ``target`` is a
+    constant.
     """
-    target = as_tensor(target)
-    positive = logits.clip(0.0, np.inf)
-    softplus = (1.0 + (-logits.abs()).exp()).log()
-    return (positive - logits * target + softplus).mean()
+    x = logits.data
+    y = as_tensor(target).data
+    positive = np.clip(x, 0.0, np.inf)
+    exp = np.exp(np.clip(-np.abs(x), -700.0, 700.0))
+    shifted = exp + 1.0
+    elements = positive - x * y + np.log(shifted)
+    out = logits._make_child(elements.sum() * (1.0 / elements.size), (logits,), "bce_with_logits")
+    if out.requires_grad:
+        out._ctx = (y, exp, shifted, elements.shape)
+    return out
+
+
+def _adj_bce_with_logits(node, g):
+    # The composite's eleven adjoints; the three paths into the logits
+    # sum as (clip + mul) + abs, the order its graph walk merged them in.
+    y, exp, shifted, shape = node._ctx
+    x = node._prev[0].data
+    g = g * (1.0 / math.prod(shape))
+    g = np.broadcast_to(g.reshape((g.shape[0],) + (1,) * len(shape)), (g.shape[0],) + shape).copy()
+    to_x = unbroadcast_lead(g, x.shape)
+    through_clip = to_x * ((x >= 0.0) & (x <= np.inf))
+    through_mul = unbroadcast_lead(-g * y, x.shape)
+    through_abs = -(to_x / shifted * exp) * np.sign(x)
+    return (through_clip + through_mul + through_abs,)
+
+
+register_multi_adjoint("linear", _adj_linear)
+register_multi_adjoint("field_lookup", _adj_field_lookup)
+register_multi_adjoint("bce_with_logits", _adj_bce_with_logits)
 
 
 def cross_entropy(logits: Tensor, target_indices, axis: int = -1) -> Tensor:

@@ -11,6 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import init as init_module
+from .functional import gelu, linear
 from .module import Module, ModuleList, Parameter
 from .tensor import Tensor
 
@@ -48,10 +49,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -155,8 +153,6 @@ class Sigmoid(Module):
 
 class GELU(Module):
     def forward(self, x: Tensor) -> Tensor:
-        from .functional import gelu
-
         return gelu(x)
 
 

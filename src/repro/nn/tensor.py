@@ -28,12 +28,16 @@ Design notes
   the operand shape via :func:`unbroadcast_lead`.
 - ``no_grad`` disables graph construction for evaluation loops and optimizer
   arithmetic.
+- An active :class:`~repro.nn.profile.OpProfile` (per thread) is told about
+  every op at ``_make_child`` and at the one adjoint dispatch in
+  :func:`backward_multi`; with none active each pays one ``is None`` check.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
+import time
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,6 +73,9 @@ class _GradState(threading.local):
 
     grad_enabled = True
     inference = False
+    #: the :class:`~repro.nn.profile.OpProfile` recording this thread's
+    #: ops, or None (the default: one ``is None`` branch per op)
+    ops = None
 
 
 _STATE = _GradState()
@@ -258,6 +265,9 @@ class Tensor:
             out.requires_grad = True
             out._prev = tuple(parents)
             out._op = op
+        ops = _STATE.ops
+        if ops is not None:
+            ops.record_forward(op, out.data.nbytes)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -533,22 +543,31 @@ def _adj_clip(node, g):
 
 def _adj_matmul(node, g):
     a, b = node._prev
-    ad, bd = a.data, b.data
+    return _matmul_grads(a.data, b.data, g, a.requires_grad, b.requires_grad)
+
+
+def _matmul_grads(ad, bd, g, need_a, need_b):
+    """Gradients of ``ad @ bd`` for a ``(R, *out.shape)`` upstream ``g``.
+
+    Shared by the ``matmul`` and ``linear`` adjoints, so a fused
+    :func:`~repro.nn.functional.linear` runs the same numpy calls as the
+    ``matmul`` node it replaces.
+    """
     grad_a = grad_b = None
     if ad.ndim == 2 and bd.ndim == 2:
         # Fast path for Linear layers: collapse the root axis into one big
         # GEMM instead of numpy's per-root batched-matmul loop.
         num_roots = g.shape[0]
         flat = np.ascontiguousarray(g).reshape(-1, g.shape[-1])  # (R*B, M)
-        if a.requires_grad:
+        if need_a:
             grad_a = (flat @ bd.T).reshape(num_roots, *ad.shape)
-        if b.requires_grad:
+        if need_b:
             # ad.T (N, B) @ g as (B, R*M) -> (N, R, M) -> (R, N, M)
             swapped = g.transpose(1, 0, 2).reshape(ad.shape[0], -1)
             grad_b = (ad.T @ swapped).reshape(bd.shape[0], num_roots, bd.shape[1])
             grad_b = grad_b.transpose(1, 0, 2)
         return grad_a, grad_b
-    if a.requires_grad:
+    if need_a:
         if bd.ndim == 1:
             grad_a = g[..., None] * bd
         elif ad.ndim == 1:
@@ -559,7 +578,7 @@ def _adj_matmul(node, g):
             grad_a = g @ np.swapaxes(bd, -1, -2)
             if grad_a.shape[1:] != ad.shape:
                 grad_a = unbroadcast_lead(grad_a, ad.shape)
-    if b.requires_grad:
+    if need_b:
         if ad.ndim == 1 and bd.ndim == 1:
             grad_b = g[..., None] * ad
         elif ad.ndim == 1:
@@ -623,9 +642,29 @@ def _adj_transpose(node, g):
     return (g.transpose((0,) + tuple(a + 1 for a in inverse)),)
 
 
+def _scatter_rows(g, rows, num_rows):
+    """Sum ``g``'s rows into a ``(R, num_rows, *rest)`` table at ``rows``.
+
+    ``g`` is ``(R, *rows.shape, *rest)`` and ``rows`` holds ids in
+    ``[0, num_rows)``.  This is ``np.add.at(zeros, (slice(None), rows), g)``
+    as one flattened ``np.bincount``: both start every bin at zero and add
+    its contributions in index order, so the result is bitwise equal.
+    """
+    num_roots = g.shape[0]
+    rest = g.shape[1 + rows.ndim :]
+    width = int(np.prod(rest, dtype=np.int64))
+    bins = np.arange(num_roots)[:, None] * num_rows + rows.reshape(1, -1)
+    bins = (bins[:, :, None] * width + np.arange(width)).reshape(-1)
+    table = np.bincount(bins, weights=g.reshape(-1), minlength=num_roots * num_rows * width)
+    return table.reshape((num_roots, num_rows) + rest)
+
+
 def _adj_getitem(node, g):
     index = node._ctx
     src_shape = node._prev[0].data.shape
+    if type(index) is np.ndarray and index.dtype.kind == "i":
+        # An embedding lookup: one bincount instead of np.add.at.
+        return (_scatter_rows(g, index % src_shape[0], src_shape[0]),)
     grad = np.zeros((g.shape[0],) + src_shape, dtype=np.float64)
     full_index = (slice(None),) + (index if isinstance(index, tuple) else (index,))
     np.add.at(grad, full_index, g)
@@ -744,6 +783,9 @@ def backward_multi(
     Every other leaf (and ``retain_grad`` tensor) accumulates the *sum over
     roots* into ``.grad``, exactly as K sequential backward calls would.
     """
+    ops = _STATE.ops
+    if ops is not None:
+        walk_start = time.perf_counter()
     roots = list(roots)
     if not roots:
         raise ValueError("backward_multi needs at least one root")
@@ -843,9 +885,15 @@ def backward_multi(
             raise NotImplementedError(
                 f"op {node._op!r} has no backward; give it one with register_multi_adjoint"
             )
-        for parent, parent_stack in zip(node._prev, adjoint(node, grad_stack)):
+        if ops is None:
+            parent_stacks = adjoint(node, grad_stack)
+        else:
+            parent_stacks = ops.run_adjoint(node, adjoint, grad_stack)
+        for parent, parent_stack in zip(node._prev, parent_stacks):
             if parent_stack is not None and parent.requires_grad:
                 _merge(parent, ids, parent_stack)
+    if ops is not None:
+        ops.record_walk(time.perf_counter() - walk_start)
     return [separated[id(t)] for t in per_root]
 
 

@@ -13,7 +13,9 @@ Three layers, smallest on top:
 - **Flight recorder** (:mod:`repro.obs.profiler`,
   :mod:`repro.obs.recorder`): Chrome ``trace_event`` timeline export
   with per-phase self-time attribution, and a bounded-memory per-step
-  conflict-dynamics recorder rendered by ``repro report --dynamics``.
+  conflict-dynamics recorder rendered by ``repro report --dynamics``,
+  and the per-op engine profile (:class:`repro.nn.OpProfile`) a
+  profiled trainer writes, rendered by ``repro report --ops``.
 
 :class:`Telemetry` bundles the three; ``NULL_TELEMETRY`` is the shared
 no-op used when instrumentation is off.  See DESIGN.md ("Observability")
@@ -25,11 +27,13 @@ from .profiler import Profiler
 from .recorder import DynamicsRecorder
 from .report import (
     format_dynamics,
+    format_ops,
     format_report,
     load_events,
     load_run_events,
     summarize_dynamics,
     summarize_events,
+    summarize_ops,
 )
 from .sinks import InMemorySink, JsonlSink, NullSink, Sink
 from .telemetry import (
@@ -66,4 +70,6 @@ __all__ = [
     "DynamicsRecorder",
     "summarize_dynamics",
     "format_dynamics",
+    "summarize_ops",
+    "format_ops",
 ]

@@ -41,6 +41,8 @@ __all__ = [
     "format_report",
     "summarize_dynamics",
     "format_dynamics",
+    "summarize_ops",
+    "format_ops",
 ]
 
 
@@ -465,5 +467,77 @@ def format_dynamics(summary: Mapping) -> str:
         lines.append(
             f"{name:<{name_width}} {values[0]:>10.4f} {min(values):>10.4f} "
             f"{max(values):>10.4f} {values[-1]:>10.4f}  {_sparkline(values)}"
+        )
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Per-op engine profile (``repro report --ops``)
+# ----------------------------------------------------------------------
+def summarize_ops(events: Iterable[Mapping]) -> dict:
+    """Pool the ``ops`` events of :class:`~repro.nn.profile.OpProfile`.
+
+    Each profiled trainer writes a cumulative snapshot per ``fit``, so the
+    last event per telemetry instance (``tid``) wins; instances then add.
+    Returns ``{"forward": {op: [calls, seconds, bytes]}, "backward": {…},
+    "walks": [walks, seconds]}``.
+    """
+    latest: dict = {}
+    for event in events:
+        if event.get("type") == "ops":
+            latest[event.get("tid", 0)] = event
+    pooled: dict = {"forward": {}, "backward": {}, "walks": [0, 0.0]}
+    for event in latest.values():
+        for phase in ("forward", "backward"):
+            for op, stats in (event.get(phase) or {}).items():
+                total = pooled[phase].setdefault(op, [0, 0.0, 0])
+                for i in range(3):
+                    total[i] += stats[i]
+        walks = event.get("walks") or [0, 0.0]
+        pooled["walks"][0] += walks[0]
+        pooled["walks"][1] += walks[1]
+    return pooled
+
+
+def format_ops(summary: Mapping) -> str:
+    """Per-op table, most expensive first, from :func:`summarize_ops`."""
+    if not summary["forward"] and not summary["backward"]:
+        return (
+            "No op profile found — run training with the flight recorder on\n"
+            "(python -m repro train --profile trace.json --telemetry out.jsonl)."
+        )
+    rows = [
+        (phase, op, stats)
+        for phase in ("forward", "backward")
+        for op, stats in summary[phase].items()
+    ]
+    grand = sum(stats[1] for _phase, _op, stats in rows) or 1.0
+    rows.sort(key=lambda row: -row[2][1])
+    table = [
+        [
+            op,
+            phase,
+            int(stats[0]),
+            stats[1] * 1e3,
+            stats[1] / stats[0] * 1e6 if stats[0] else 0.0,
+            f"{100.0 * stats[1] / grand:.1f}%",
+            stats[2] / 2**20,
+        ]
+        for phase, op, stats in rows
+    ]
+    lines = [
+        _format_table(
+            ["Op", "Phase", "Calls", "Total ms", "us/call", "Share", "Out MiB"],
+            table,
+            title="Per-op engine profile (forward: lap since the previous op)",
+        )
+    ]
+    walks, walk_seconds = summary["walks"]
+    if walks:
+        adjoint_seconds = sum(stats[1] for stats in summary["backward"].values())
+        lines.append(
+            f"backward walks: {int(walks)}, {walk_seconds * 1e3:.3f} ms total, "
+            f"{(walk_seconds - adjoint_seconds) * 1e3:.3f} ms outside the adjoints "
+            "(sort, merges, leaf accumulation)"
         )
     return "\n".join(lines)

@@ -90,6 +90,8 @@ class Telemetry:
         self._enabled = enabled
         self.sinks: list[Sink] = list(sinks)
         self.registry = MetricsRegistry()
+        #: span path -> its ``span_seconds`` histogram (per-span hot path)
+        self._span_histograms: dict[str, object] = {}
         self.tracer = Tracer(on_close=self._on_span_close if enabled else None)
 
     # ------------------------------------------------------------------
@@ -124,9 +126,12 @@ class Telemetry:
         self.tracer.reset()
 
     def _on_span_close(self, record: SpanRecord) -> None:
-        self.registry.histogram(
-            "span_seconds", buckets=SECONDS_BUCKETS, span=record.path
-        ).observe(record.duration)
+        histogram = self._span_histograms.get(record.path)
+        if histogram is None:
+            histogram = self._span_histograms[record.path] = self.registry.histogram(
+                "span_seconds", buckets=SECONDS_BUCKETS, span=record.path
+            )
+        histogram.observe(record.duration)
         if self.sinks:
             event = record.to_event()
             event["tid"] = self.id

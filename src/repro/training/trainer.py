@@ -74,6 +74,7 @@ from ..data.base import MULTI_INPUT, SINGLE_INPUT, ArrayDataset, TaskSpec
 from ..data.streaming import DataLoader
 from ..nn.arena import ParameterArena
 from ..nn.optim import SGD, Adam, AdaGrad, Optimizer, RMSProp
+from ..nn.profile import active_op_profile
 from ..nn.tensor import Tensor, backward_multi
 from ..nn.utils import grad_vector_from_slots, set_grad_from_vector
 from ..obs import NULL_TELEMETRY, DynamicsRecorder, Profiler, Telemetry, default_sinks
@@ -481,6 +482,11 @@ class MTLTrainer:
                 # graphs, even if the previous step raised part-way.
                 self.arena.zero_grad()
                 self.source.retained.clear()
+            ops = active_op_profile()
+            if ops is not None:
+                # The step's first forward lap starts here, not at the
+                # previous step's optimizer or the data loader.
+                ops.restart_lap()
             grads, losses = collect(*batch, telemetry)
             self._update(grads, losses, telemetry)
         self._finish_step(losses)

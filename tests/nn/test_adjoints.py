@@ -11,6 +11,7 @@ import pytest
 
 # Importing repro.nn also registers the adjoints of repro.nn.conv.
 from repro.nn import Tensor, backward_multi, concat, pad2d, register_multi_adjoint, stack, where
+from repro.nn.functional import bce_with_logits, field_lookup, linear
 from repro.nn.tensor import _MULTI_ADJOINTS
 
 from ..conftest import numerical_gradient
@@ -20,6 +21,8 @@ NUM_ROOTS = 3
 # Distinct values away from 0 and from the clip bounds, so every op is
 # differentiable at the check point and ``max`` has no ties.
 _GRID = np.linspace(-1.45, 1.45, 12)[np.random.default_rng(3).permutation(12)]
+_LABELS = (np.arange(12).reshape(3, 4) % 3 == 0).astype(float)
+_FIELD_IDS = np.array([[0, 1], [1, 1], [-1, 0], [0, 0]])
 
 # op -> list of (function of x, shape of x).  Every function's graph must
 # contain a node of its op.
@@ -62,6 +65,17 @@ CASES = {
     "stack": [(lambda x: stack([x, x.exp()], axis=1), (3, 4))],
     "where": [(lambda x: where(_GRID.reshape(3, 4) > 0, x, x * x), (3, 4))],
     "pad2d": [(lambda x: pad2d(x, 1), (1, 2, 3, 2))],
+    "linear": [
+        (lambda x: linear(x, x[:2], x[0, :2]), (3, 4)),
+        (lambda x: linear(x, x[0], x[1, 0, :2]), (2, 2, 3)),
+        (lambda x: linear(_GRID[:8].reshape(2, 4), x, x[0, :3]), (3, 4)),
+        (lambda x: linear(x, x[1:]), (3, 4)),
+    ],
+    "bce_with_logits": [
+        (lambda x: bce_with_logits(x, _LABELS), (3, 4)),
+        (lambda x: bce_with_logits(x * 4.0, np.linspace(0.0, 1.0, 4)), (3, 4)),
+    ],
+    "field_lookup": [(lambda x: field_lookup([x[:2], x[1:] * 2.0], _FIELD_IDS), (3, 4))],
 }
 
 PARAMS = [

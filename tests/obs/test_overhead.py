@@ -5,7 +5,8 @@ sink attached, an instrumented ``train_step_single`` must stay within
 1.5× the median uninstrumented step time on the synthetic benchmark.
 The same bar applies to the full flight recorder (profiler collecting
 every span + per-step dynamics recording) in its default configuration
-(memory tracking off).
+(memory tracking off), and to the per-op engine profile
+(``repro.nn.OpProfile``).
 
 The two trainers are stepped in alternation (A, B, A, B, …) so that any
 background load on the test machine inflates both medians equally rather
@@ -87,3 +88,32 @@ def test_full_flight_recorder_within_1_5x_of_uninstrumented():
             steps=120, warmup=10, **kwargs
         )
     _assert_within_1_5x(uninstrumented, instrumented, "flight recorder")
+
+
+def measure_op_profile_overhead(steps=40, warmup=5):
+    """Median step times (bare, inside an OpProfile), interleaved."""
+    from repro.nn import OpProfile
+
+    bare = _make_trainer(NULL_TELEMETRY)
+    profiled = _make_trainer(NULL_TELEMETRY)
+    ops = OpProfile()
+    bare_times, profiled_times = [], []
+    for step in range(warmup + steps):
+        bare_elapsed = _timed_step(*bare)
+        start = time.perf_counter()
+        with ops:
+            profiled[0].train_step_single(*profiled[1:])
+        profiled_elapsed = time.perf_counter() - start
+        if step >= warmup:
+            bare_times.append(bare_elapsed)
+            profiled_times.append(profiled_elapsed)
+    assert ops.walks[0] == warmup + steps
+    return float(np.median(bare_times)), float(np.median(profiled_times))
+
+
+def test_op_profile_within_1_5x_of_uninstrumented():
+    """The per-op engine profile (calls, seconds, bytes per op) stays ≤ 1.5×."""
+    uninstrumented, instrumented = measure_op_profile_overhead()
+    if instrumented > 1.5 * uninstrumented:
+        uninstrumented, instrumented = measure_op_profile_overhead(steps=120, warmup=10)
+    _assert_within_1_5x(uninstrumented, instrumented, "op profile")

@@ -271,3 +271,36 @@ class TestHistogramPooling:
         report = format_report(summary)
         assert "Histograms" in report
         assert "latency" in report
+
+
+class TestOps:
+    def _event(self, tid, linear_calls, walks=1):
+        return {
+            "type": "ops",
+            "tid": tid,
+            "forward": {"linear": [linear_calls, 0.002, 64], "relu": [1, 0.001, 32]},
+            "backward": {"linear": [linear_calls, 0.003, 128]},
+            "walks": [walks, 0.004],
+        }
+
+    def test_last_snapshot_per_tid_then_sum(self):
+        from repro.obs import summarize_ops
+
+        events = [self._event(1, 2), self._event(1, 5), self._event(2, 1), {"type": "span"}]
+        summary = summarize_ops(events)
+        assert summary["forward"]["linear"] == [6, 0.004, 128]
+        assert summary["backward"]["linear"] == [6, 0.006, 256]
+        assert summary["walks"] == [2, 0.008]
+
+    def test_format_sorts_by_time_and_reports_walk_overhead(self):
+        from repro.obs import format_ops, summarize_ops
+
+        text = format_ops(summarize_ops([self._event(1, 3)]))
+        rows = [line.split()[:2] for line in text.splitlines()[3:6]]
+        assert rows == [["linear", "backward"], ["linear", "forward"], ["relu", "forward"]]
+        assert "1.000 ms outside the adjoints" in text
+
+    def test_empty_stream(self):
+        from repro.obs import format_ops, summarize_ops
+
+        assert format_ops(summarize_ops([])).startswith("No op profile found")

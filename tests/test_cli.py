@@ -142,6 +142,22 @@ class TestTelemetryCLI:
         assert "step/backward" in out
         assert "mocograd" in out
 
+    def test_train_profile_writes_ops_and_report_renders_them(self, capsys, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        argv = ["train", "--steps", "3", "--tasks", "2", "--telemetry", path]
+        assert main(argv + ["--profile", str(tmp_path / "trace.json")]) == 0
+        assert "Per-op engine profile" in capsys.readouterr().out
+        assert main(["report", path, "--ops"]) == 0
+        out = capsys.readouterr().out
+        assert "linear" in out and "backward walks: 3" in out
+
+    def test_report_ops_without_profile_says_so(self, capsys, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        assert main(["train", "--steps", "2", "--tasks", "2", "--telemetry", path]) == 0
+        capsys.readouterr()
+        assert main(["report", path, "--ops"]) == 0
+        assert "No op profile found" in capsys.readouterr().out
+
     def test_report_without_path_errors(self):
         with pytest.raises(SystemExit):
             main(["report"])
