@@ -10,12 +10,17 @@ Every ``BENCH_*.json`` report carries the same provenance block so
 - ``source_sha1`` — a digest of the measured code (``src/``,
   ``tests/reference/`` and ``benchmarks/*.py``, as on disk), so a report
   measured on a tree before it was committed still names that tree;
-- ``platform`` / ``python`` / ``numpy`` — the environment fingerprint.
+- ``platform`` / ``python`` / ``numpy`` — the environment fingerprint;
+- ``cpu_model``, ``nproc`` (CPUs this process may run on), ``blas`` (the
+  BLAS numpy links against) and ``openblas_num_threads`` (the
+  ``OPENBLAS_NUM_THREADS`` value, ``None`` when unset) — the host
+  fingerprint, the same fields ``perfbench/run.py`` records.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import platform
 import subprocess
 import sys
@@ -66,8 +71,29 @@ def source_digest() -> str:
     return digest.hexdigest()
 
 
+def cpu_model() -> str:
+    """The CPU's model name (``/proc/cpuinfo`` on Linux)."""
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def blas_name() -> str:
+    """Name and version of the BLAS numpy links against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except Exception:  # noqa: BLE001 — older numpy has no dict mode
+        return "unknown"
+    return f"{blas.get('name')} {blas.get('version', '')}".strip()
+
+
 def provenance() -> dict:
     """The provenance block every benchmark report embeds."""
+    affinity = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
     return {
         "schema": BENCH_SCHEMA,
         "git_sha": git_sha(),
@@ -75,4 +101,8 @@ def provenance() -> dict:
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "cpu_model": cpu_model(),
+        "nproc": affinity or os.cpu_count(),
+        "blas": blas_name(),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }

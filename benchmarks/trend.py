@@ -11,7 +11,9 @@ its ``git_sha`` is HEAD's, or when its ``source_sha1`` is the digest of the
 code on disk (a report measured on a tree before that tree was committed).
 Any other report is printed as ``stale <sha>`` and is neither gated nor
 recorded, so an old file left on disk cannot be stamped with a later
-commit.
+commit.  Every report is listed with its SHA and the host it was
+measured on (CPU model, ``nproc``, BLAS, ``OPENBLAS_NUM_THREADS``), or
+``host not recorded`` for a report written before that fingerprint.
 
 Tracked metrics (label → speedup):
 
@@ -147,14 +149,30 @@ def measured_at(report: dict, sha: str, source: str | None = None) -> bool:
     return recorded.startswith(sha) or sha.startswith(recorded)
 
 
-def collect_measured(root: Path, sha: str) -> tuple[dict[str, float], dict[str, str]]:
+def describe_host(report: dict) -> str:
+    """The host fingerprint of a report, or ``host not recorded``."""
+    if "cpu_model" not in report:
+        return "host not recorded"
+    threads = report.get("openblas_num_threads")
+    return (
+        f"{report['cpu_model']}, nproc {report.get('nproc', '?')}, "
+        f"{report.get('blas', 'unknown BLAS')}, "
+        f"OPENBLAS_NUM_THREADS {'unset' if threads is None else threads}"
+    )
+
+
+def collect_measured(
+    root: Path, sha: str
+) -> tuple[dict[str, float], dict[str, str], list[str]]:
     """Read every BENCH_*.json (except the trend file) under ``root``.
 
-    Returns ``{label: speedup}`` of the reports measured at ``sha`` and
-    ``{label: recorded sha}`` of the stale rest.
+    Returns ``{label: speedup}`` of the reports measured at ``sha``,
+    ``{label: recorded sha}`` of the stale rest, and one line per report
+    naming its file, SHA and host.
     """
     current: dict[str, float] = {}
     stale: dict[str, str] = {}
+    sources: list[str] = []
     source = source_digest()
     for path in sorted(root.glob("BENCH_*.json")):
         if path.name == TREND_FILE:
@@ -165,11 +183,14 @@ def collect_measured(root: Path, sha: str) -> tuple[dict[str, float], dict[str, 
             print(f"warning: skipping unreadable {path.name}: {exc}", file=sys.stderr)
             continue
         metrics = extract_metrics(report)
+        sources.append(
+            f"{path.name}  {report.get('git_sha', 'unknown')}  {describe_host(report)}"
+        )
         if measured_at(report, sha, source):
             current.update(metrics)
         else:
             stale.update(dict.fromkeys(metrics, str(report.get("git_sha", "unknown"))))
-    return current, stale
+    return current, stale, sources
 
 
 def load_history(path: Path) -> list[dict]:
@@ -268,10 +289,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     sha = git_sha()
-    current, stale = collect_measured(args.root, sha)
+    current, stale, sources = collect_measured(args.root, sha)
     if not current and not stale:
         print("no BENCH_*.json reports found — run the benchmarks first", file=sys.stderr)
         return 2
+    print("reports:")
+    for line in sources:
+        print(f"  {line}")
 
     trend_path = args.root / TREND_FILE
     history = load_history(trend_path)

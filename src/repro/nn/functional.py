@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .tensor import (
+    RowGrad,
     Tensor,
     _matmul_grads,
     _scatter_rows,
@@ -23,6 +24,7 @@ from .tensor import (
 
 __all__ = [
     "linear",
+    "embedding",
     "field_lookup",
     "relu",
     "leaky_relu",
@@ -66,6 +68,30 @@ def _adj_linear(node, g):
     if len(node._prev) == 2:
         return grad_x, grad_w
     return grad_x, grad_w, unbroadcast_lead(g, node._prev[2].data.shape)
+
+
+def embedding(weight: Tensor, ids) -> Tensor:
+    """``weight[ids]`` as one node whose gradient is row-sparse.
+
+    The backward scatters into the distinct rows ``ids`` touched, with one
+    ``np.bincount`` over those rows alone, and returns them as a
+    :class:`~repro.nn.tensor.RowGrad`.  Each bin sums its contributions in
+    index order, as the dense ``getitem`` scatter does, so every touched
+    row is bitwise equal to the dense table and every other row is zero.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    out = weight._make_child(weight.data[ids], (weight,), "embedding")
+    if out.requires_grad:
+        out._ctx = ids
+    return out
+
+
+def _adj_embedding(node, g):
+    ids = node._ctx
+    num_rows = node._prev[0].data.shape[0]
+    rows, inverse = np.unique(ids % num_rows, return_inverse=True)
+    values = _scatter_rows(g, inverse.reshape(ids.shape), len(rows))
+    return (RowGrad(values, rows, num_rows),)
 
 
 def field_lookup(tables, ids) -> Tensor:
@@ -189,6 +215,7 @@ def _adj_bce_with_logits(node, g):
 
 
 register_multi_adjoint("linear", _adj_linear)
+register_multi_adjoint("embedding", _adj_embedding)
 register_multi_adjoint("field_lookup", _adj_field_lookup)
 register_multi_adjoint("bce_with_logits", _adj_bce_with_logits)
 

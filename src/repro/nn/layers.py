@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import init as init_module
-from .functional import gelu, linear
+from .functional import embedding, gelu, linear
 from .module import Module, ModuleList, Parameter
 from .tensor import Tensor
 
@@ -62,8 +62,7 @@ class Embedding(Module):
         self.weight = Parameter(init_module.normal((num_embeddings, embedding_dim), rng, std=0.05))
 
     def forward(self, indices) -> Tensor:
-        indices = np.asarray(indices, dtype=np.int64)
-        return self.weight[indices]
+        return embedding(self.weight, indices)
 
 
 class Dropout(Module):

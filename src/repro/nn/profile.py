@@ -17,7 +17,11 @@ profile active each costs one ``is None`` branch per op.
   walk (topological sort, buffer merges, leaf accumulation) is
   ``walks`` minus the adjoint total.
 - **Bytes** are the ``nbytes`` of the op's output (forward) or of the
-  parent gradients its adjoint returns (backward), views included.
+  parent gradients its adjoint returns (backward), views included; a
+  :class:`~repro.nn.tensor.RowGrad` counts its values and rows.
+- **Faults** are the minor page faults the thread took during each
+  walk (``getrusage(RUSAGE_THREAD)``, read only while a profile is
+  active): a fresh multi-MB gradient array faults in page by page.
 
 ``python -m repro train --profile …`` records one around its run and
 writes it as an ``ops`` telemetry event, which
@@ -26,6 +30,7 @@ writes it as an ``ops`` telemetry event, which
 
 from __future__ import annotations
 
+import resource
 import time
 
 from . import tensor as _tensor
@@ -33,6 +38,11 @@ from . import tensor as _tensor
 __all__ = ["OpProfile", "active_op_profile"]
 
 _clock = time.perf_counter
+_RUSAGE = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(_RUSAGE).ru_minflt
 
 
 class OpProfile:
@@ -52,8 +62,9 @@ class OpProfile:
         #: op -> [calls, seconds, bytes]
         self.forward: dict[str, list] = {}
         self.backward: dict[str, list] = {}
-        #: [backward walks, seconds] over whole ``backward_multi`` calls
-        self.walks = [0, 0.0]
+        #: [backward walks, seconds, minor page faults] over whole
+        #: ``backward_multi`` calls
+        self.walks = [0, 0.0, 0]
         self._lap = 0.0
         self._outer: list = []
 
@@ -96,11 +107,16 @@ class OpProfile:
                 stats[2] += parent_stack.nbytes
         return parent_stacks
 
-    def record_walk(self, seconds: float) -> None:
-        """Count one finished ``backward_multi`` walk; restarts the lap."""
-        self.walks[0] += 1
-        self.walks[1] += seconds
+    def start_walk(self) -> tuple[float, int]:
+        """The clock and fault count a ``backward_multi`` walk starts at."""
+        return _clock(), _minor_faults()
+
+    def record_walk(self, start: tuple[float, int]) -> None:
+        """Count one walk begun at ``start``; restarts the lap."""
         self._lap = _clock()
+        self.walks[0] += 1
+        self.walks[1] += self._lap - start[0]
+        self.walks[2] += _minor_faults() - start[1]
 
     def to_dict(self) -> dict:
         """A JSON-ready copy: ``{"forward", "backward", "walks"}``."""

@@ -15,6 +15,11 @@ Design notes
   gradient — one row per backward root — to ``(R, *parent.shape)`` parent
   gradients.  :func:`backward_multi` is the only graph walk;
   :meth:`Tensor.backward` is its one-root case (R = 1).
+- An adjoint may return a :class:`RowGrad` for a table parent it touched
+  in only a few rows (the ``embedding`` op does).  A ``per_root`` leaf
+  takes it as a zeroed slot plus the touched rows (its segment of
+  ``backward_multi``'s ``out`` matrix, when given); every other parent
+  gets it densified on arrival, so row sparsity never changes a result.
 - During a backward pass intermediate gradients live in a transient
   dictionary; only *leaf* tensors (parameters, inputs) and tensors marked
   via :meth:`Tensor.retain_grad` accumulate into ``.grad``.  This makes
@@ -37,13 +42,13 @@ from __future__ import annotations
 
 import contextlib
 import threading
-import time
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
+    "RowGrad",
     "backward_multi",
     "register_multi_adjoint",
     "no_grad",
@@ -563,7 +568,7 @@ def _matmul_grads(ad, bd, g, need_a, need_b):
             grad_a = (flat @ bd.T).reshape(num_roots, *ad.shape)
         if need_b:
             # ad.T (N, B) @ g as (B, R*M) -> (N, R, M) -> (R, N, M)
-            swapped = g.transpose(1, 0, 2).reshape(ad.shape[0], -1)
+            swapped = g.transpose(1, 0, 2).reshape(ad.shape[0], num_roots * g.shape[2])
             grad_b = (ad.T @ swapped).reshape(bd.shape[0], num_roots, bd.shape[1])
             grad_b = grad_b.transpose(1, 0, 2)
         return grad_a, grad_b
@@ -659,6 +664,42 @@ def _scatter_rows(g, rows, num_rows):
     return table.reshape((num_roots, num_rows) + rest)
 
 
+class RowGrad:
+    """Root-stacked gradients of a table that are zero outside a few rows.
+
+    ``values`` is ``(R, U, *rest)`` and ``rows`` holds the ``U`` distinct
+    rows of a ``(num_rows, *rest)`` table that ``values`` belong to; the
+    gradient it stands for is :meth:`dense`, ``values`` at ``rows`` and
+    ``+0.0`` everywhere else.  Adjoints return one for a parent they touch
+    in few rows (see :func:`backward_multi`).
+    """
+
+    __slots__ = ("values", "rows", "num_rows")
+
+    def __init__(self, values: np.ndarray, rows: np.ndarray, num_rows: int) -> None:
+        self.values = values
+        self.rows = rows
+        self.num_rows = num_rows
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes it holds: the values and their rows."""
+        return self.values.nbytes + self.rows.nbytes
+
+    def dense(self) -> np.ndarray:
+        """The ``(R, num_rows, *rest)`` gradient, zeros outside ``rows``."""
+        values = self.values
+        table = np.zeros((values.shape[0], self.num_rows) + values.shape[2:])
+        table[:, self.rows] = values
+        return table
+
+    def write(self, position: int, dest: np.ndarray) -> np.ndarray:
+        """Write root ``position``'s ``(num_rows, *rest)`` gradient into ``dest``."""
+        dest.fill(0.0)
+        dest[self.rows] = self.values[position]
+        return dest
+
+
 def _adj_getitem(node, g):
     index = node._ctx
     src_shape = node._prev[0].data.shape
@@ -749,6 +790,7 @@ def backward_multi(
     roots: Sequence[Tensor],
     grads: Sequence[np.ndarray | None] | None = None,
     per_root: Sequence[Tensor] = (),
+    out: np.ndarray | None = None,
 ) -> list[list[np.ndarray | None]]:
     """Backpropagate from several roots in ONE walk over their union graph.
 
@@ -773,19 +815,30 @@ def backward_multi(
         Tensors whose gradients must be kept *separated by root* instead of
         summed.  Their ``.grad`` buffers are left untouched; the separated
         gradients are returned instead.
+    out:
+        Optional C-contiguous ``(K, D)`` matrix, ``D`` the total size of
+        ``per_root``, laid out as
+        :func:`~repro.nn.utils.grad_vector_from_slots` packs it.  A
+        row-sparse gradient (:class:`RowGrad`, from an embedding lookup)
+        of a ``per_root`` leaf is then written straight into the leaf's
+        segment of ``out[k]`` — zeroed, then its touched rows — and the
+        slot is that segment viewed in the leaf's shape, so no dense
+        per-root table is built.  The rest of ``out`` is left as it was;
+        ``grad_vector_from_slots(per_root, slots, k, out=out[k])``
+        completes row ``k``.
 
     Returns
     -------
     A list parallel to ``per_root``: entry ``i`` is a K-slot list where slot
-    ``k`` holds d(roots[k])/d(per_root[i]) — or ``None`` when root ``k``'s
-    graph never reaches that tensor (a zero gradient).
+    ``k`` holds d(roots[k])/d(per_root[i]) as an ndarray — or ``None`` when
+    root ``k``'s graph never reaches that tensor (a zero gradient).
 
     Every other leaf (and ``retain_grad`` tensor) accumulates the *sum over
     roots* into ``.grad``, exactly as K sequential backward calls would.
     """
     ops = _STATE.ops
     if ops is not None:
-        walk_start = time.perf_counter()
+        walk_start = ops.start_walk()
     roots = list(roots)
     if not roots:
         raise ValueError("backward_multi needs at least one root")
@@ -829,6 +882,21 @@ def backward_multi(
             if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
 
+    separated: dict[int, list] = {id(t): [None] * len(roots) for t in per_root}
+    # A per-root leaf takes each root's row into its slot as it arrives: it
+    # has no adjoint to batch, so its rows are never stacked.
+    # leaf id -> (slots, start of its segment in a row of ``out``).
+    leaves = {}
+    start = 0
+    for t in per_root:
+        if not t._prev:
+            leaves[id(t)] = (separated[id(t)], start)
+        start += t.size
+    if out is not None and (out.shape != (len(roots), start) or not out.flags.c_contiguous):
+        raise ValueError(
+            f"out must be a C-contiguous ({len(roots)}, {start}) matrix; got {out.shape}"
+        )
+
     # Per-node gradient buffer: either ``(ids, stack)`` — ids a sorted
     # tuple of root indices, stack of shape (len(ids), *node.shape) — or a
     # plain {root: grad} dict while contributions with differing root sets
@@ -836,8 +904,27 @@ def backward_multi(
     # outputs that alias each other (e.g. ``x + x``) stay correct.
     buffers: dict[int, object] = {}
 
-    def _merge(parent: Tensor, ids: tuple[int, ...], stack_arr: np.ndarray) -> None:
+    def _merge(parent: Tensor, ids: tuple[int, ...], stack_arr) -> None:
         key = id(parent)
+        leaf = leaves.get(key)
+        if leaf is not None:
+            slots, offset = leaf
+            sparse = type(stack_arr) is RowGrad
+            for position, k in enumerate(ids):
+                if sparse:
+                    if slots[k] is None and out is not None:
+                        dest = out[k, offset : offset + parent.size].reshape(parent.data.shape)
+                    else:
+                        dest = np.empty_like(parent.data)
+                    row = stack_arr.write(position, dest)
+                else:
+                    row = stack_arr[position]
+                # A second contribution from the same root (a table also
+                # used densely) adds in arrival order.
+                slots[k] = row if slots[k] is None else slots[k] + row
+            return
+        if type(stack_arr) is RowGrad:
+            stack_arr = stack_arr.dense()
         existing = buffers.get(key)
         if existing is None:
             buffers[key] = (ids, stack_arr)
@@ -855,10 +942,6 @@ def backward_multi(
 
     for k, (root, seed) in enumerate(zip(roots, seeds)):
         _merge(root, (k,), seed[None])
-
-    separated: dict[int, list[np.ndarray | None]] = {
-        id(t): [None] * len(roots) for t in per_root
-    }
 
     for node in reversed(topo):
         buffer = buffers.pop(id(node), None)
@@ -893,7 +976,7 @@ def backward_multi(
             if parent_stack is not None and parent.requires_grad:
                 _merge(parent, ids, parent_stack)
     if ops is not None:
-        ops.record_walk(time.perf_counter() - walk_start)
+        ops.record_walk(walk_start)
     return [separated[id(t)] for t in per_root]
 
 

@@ -84,7 +84,10 @@ def grad_vector_from_slots(
     returns for ``per_root=parameters``: ``slots[i][root]`` is the gradient
     of root ``root`` w.r.t. ``parameters[i]`` (``None`` meaning the root's
     graph never reached that parameter — written as zeros, mirroring
-    :func:`grad_vector`).  Writes directly into ``out`` when given.
+    :func:`grad_vector`).  Writes directly into ``out`` when given.  A slot
+    that lies in ``out`` is its own segment, already written by
+    ``backward_multi(..., out=matrix)`` (with ``out=matrix[root]`` here),
+    and is not copied again.
     """
     total = sum(param.size for param in parameters)
     if out is None:
@@ -95,10 +98,11 @@ def grad_vector_from_slots(
     for param, param_slots in zip(parameters, slots):
         size = param.size
         grad = param_slots[root]
+        segment = out[offset : offset + size]
         if grad is None:
-            out[offset : offset + size] = 0.0
-        else:
-            out[offset : offset + size] = grad.reshape(-1)
+            segment[:] = 0.0
+        elif grad.base is not out.base or not np.may_share_memory(grad, segment):
+            segment[:] = grad.reshape(-1)
         offset += size
     return out
 

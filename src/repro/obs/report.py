@@ -480,13 +480,15 @@ def summarize_ops(events: Iterable[Mapping]) -> dict:
     Each profiled trainer writes a cumulative snapshot per ``fit``, so the
     last event per telemetry instance (``tid``) wins; instances then add.
     Returns ``{"forward": {op: [calls, seconds, bytes]}, "backward": {…},
-    "walks": [walks, seconds]}``.
+    "walks": [walks, seconds, minor page faults]}``; the faults field is
+    left out when any event predates it (a two-field ``walks``).
     """
     latest: dict = {}
     for event in events:
         if event.get("type") == "ops":
             latest[event.get("tid", 0)] = event
-    pooled: dict = {"forward": {}, "backward": {}, "walks": [0, 0.0]}
+    pooled: dict = {"forward": {}, "backward": {}, "walks": [0, 0.0, 0]}
+    fields = 3
     for event in latest.values():
         for phase in ("forward", "backward"):
             for op, stats in (event.get(phase) or {}).items():
@@ -494,8 +496,10 @@ def summarize_ops(events: Iterable[Mapping]) -> dict:
                 for i in range(3):
                     total[i] += stats[i]
         walks = event.get("walks") or [0, 0.0]
-        pooled["walks"][0] += walks[0]
-        pooled["walks"][1] += walks[1]
+        fields = min(fields, len(walks))
+        for i, value in enumerate(walks[:3]):
+            pooled["walks"][i] += value
+    del pooled["walks"][fields:]
     return pooled
 
 
@@ -532,7 +536,7 @@ def format_ops(summary: Mapping) -> str:
             title="Per-op engine profile (forward: lap since the previous op)",
         )
     ]
-    walks, walk_seconds = summary["walks"]
+    walks, walk_seconds, *faults = summary["walks"]
     if walks:
         adjoint_seconds = sum(stats[1] for stats in summary["backward"].values())
         lines.append(
@@ -540,4 +544,6 @@ def format_ops(summary: Mapping) -> str:
             f"{(walk_seconds - adjoint_seconds) * 1e3:.3f} ms outside the adjoints "
             "(sort, merges, leaf accumulation)"
         )
+        if faults:
+            lines.append(f"minor page faults per walk: {faults[0] / walks:.1f}")
     return "\n".join(lines)

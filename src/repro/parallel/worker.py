@@ -145,7 +145,9 @@ def worker_main(
                             for k, loss in enumerate(loss_tensors):
                                 losses_row[k] = loss.item()
                         with telemetry.span("backward"):
-                            slots = backward_multi(loss_tensors, per_root=shared)
+                            slots = backward_multi(
+                                loss_tensors, per_root=shared, out=task_grads
+                            )
                             for k in range(len(loss_tensors)):
                                 grad_vector_from_slots(shared, slots, k, out=task_grads[k])
                 if telemetry.enabled:

@@ -6,7 +6,8 @@ Reproduces the LibMTL-style optimization loop the paper runs on
 1. **collect** — forward every task, then ONE multi-root backward
    (:func:`repro.nn.tensor.backward_multi`: one topological sort, one walk
    over the union graph of all K task losses) fills a reused trainer-owned
-   ``(K, dim)`` matrix with each task's gradient.  In parallel mode the
+   ``(K, dim)`` matrix with each task's gradient; an embedding table's
+   gradient is written as its touched rows only.  In parallel mode the
    workers compute shard gradients and the executor's weighted reduce
    fills the same matrix.
 2. **accumulate** (``accumulate_steps=W > 1`` only, GCond-style) — sum the
@@ -536,13 +537,15 @@ class MTLTrainer:
         """Fill ``grads[k]`` with task k's gradient w.r.t. ``roots``.
 
         One union-graph walk (``backward_multi``) collects every root at
-        once; each ``task_backward`` span then wraps that root's
-        accumulation into the matrix.  A root a task's graph never reaches
-        contributes zeros (e.g. a head disconnected from the trunk).  The
+        once, writing row-sparse embedding gradients straight into
+        ``grads``; each ``task_backward`` span then completes that root's
+        row (the dense slots, zeros for parameters it never reached).  A
+        root a task's graph never reaches contributes zeros (e.g. a head
+        disconnected from the trunk).  The
         walk also accumulates task-specific (head) gradients into
         ``.grad``, ready for the optimizer step.
         """
-        slots = backward_multi(loss_tensors, per_root=roots)
+        slots = backward_multi(loss_tensors, per_root=roots, out=grads)
         for k, task in enumerate(self.tasks):
             with telemetry.span("task_backward", task=task.name):
                 grad_vector_from_slots(roots, slots, k, out=grads[k])

@@ -25,6 +25,12 @@ def trend():
         sys.path.remove(str(BENCHMARKS_DIR))
 
 
+@pytest.fixture(scope="module")
+def benchlib(trend):
+    """The ``benchlib`` module trend.py imported."""
+    return sys.modules["benchlib"]
+
+
 @pytest.fixture(autouse=True)
 def at_head(trend, monkeypatch):
     monkeypatch.setattr(trend, "git_sha", lambda short=True: HEAD)
@@ -304,3 +310,31 @@ class TestMeasuredAtHead:
         report["source_sha1"] = "0" * 40
         path.write_text(json.dumps(report))
         assert _current(trend, tmp_path) == {}
+
+
+class TestHostFingerprint:
+    def test_provenance_records_the_host(self, benchlib, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        block = benchlib.provenance()
+        assert block["cpu_model"] and block["blas"]
+        assert isinstance(block["nproc"], int) and block["nproc"] >= 1
+        assert block["openblas_num_threads"] == "1"
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert benchlib.provenance()["openblas_num_threads"] is None
+
+    def test_each_report_is_listed_with_sha_and_host(self, trend, tmp_path, capsys):
+        _write_reports(tmp_path)  # written before the fingerprint existed
+        path = tmp_path / "BENCH_optim.json"
+        report = json.loads(path.read_text())
+        report.update(cpu_model="Test CPU 9000", nproc=2, blas="openblas 0.3",
+                      openblas_num_threads=None)
+        path.write_text(json.dumps(report))
+        assert trend.main(["--root", str(tmp_path), "--check"]) == 0
+        out = capsys.readouterr().out
+        assert (
+            f"BENCH_optim.json  {HEAD}  Test CPU 9000, nproc 2, openblas 0.3, "
+            "OPENBLAS_NUM_THREADS unset" in out
+        )
+        assert f"BENCH_balancers.json  {HEAD}  host not recorded" in out
+        # the older reports are still read and gated
+        assert "balancers/mocograd/K8" in out

@@ -11,7 +11,8 @@ import pytest
 
 # Importing repro.nn also registers the adjoints of repro.nn.conv.
 from repro.nn import Tensor, backward_multi, concat, pad2d, register_multi_adjoint, stack, where
-from repro.nn.functional import bce_with_logits, field_lookup, linear
+from repro.nn import OpProfile
+from repro.nn.functional import bce_with_logits, embedding, field_lookup, linear
 from repro.nn.tensor import _MULTI_ADJOINTS
 
 from ..conftest import numerical_gradient
@@ -23,6 +24,7 @@ NUM_ROOTS = 3
 _GRID = np.linspace(-1.45, 1.45, 12)[np.random.default_rng(3).permutation(12)]
 _LABELS = (np.arange(12).reshape(3, 4) % 3 == 0).astype(float)
 _FIELD_IDS = np.array([[0, 1], [1, 1], [-1, 0], [0, 0]])
+_EMBEDDING_IDS = np.array([[2, 0, 2], [-1, 1, 0]])
 
 # op -> list of (function of x, shape of x).  Every function's graph must
 # contain a node of its op.
@@ -76,6 +78,12 @@ CASES = {
         (lambda x: bce_with_logits(x * 4.0, np.linspace(0.0, 1.0, 4)), (3, 4)),
     ],
     "field_lookup": [(lambda x: field_lookup([x[:2], x[1:] * 2.0], _FIELD_IDS), (3, 4))],
+    "embedding": [
+        (lambda x: embedding(x, _EMBEDDING_IDS), (3, 4)),
+        # the table also used densely, and a non-leaf table
+        (lambda x: embedding(x, _EMBEDDING_IDS[0]) * x, (3, 4)),
+        (lambda x: embedding(x * 2.0, _EMBEDDING_IDS[1]), (3, 4)),
+    ],
 }
 
 PARAMS = [
@@ -131,6 +139,18 @@ def test_multi_root_backward_matches_finite_differences(op, fn, shape):
     for weight, slot in zip(weights, slots):
         numeric = numerical_gradient(lambda t, w=weight: (fn(t) * w).sum(), x0)
         np.testing.assert_allclose(slot, numeric, atol=1e-6, rtol=1e-6)
+
+
+def test_embedding_backward_allocates_only_touched_rows():
+    # A 6,000-row table read by 128 ids: the adjoint returns the touched
+    # rows and their indices, not a dense (1, 6000, 16) table.
+    table = Tensor(np.random.default_rng(0).normal(size=(6000, 16)), requires_grad=True)
+    ids = np.random.default_rng(1).integers(0, 6000, size=128)
+    with OpProfile() as ops:
+        backward_multi([embedding(table, ids).sum()], per_root=[table])
+    calls, _seconds, nbytes = ops.backward["embedding"]
+    assert calls == 1
+    assert 0 < nbytes < table.data.nbytes / 20
 
 
 class TestUnregisteredOp:

@@ -7,8 +7,8 @@ import numpy as np
 
 from repro.balancers import EqualWeighting
 from repro.data import make_synthetic_mtl
-from repro.nn import OpProfile, Tensor
-from repro.nn.functional import linear
+from repro.nn import OpProfile, Tensor, backward_multi
+from repro.nn.functional import embedding, linear
 from repro.nn.profile import active_op_profile
 from repro.obs import NULL_TELEMETRY
 from repro.training import MTLTrainer
@@ -27,7 +27,18 @@ def test_off_by_default_and_records_nothing():
     ops = OpProfile()
     x, w, b = _graph()
     linear(x, w, b).relu().sum().backward()
-    assert ops.to_dict() == {"forward": {}, "backward": {}, "walks": [0, 0.0]}
+    assert ops.to_dict() == {"forward": {}, "backward": {}, "walks": [0, 0.0, 0]}
+
+
+def test_page_faults_are_read_only_while_profiling(monkeypatch):
+    from repro.nn import profile
+
+    def fail():
+        raise AssertionError("getrusage read with no profile active")
+
+    monkeypatch.setattr(profile, "_minor_faults", fail)
+    x, w, b = _graph()
+    linear(x, w, b).sum().backward()
 
 
 def test_counts_calls_bytes_and_walks():
@@ -46,9 +57,29 @@ def test_counts_calls_bytes_and_walks():
     assert sorted(stats["backward"]) == ["linear", "relu", "sum"]
     # linear's adjoint returns x (None: no grad), W and b gradients.
     assert stats["backward"]["linear"][2] == w.data.nbytes + b.data.nbytes
-    walks, walk_seconds = stats["walks"]
+    walks, walk_seconds, faults = stats["walks"]
     assert walks == 1
     assert walk_seconds >= sum(s[1] for s in stats["backward"].values())
+    assert isinstance(faults, int) and faults >= 0
+
+
+def test_walk_counts_the_page_faults_of_a_fresh_large_gradient():
+    # 40 MB is above glibc's largest mmap threshold, so the sum adjoint's
+    # broadcast copy is a fresh mapping that faults in as it is written.
+    x = Tensor(np.ones(5_000_000), requires_grad=True)
+    loss = x.sum()
+    with OpProfile() as ops:
+        backward_multi([loss], per_root=[x])
+    assert ops.walks[2] > 0
+
+
+def test_row_sparse_gradient_counts_values_and_rows():
+    table = Tensor(np.ones((1000, 4)), requires_grad=True)
+    ids = np.array([[3, 7], [3, 9]])
+    with OpProfile() as ops:
+        backward_multi([embedding(table, ids).sum()], per_root=[table])
+    # three distinct rows: (1, 3, 4) float64 values plus three int64 rows
+    assert ops.backward["embedding"][2] == 3 * 4 * 8 + 3 * 8
 
 
 def test_profiles_nest_and_restore():

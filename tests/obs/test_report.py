@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -304,3 +305,34 @@ class TestOps:
         from repro.obs import format_ops, summarize_ops
 
         assert format_ops(summarize_ops([])).startswith("No op profile found")
+
+    def test_faults_per_walk_from_three_field_walks(self):
+        from repro.obs import format_ops, summarize_ops
+
+        first, second = self._event(1, 2, walks=3), self._event(2, 1, walks=1)
+        first["walks"] = [3, 0.004, 600]
+        second["walks"] = [1, 0.004, 200]
+        summary = summarize_ops([first, second])
+        assert summary["walks"] == [4, 0.008, 800]
+        assert "minor page faults per walk: 200.0" in format_ops(summary)
+
+    def test_two_field_walks_still_render_without_faults(self):
+        from repro.obs import format_ops, summarize_ops
+
+        new = self._event(2, 1)
+        new["walks"] = [1, 0.004, 200]
+        for events in ([self._event(1, 3)], [self._event(1, 3), new]):
+            summary = summarize_ops(events)
+            assert len(summary["walks"]) == 2
+            text = format_ops(summary)
+            assert "backward walks:" in text and "page faults" not in text
+
+    def test_profile_snapshot_renders_faults(self):
+        from repro.nn import OpProfile, Tensor
+        from repro.obs import format_ops
+
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        with OpProfile() as ops:
+            (x * x).sum().backward()
+        text = format_ops(ops.to_dict())
+        assert "backward walks: 1" in text and "minor page faults per walk:" in text

@@ -4,7 +4,9 @@ Each function builds the multi-node graph the library built before the
 op was fused: ``Linear`` as ``.T``, ``@`` and ``+ b`` (3 nodes), the
 AliExpress field lookup as one ``getitem`` per field plus ``concat``
 (F + 1 nodes), and ``bce_with_logits`` as 11 elementwise and reduction
-nodes.  ``add_at_getitem_adjoint`` is the ``np.add.at`` scatter the
+nodes.  ``composite_embedding`` is the ``getitem`` lookup whose backward
+builds the dense ``(R, V, *rest)`` table the row-sparse ``embedding``
+op replaces.  ``add_at_getitem_adjoint`` is the ``np.add.at`` scatter the
 ``getitem`` adjoint used for every index.  The fused ops must match
 these bitwise, forward and backward.
 """
@@ -22,6 +24,11 @@ def composite_linear(x, weight, bias=None):
     if bias is not None:
         out = out + bias
     return out
+
+
+def composite_embedding(weight, ids):
+    """``weight[ids]`` as a ``getitem`` node with a dense table gradient."""
+    return weight[np.asarray(ids, dtype=np.int64)]
 
 
 def composite_field_lookup(tables, ids):
@@ -47,7 +54,7 @@ def add_at_getitem_adjoint(node, g):
 
 
 def use_composites(monkeypatch, tasks=()):
-    """Route ``Linear``, ``TabularEncoder`` and ``getitem`` through the composites.
+    """Route ``Linear``, ``Embedding``, ``TabularEncoder`` and ``getitem`` through the composites.
 
     Returns ``tasks`` with every ``bce_with_logits`` loss swapped for
     :func:`composite_bce_with_logits`.  ``monkeypatch`` undoes the rest.
@@ -56,7 +63,7 @@ def use_composites(monkeypatch, tasks=()):
 
     from repro.arch.encoders import TabularEncoder
     from repro.nn import functional
-    from repro.nn.layers import Linear
+    from repro.nn.layers import Embedding, Linear
     from repro.nn.tensor import _MULTI_ADJOINTS
 
     def tabular_forward(self, x):
@@ -66,7 +73,11 @@ def use_composites(monkeypatch, tasks=()):
     def linear_forward(self, x):
         return composite_linear(x, self.weight, self.bias)
 
+    def embedding_forward(self, indices):
+        return composite_embedding(self.weight, indices)
+
     monkeypatch.setattr(Linear, "forward", linear_forward)
+    monkeypatch.setattr(Embedding, "forward", embedding_forward)
     monkeypatch.setattr(TabularEncoder, "forward", tabular_forward)
     monkeypatch.setitem(_MULTI_ADJOINTS, "getitem", add_at_getitem_adjoint)
     return [
