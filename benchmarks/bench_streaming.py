@@ -27,6 +27,12 @@ A ``movielens_shard`` row times the MovieLens history sampler on one
 full-product reference in ``tests/reference/movielens.py``.  Both must
 return bitwise equal histories.
 
+A ``shard_reuse`` row counts ``generate_chunk`` calls over two epochs of
+a two-shard AliExpress stream at each prefetch depth: the first epoch
+generates both shards, and the second must reuse them from the
+dataset's shard LRU and generate none.  It is a count, not a timing, so
+it holds on any host.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_streaming.py [--smoke] [--out PATH]
@@ -34,7 +40,8 @@ Usage::
 ``--smoke`` shrinks the run for CI and exits non-zero if ``prefetch`` or
 ``cache_warm`` is slower than ``eager`` (speedup < 1.0), the streaming
 peak is not flat across the 10x row-count step, or the MovieLens sampler
-is slower than (or differs from) its reference.
+is slower than (or differs from) its reference, or the second epoch of
+the ``shard_reuse`` stream generates a shard.
 """
 
 from __future__ import annotations
@@ -158,6 +165,34 @@ def movielens_shard(repeats: int) -> dict:
     }
 
 
+def logged_generations(stream: StreamingDataset) -> list[int]:
+    """Wrap ``stream``'s ``generate_chunk``; the list logs each index generated."""
+    generate, calls = stream.source.generate_chunk, []
+
+    def logged(index: int):
+        calls.append(index)
+        return generate(index)
+
+    stream.source.generate_chunk = logged
+    return calls
+
+
+def shard_reuse(chunk: int) -> dict:
+    """``generate_chunk`` calls per epoch over a two-shard stream, per prefetch depth."""
+    generations = {}
+    for depth in (0, 1):
+        stream = build_dataset(2 * chunk, chunk, prefetch_depth=depth)
+        calls = logged_generations(stream)
+        loader = DataLoader(stream, BATCH, seed=SEED)
+        per_epoch = []
+        for _ in range(2):
+            before = len(calls)
+            consume(loader)
+            per_epoch.append(len(calls) - before)
+        generations[f"prefetch_depth_{depth}"] = per_epoch
+    return {"shards": 2, "chunk_size": chunk, "generations_per_epoch": generations}
+
+
 def run(
     rows: int, chunk: int, repeats: int, memory_rows: int, memory_chunk: int
 ) -> dict:
@@ -218,6 +253,7 @@ def run(
         "results": results,
         "memory": memory,
         "movielens_shard": movielens_shard(repeats),
+        "shard_reuse": shard_reuse(memory_chunk),
     }
 
 
@@ -227,7 +263,8 @@ def main(argv: list[str] | None = None) -> int:
         "--smoke",
         action="store_true",
         help="short CI run; fail (exit 1) if prefetch or warm-cache "
-        "streaming is slower than eager, or peak memory grows with rows",
+        "streaming is slower than eager, peak memory grows with rows, or a "
+        "second epoch over a two-shard stream generates a shard",
     )
     parser.add_argument(
         "--out",
@@ -268,6 +305,11 @@ def main(argv: list[str] | None = None) -> int:
         f"{shard['oracle_seconds'] * 1e3:.0f} ms ({shard['speedup']:.2f}x, "
         f"bitwise equal: {shard['bitwise_equal']})"
     )
+    reuse = report["shard_reuse"]["generations_per_epoch"]
+    print(
+        "shard_reuse: generations per epoch over a 2-shard stream: "
+        + ", ".join(f"{name} {counts}" for name, counts in reuse.items())
+    )
     print(f"wrote {args.out}")
 
     if args.smoke:
@@ -287,6 +329,12 @@ def main(argv: list[str] | None = None) -> int:
             )
         if not shard["bitwise_equal"]:
             failures.append("movielens_shard histories differ from the reference")
+        for name, (first, second) in reuse.items():
+            if first != 2 or second:
+                failures.append(
+                    f"shard_reuse {name}: epochs generated {first} and {second} "
+                    "shards (expected 2, then 0 from the shard LRU)"
+                )
         if failures:
             print("FAIL: " + "; ".join(failures), file=sys.stderr)
             return 1

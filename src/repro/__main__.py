@@ -189,10 +189,12 @@ def _run_train(args) -> str:
         stalls = telemetry.counter("stream_prefetch_stalls_total").value
         cache_hits = telemetry.counter("stream_cache_hits_total").value
         cache_misses = telemetry.counter("stream_cache_misses_total").value
+        reused = telemetry.counter("stream_shard_reuse_total").value
         lines.append(
             f"streaming: chunk={args.chunk_size}, "
             f"prefetch hits={int(hits)} stalls={int(stalls)}, "
-            f"cache hits={int(cache_hits)} misses={int(cache_misses)}"
+            f"cache hits={int(cache_hits)} misses={int(cache_misses)}, "
+            f"shards reused={int(reused)}"
             + (f" (dir {args.cache_dir})" if args.cache_dir else "")
         )
     if trainer.profiler is not None:

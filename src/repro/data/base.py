@@ -171,8 +171,8 @@ class ArrayDataset:
     batches ``(nodes, adjacency, mask)``); ``targets`` is an ndarray
     (single task) or a dict ``{task: ndarray}`` (single-input MTL).
 
-    To the loader it is a one-shard stream: :meth:`load_shard` returns
-    the dataset's own arrays (no copy), there is no prefetch thread, and
+    To the loader it is a one-shard stream: :meth:`shard` returns the
+    dataset's own arrays (no copy), there is no prefetch thread, and
     numpy draws nothing to shuffle a one-shard order — so its batch order
     is :func:`batch_index_iter` over its rows.
     """
@@ -206,6 +206,10 @@ class ArrayDataset:
         if index != 0:
             raise IndexError(f"an in-memory dataset has one shard; got index {index}")
         return self.inputs, self.targets
+
+    def shard(self, index: int, telemetry=None):
+        """The loader's shard accessor: :meth:`load_shard`, with nothing to reuse."""
+        return self.load_shard(index, telemetry=telemetry)
 
     def batch(self, idx: np.ndarray):
         """Return ``(inputs[idx], targets[idx])`` (dicts indexed per task)."""

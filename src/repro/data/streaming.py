@@ -10,8 +10,10 @@ streaming counterpart, and the loader that walks both:
   ``(seed, shard_index)`` via :func:`~repro.data.base.shard_rng`, so any
   consumer — the sequential loader, a prefetch thread, a data-parallel
   worker, a warm cache — reconstructs identical bytes independently.
-- :class:`StreamingDataset` — the dataset view over a source: global-index
-  ``batch()`` access through a tiny shard LRU, an optional
+- :class:`StreamingDataset` — the dataset view over a source: every
+  shard fetch (the loader's and global-index ``batch()``) goes through a
+  tiny shard LRU, so a stream of at most two shards is generated once
+  and reused by every later epoch; an optional
   :class:`~repro.data.shardcache.ShardCache` (write-once ``np.memmap``
   files), and :meth:`~StreamingDataset.materialize`, the concatenation
   of all shards as a plain :class:`~repro.data.base.ArrayDataset`.
@@ -23,7 +25,8 @@ streaming counterpart, and the loader that walks both:
   Chrome trace.
 - :class:`DataLoader` — the only loader, over a :class:`StreamingDataset`
   or an :class:`~repro.data.base.ArrayDataset` (a one-shard stream that
-  hands out its own arrays, with no copy and no prefetch thread).  Its
+  hands out its own arrays, with no copy and no prefetch thread); it
+  fetches every shard through ``dataset.shard``.  Its
   epochs, its :meth:`~DataLoader.batch_indices` (the parallel trainer's
   index stream) and evaluation all take their order from
   :func:`shard_batch_index_iter`, the one place batch order is drawn.
@@ -73,10 +76,10 @@ __all__ = [
     "streaming_batch_count",
 ]
 
-#: Shards a :class:`StreamingDataset` keeps materialized for global-index
-#: ``batch()`` access.  Two covers the dominant access patterns: repeated
-#: batches within one shard (the shard-ordered stream) and an eval pass
-#: straddling one shard boundary.
+#: Shards a :class:`StreamingDataset` keeps materialized.  Two covers the
+#: dominant access patterns: repeated batches within one shard (the
+#: shard-ordered stream), an eval pass straddling one shard boundary, and
+#: every later epoch of a stream of at most two shards.
 _SHARD_LRU_CAPACITY = 2
 
 
@@ -243,7 +246,7 @@ class StreamingDataset:
     """Dataset view over a :class:`ChunkedSource` with caching and LRU.
 
     Shares the :class:`ArrayDataset` surface the loader and the
-    data-parallel workers touch: ``__len__``, ``chunk_size``,
+    data-parallel workers touch: ``__len__``, ``chunk_size``, ``shard``,
     ``load_shard``, ``prefetch_depth``, ``telemetry`` and ``batch``.
 
     Parameters
@@ -281,18 +284,21 @@ class StreamingDataset:
         self.prefetch_depth = int(prefetch_depth)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._lru: OrderedDict[int, tuple] = OrderedDict()
+        self._lru_lock = threading.Lock()
 
     # -- pickling: telemetry and the LRU are process-local ---------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["telemetry"] = None
         state["_lru"] = None
+        state["_lru_lock"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.telemetry = NULL_TELEMETRY
         self._lru = OrderedDict()
+        self._lru_lock = threading.Lock()
 
     # -- sizes -----------------------------------------------------------
     def __len__(self) -> int:
@@ -348,15 +354,35 @@ class StreamingDataset:
         return inputs, targets
 
     def shard(self, index: int, telemetry=None):
-        """LRU-cached :meth:`load_shard` (capacity {cap})."""
-        hit = self._lru.get(index)
+        """LRU-cached :meth:`load_shard` (capacity {cap}).
+
+        The one shard accessor: the loader (on its prefetch thread or,
+        at ``prefetch_depth=0``, its own) and :meth:`batch` both fetch
+        here, so a shard the LRU still holds is reused instead of
+        regenerated.  On a stream of at most {cap} shards every epoch
+        after the first generates nothing.  A hit counts
+        ``stream_shard_reuse_total`` on ``telemetry``; a miss calls
+        :meth:`load_shard`, which counts the mmap cache traffic.
+
+        One lock guards lookup, insert and evict; generation runs outside
+        it.  Two threads that miss the same index may therefore both
+        generate it — harmless, since a shard is a pure function of
+        ``(seed, index)``: either copy holds the same bytes.
+        """
+        telemetry = telemetry if telemetry is not None else self.telemetry
+        with self._lru_lock:
+            hit = self._lru.get(index)
+            if hit is not None:
+                self._lru.move_to_end(index)
         if hit is not None:
-            self._lru.move_to_end(index)
+            telemetry.counter("stream_shard_reuse_total").inc()
             return hit
         data = self.load_shard(index, telemetry=telemetry)
-        self._lru[index] = data
-        if len(self._lru) > _SHARD_LRU_CAPACITY:
-            self._lru.popitem(last=False)
+        with self._lru_lock:
+            self._lru[index] = data
+            self._lru.move_to_end(index)
+            if len(self._lru) > _SHARD_LRU_CAPACITY:
+                self._lru.popitem(last=False)
         return data
 
     if shard.__doc__:  # stripped under python -OO
@@ -428,9 +454,16 @@ class ShardPrefetcher:
     ``prefetch_shard`` span on its own thread-local span stack) and
     parks results in a bounded queue; with ``depth=1`` the producer is
     always at most one shard ahead — generation of shard ``i+1`` overlaps
-    consumption of shard ``i`` and memory stays bounded at
-    ``depth + 2`` live shards (``depth`` queued, at worst one more
-    finished in the producer blocked on ``put``, one in the consumer).
+    consumption of shard ``i``.  The pipeline holds at most
+    ``depth + 2`` shards (``depth`` queued, one in the producer —
+    generating, or finished and blocked on ``put`` — and one in the
+    consumer).  When ``load`` is :meth:`StreamingDataset.shard`, that
+    dataset's LRU also holds the two shards fetched last.  While the
+    pipeline is full both are in it already (the producer's and the
+    newest queued, or the newest queued and the one before it).  An LRU
+    shard outside the pipeline means the pipeline is short: the consumer
+    has caught up with the producer, or at the start of an epoch holds
+    no shard yet.  So the bound stays ``depth + 2`` live shards.
 
     Iterate to receive ``(shard_index, data)`` in order.  A queue that
     already holds the next shard counts a ``stream_prefetch_hits_total``;
@@ -535,10 +568,14 @@ class DataLoader:
     through :func:`shard_batch_index_iter` — reproducible from the seed;
     when no ``rng`` is given it derives from ``seed`` (default
     :data:`~repro.data.base.DEFAULT_DATA_SEED`), never from OS entropy.
-    Batches never cross shard boundaries, and at most
-    ``prefetch_depth + 2`` shards are alive at once (see
-    :class:`ShardPrefetcher` for the bound).  Shards are fetched through
-    ``dataset.load_shard``.  Closing semantics: the epoch iterator shuts
+    Batches never cross shard boundaries.  Shards are fetched through
+    ``dataset.shard``, so a :class:`StreamingDataset`'s LRU lets an
+    epoch reuse the shards the previous one left there.  At most
+    ``prefetch_depth + 2`` shards are alive at once when prefetching
+    (see :class:`ShardPrefetcher` for the bound), counting one in
+    generation; at ``prefetch_depth=0`` the bound is 3: the consumer's
+    shard, the one being generated, and the LRU's copy of the shard
+    before the consumer's.  Closing semantics: the epoch iterator shuts
     the prefetch thread down in a ``finally``, so breaking out mid-epoch
     — or an exception unwinding through the consuming loop — leaks no
     thread and keeps the original exception.
@@ -603,7 +640,7 @@ class DataLoader:
         prefetcher = None
         if dataset.prefetch_depth > 0:
             prefetcher = ShardPrefetcher(
-                lambda index: dataset.load_shard(index, telemetry=telemetry),
+                lambda index: dataset.shard(index, telemetry=telemetry),
                 order,
                 depth=dataset.prefetch_depth,
                 telemetry=telemetry,
@@ -611,7 +648,7 @@ class DataLoader:
             shards = iter(prefetcher)
         else:
             shards = (
-                (int(index), dataset.load_shard(int(index), telemetry=telemetry))
+                (int(index), dataset.shard(int(index), telemetry=telemetry))
                 for index in order
             )
         try:

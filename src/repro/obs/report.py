@@ -315,6 +315,7 @@ def format_report(summary: Mapping) -> str:
         "prefetch stalls": "stream_prefetch_stalls_total",
         "cache hits": "stream_cache_hits_total",
         "cache misses": "stream_cache_misses_total",
+        "shards reused": "stream_shard_reuse_total",
     }
     stream_totals = {
         label: sum(summary["counters"].get(name, {}).values())

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,27 @@ class TestStreamingDataset:
         # A pickled stream must still load shards (workers rely on it).
         inputs, _ = clone.load_shard(1)
         np.testing.assert_array_equal(inputs, stream.load_shard(1)[0])
+        # The clone gets a fresh lock and an LRU of its own.
+        assert clone._lru_lock is not stream._lru_lock
+        assert not clone._lru_lock.locked()
+        with stream._lru_lock:  # the original's lock does not block the clone
+            clone.shard(1)
+            clone.shard(2)
+        assert list(clone._lru) == [1, 2]
+        assert list(stream._lru) == [0]
+        reused = clone.shard(2)
+        assert reused is clone._lru[2]
+        np.testing.assert_array_equal(reused[0], stream.load_shard(2)[0])
+
+    def test_lru_hit_counts_reuse_on_the_passed_telemetry(self):
+        default, passed = Telemetry(), Telemetry()
+        stream = as_stream(make_dataset(10), 4, telemetry=default)
+        first = stream.shard(1, telemetry=passed)
+        assert stream.shard(1, telemetry=passed) is first
+        assert passed.counter("stream_shard_reuse_total").value == 1
+        assert default.counter("stream_shard_reuse_total").value == 0
+        stream.shard(1)  # no telemetry passed: the dataset's own
+        assert default.counter("stream_shard_reuse_total").value == 1
 
     def test_rejects_negative_prefetch_depth(self):
         with pytest.raises(ValueError):
@@ -169,6 +191,32 @@ class TestStreamingDataset:
         )
         with pytest.raises(ValueError, match="expected 4"):
             stream.load_shard(0)
+
+
+class CountingSource(ChunkedSource):
+    """Fresh random shards; logs each index it generates and keeps a weak
+    reference to every shard's inputs, so tests can count live shards."""
+
+    def __init__(self, total_rows: int, chunk_size: int, seed: int = 0) -> None:
+        self.total_rows = total_rows
+        self.chunk_size = chunk_size
+        self.seed = seed
+        self.generated: list[int] = []
+        self.shards: list[weakref.ref] = []
+        self.max_live = 0
+
+    def live(self) -> int:
+        return sum(ref() is not None for ref in self.shards)
+
+    def generate_chunk(self, index: int):
+        # The shard in generation counts as live alongside every other.
+        self.max_live = max(self.max_live, self.live() + 1)
+        self.generated.append(index)
+        rng = self.shard_generator(index)
+        rows = self.shard_length(index)
+        inputs = rng.normal(size=(rows, 2))
+        self.shards.append(weakref.ref(inputs))
+        return inputs, {"a": rng.normal(size=rows)}
 
 
 class UnderKeyedSource(ChunkedSource):
@@ -281,6 +329,104 @@ class TestStreamingLoader:
             DataLoader(stream, 0)
         with pytest.raises(ValueError):
             DataLoader(stream, 4, rng=np.random.default_rng(0), seed=1)
+
+
+class TestShardReuse:
+    """The loader fetches through the dataset's shard LRU."""
+
+    @pytest.mark.parametrize("prefetch_depth", [0, 1])
+    def test_a_two_shard_stream_is_generated_once(self, prefetch_depth):
+        source = CountingSource(16, 8)
+        stream = StreamingDataset(source, prefetch_depth=prefetch_depth)
+        telemetry = Telemetry()
+        loader = DataLoader(stream, 4, seed=3, telemetry=telemetry)
+        oracle = DataLoader(as_stream(stream.materialize(), 8), 4, seed=3)
+        source.generated.clear()  # materialize() generated through load_shard
+        for _ in range(3):
+            for (x, t), (x_ref, t_ref) in zip(loader, oracle, strict=True):
+                np.testing.assert_array_equal(x, x_ref)
+                np.testing.assert_array_equal(t["a"], t_ref["a"])
+        assert sorted(source.generated) == [0, 1]
+        assert telemetry.counter("stream_shard_reuse_total").value == 4
+
+    @pytest.mark.parametrize("prefetch_depth", [0, 1])
+    def test_a_longer_stream_regenerates_every_epoch(self, prefetch_depth):
+        source = CountingSource(32, 8)
+        stream = StreamingDataset(source, prefetch_depth=prefetch_depth)
+        lru_sizes = []
+        for _ in range(3):
+            for _batch in DataLoader(stream, 4, shuffle=False):
+                lru_sizes.append(len(stream._lru))
+        # In order 0..3 the LRU ends an epoch on {2, 3}; the next starts
+        # at shard 0, so nothing survives to be reused.
+        assert source.generated == [0, 1, 2, 3] * 3
+        assert max(lru_sizes) == 2
+
+    @pytest.mark.parametrize("prefetch_depth,bound", [(0, 3), (1, 3), (2, 4)])
+    def test_live_shards_stay_within_the_documented_bound(self, prefetch_depth, bound):
+        source = CountingSource(8 * 12, 8)
+        stream = StreamingDataset(source, prefetch_depth=prefetch_depth)
+        seen = 0
+        for _ in range(3):
+            for x, _ in DataLoader(stream, 4, seed=1):
+                seen = max(seen, source.live())
+                x.sum()
+        assert max(seen, source.max_live) <= bound
+        if prefetch_depth == 0:
+            # The consumer's shard, the LRU's copy of the one before it
+            # and the shard in generation: the bound is reached.
+            assert source.max_live == 3
+
+    def test_lru_access_waits_for_the_lock(self):
+        # Unlocked, a lookup could find a shard that another thread evicts
+        # before move_to_end (a KeyError); the lock must cover the lookup.
+        stream = as_stream(make_dataset(16), 8)
+        done = threading.Event()
+        worker = threading.Thread(target=lambda: (stream.shard(0), done.set()))
+        with stream._lru_lock:
+            worker.start()
+            assert not done.wait(0.05)
+        assert done.wait(5)
+        worker.join()
+        assert list(stream._lru) == [0]
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_prefetching_loader_and_batch_share_the_lru_safely(self, shards):
+        rows = 8 * shards
+        dataset = make_dataset(rows)
+        stream = as_stream(dataset, 8, prefetch_depth=1)
+        expected = stream.materialize()
+        rng = np.random.default_rng(0)
+        errors = []
+
+        def hammer_batch():
+            try:
+                for _ in range(400):
+                    idx = rng.integers(0, rows, size=5)
+                    x, t = stream.batch(idx)
+                    np.testing.assert_array_equal(x, expected.inputs[idx])
+                    np.testing.assert_array_equal(t["b"], expected.targets["b"][idx])
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        loader = DataLoader(stream, 2, rng=np.random.default_rng(1))
+        oracle = DataLoader(as_stream(dataset, 8), 2, rng=np.random.default_rng(1))
+        thread = threading.Thread(target=hammer_batch)
+        # A tiny switch interval makes the threads interleave inside
+        # shard(); with 3 shards the LRU also evicts while both use it.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread.start()
+            for _ in range(50):
+                for (x, t), (x_ref, t_ref) in zip(loader, oracle, strict=True):
+                    np.testing.assert_array_equal(x, x_ref)
+                    np.testing.assert_array_equal(t["a"], t_ref["a"])
+            thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert len(stream._lru) <= 2
 
 
 class TestShardPrefetcher:

@@ -57,7 +57,7 @@ def oracle_view(train_data):
     return as_stream(train_data.materialize(), train_data.chunk_size)
 
 
-def fit_params(benchmark, train_data, grad_space="parameters", parallel=0):
+def fit_params(benchmark, train_data, grad_space="parameters", parallel=0, epochs=2):
     def factory():
         return benchmark.build_model("hps", np.random.default_rng(0))
 
@@ -74,7 +74,7 @@ def fit_params(benchmark, train_data, grad_space="parameters", parallel=0):
         seed=0,
         **kwargs,
     )
-    trainer.fit(train_data, epochs=2, batch_size=64)
+    trainer.fit(train_data, epochs=epochs, batch_size=64)
     return np.concatenate([np.asarray(p.data).ravel() for p in model.parameters()])
 
 
@@ -170,6 +170,79 @@ class TestTrainingEquivalence:
         # Workers sum partial gradients in a different association order,
         # so equality is up to float round-off, not bitwise.
         np.testing.assert_allclose(parallel, sequential, rtol=0, atol=1e-9)
+
+
+def logged_generations(dataset) -> list[int]:
+    """Wrap ``dataset``'s source to log each shard index it generates."""
+    generate, calls = dataset.source.generate_chunk, []
+
+    def logged(index: int):
+        calls.append(index)
+        return generate(index)
+
+    dataset.source.generate_chunk = logged
+    return calls
+
+
+def small_stream(name: str, prefetch_depth: int):
+    """Streams of at most two shards, so later epochs reuse the LRU's shards."""
+    if name == "aliexpress":
+        return make_aliexpress_stream(
+            num_records=256, chunk_size=128, val_records=32, test_records=32,
+            prefetch_depth=prefetch_depth, seed=3,
+        )
+    if name == "synthetic":
+        return make_synthetic_stream(
+            num_samples=256, chunk_size=128, val_records=32, test_records=32,
+            prefetch_depth=prefetch_depth, seed=3,
+        )
+    return make_movielens_stream(
+        genres=("Crime", "Documentary", "Fantasy"),
+        records_per_genre=128,
+        chunk_size=128,
+        val_records=32,
+        test_records=32,
+        prefetch_depth=prefetch_depth,
+        seed=3,
+    )
+
+
+class TestShardReuseInTraining:
+    @pytest.mark.parametrize("prefetch_depth", [0, 1])
+    def test_movielens_genre_shards_are_generated_once_over_three_epochs(
+        self, prefetch_depth
+    ):
+        benchmark = small_stream("movielens", prefetch_depth)
+        calls = {genre: logged_generations(data) for genre, data in benchmark.train.items()}
+        fit_params(benchmark, benchmark.train, epochs=3)
+        assert calls == {genre: [0] for genre in benchmark.train}
+
+    @pytest.mark.parametrize(
+        "name,grad_space",
+        [
+            ("aliexpress", "parameters"),
+            ("aliexpress", "features"),
+            ("synthetic", "parameters"),
+            ("synthetic", "features"),
+            ("movielens", "parameters"),  # feature space is single-input only
+        ],
+    )
+    @pytest.mark.parametrize("prefetch_depth", [0, 1])
+    def test_reusing_shards_trains_identically_to_the_materialized_oracle(
+        self, name, grad_space, prefetch_depth
+    ):
+        benchmark = small_stream(name, prefetch_depth)
+        datasets = (
+            benchmark.train.values() if isinstance(benchmark.train, dict) else [benchmark.train]
+        )
+        calls = [logged_generations(data) for data in datasets]
+        streamed = fit_params(benchmark, benchmark.train, grad_space=grad_space, epochs=3)
+        for data, generated in zip(datasets, calls):
+            assert sorted(generated) == list(range(data.num_shards))  # each once
+        eager = fit_params(
+            benchmark, oracle_view(benchmark.train), grad_space=grad_space, epochs=3
+        )
+        np.testing.assert_array_equal(streamed, eager)
 
 
 class TestTrainerShutdown:

@@ -183,10 +183,12 @@ class TestTrainStreaming:
         assert "streaming: chunk=256" in out
         assert "prefetch hits=" in out
         assert "misses=2" in out  # 512 rows / 256-row chunks, cold cache
+        # One epoch fetches each shard once: nothing for the LRU to reuse.
+        assert "shards reused=0" in out
         assert len(list(cache_dir.glob("*.shard"))) == 2
         # A second run over the same cache serves every shard from disk.
         assert main(argv) == 0
-        assert "cache hits=2 misses=0" in capsys.readouterr().out
+        assert "cache hits=2 misses=0, shards reused=0" in capsys.readouterr().out
 
     def test_streaming_defaults_skip_the_cache(self, capsys):
         assert main(["train", "--streaming", "--steps", "2", "--tasks", "2"]) == 0
