@@ -38,9 +38,15 @@ Tracked metrics (label → speedup):
   the graph-building forward (``bench_serve.py``).
 
 Speedup ratios are self-normalizing (both sides of each ratio run on the
-same machine in the same process), so history entries from different
-hosts remain comparable — which is why the gate tracks speedups rather
-than raw wall-clock seconds.
+same machine in the same process), which is why the gate tracks speedups
+rather than raw wall-clock seconds.  They still move with the host (core
+count, caches, BLAS threading): ``streaming/warm_cache`` read 2.32× on a
+1-core host and 1.2–1.3× on a 2-vCPU one at the same code.  So every
+history entry records, per metric, the host fingerprint of the report it
+came from, and a metric is gated only when its baseline was measured on
+the same host (equal ``cpu_model``, ``nproc``, ``blas`` and
+``openblas_num_threads``).  A baseline from another host, or from a
+report without a fingerprint, is listed as ``other host`` and not gated.
 
 Usage::
 
@@ -149,6 +155,17 @@ def measured_at(report: dict, sha: str, source: str | None = None) -> bool:
     return recorded.startswith(sha) or sha.startswith(recorded)
 
 
+#: The ``provenance()`` fields that identify a host.
+HOST_FIELDS = ("cpu_model", "nproc", "blas", "openblas_num_threads")
+
+
+def host_of(report: dict) -> dict | None:
+    """The host fingerprint of a report, ``None`` if it recorded none."""
+    if "cpu_model" not in report:
+        return None
+    return {field: report.get(field) for field in HOST_FIELDS}
+
+
 def describe_host(report: dict) -> str:
     """The host fingerprint of a report, or ``host not recorded``."""
     if "cpu_model" not in report:
@@ -163,16 +180,18 @@ def describe_host(report: dict) -> str:
 
 def collect_measured(
     root: Path, sha: str
-) -> tuple[dict[str, float], dict[str, str], list[str]]:
+) -> tuple[dict[str, float], dict[str, str], list[str], dict[str, dict | None]]:
     """Read every BENCH_*.json (except the trend file) under ``root``.
 
     Returns ``{label: speedup}`` of the reports measured at ``sha``,
-    ``{label: recorded sha}`` of the stale rest, and one line per report
-    naming its file, SHA and host.
+    ``{label: recorded sha}`` of the stale rest, one line per report
+    naming its file, SHA and host, and ``{label: host fingerprint}`` of
+    the current metrics (``None`` for a report without one).
     """
     current: dict[str, float] = {}
     stale: dict[str, str] = {}
     sources: list[str] = []
+    hosts: dict[str, dict | None] = {}
     source = source_digest()
     for path in sorted(root.glob("BENCH_*.json")):
         if path.name == TREND_FILE:
@@ -188,9 +207,33 @@ def collect_measured(
         )
         if measured_at(report, sha, source):
             current.update(metrics)
+            hosts.update(dict.fromkeys(metrics, host_of(report)))
         else:
             stale.update(dict.fromkeys(metrics, str(report.get("git_sha", "unknown"))))
-    return current, stale, sources
+    return current, stale, sources, hosts
+
+
+def entry_hosts(hosts: dict[str, dict | None]) -> list[dict]:
+    """``{label: fingerprint}`` as a history entry's ``hosts`` list: one
+    item per recorded host, naming its metrics (unrecorded ones are left
+    out)."""
+    grouped: dict[tuple, dict] = {}
+    for label in sorted(hosts):
+        host = hosts[label]
+        if host is not None:
+            key = tuple(host[field] for field in HOST_FIELDS)
+            grouped.setdefault(key, {**host, "metrics": []})["metrics"].append(label)
+    return list(grouped.values())
+
+
+def metric_hosts(entry: dict) -> dict[str, dict]:
+    """``{label: fingerprint}`` of a history entry (empty for an entry
+    written before hosts were recorded)."""
+    return {
+        label: {field: item.get(field) for field in HOST_FIELDS}
+        for item in entry.get("hosts", [])
+        for label in item.get("metrics", [])
+    }
 
 
 def load_history(path: Path) -> list[dict]:
@@ -225,11 +268,13 @@ def compare(
     baseline: dict[str, float],
     threshold: float,
     stale: dict[str, str] | None = None,
+    other_host: set[str] | frozenset[str] = frozenset(),
 ) -> tuple[list[list], list[str]]:
     """Build comparison rows and the list of regressed labels.
 
-    ``stale`` labels (``{label: sha}``) get a ``stale <sha>`` row and are
-    never gated.
+    ``stale`` labels (``{label: sha}``) get a ``stale <sha>`` row and
+    ``other_host`` labels (baseline measured on another or an unrecorded
+    host) an ``other host`` row; neither is gated.
     """
     stale = stale or {}
     rows: list[list] = []
@@ -242,7 +287,9 @@ def compare(
             continue
         delta = (now - base) / base if base else 0.0
         status = "ok"
-        if base > 0 and now < base * (1.0 - threshold):
+        if label in other_host:
+            status = "other host"
+        elif base > 0 and now < base * (1.0 - threshold):
             status = "REGRESSED"
             regressions.append(label)
         rows.append([label, f"{base:.2f}x", f"{now:.2f}x", f"{delta:+.1%} {status}"])
@@ -289,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     sha = git_sha()
-    current, stale, sources = collect_measured(args.root, sha)
+    current, stale, sources, hosts = collect_measured(args.root, sha)
     if not current and not stale:
         print("no BENCH_*.json reports found — run the benchmarks first", file=sys.stderr)
         return 2
@@ -309,8 +356,14 @@ def main(argv: list[str] | None = None) -> int:
             f"baseline: {baseline.get('sha', '?')}  current: {sha}  "
             f"gate: -{args.threshold:.0%}"
         )
+        base_hosts = metric_hosts(baseline)
+        other_host = {
+            label
+            for label in current
+            if hosts[label] is None or base_hosts.get(label) != hosts[label]
+        }
         rows, regressions = compare(
-            current, baseline.get("metrics", {}), args.threshold, stale
+            current, baseline.get("metrics", {}), args.threshold, stale, other_host
         )
     print(format_rows(rows))
 
@@ -326,7 +379,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"no report was measured at {sha}; nothing recorded")
     elif not args.check:
         history = [entry for entry in history if entry.get("sha") != sha]
-        history.append({"sha": sha, "ts": time.time(), "metrics": current})
+        history.append(
+            {"sha": sha, "ts": time.time(), "metrics": current, "hosts": entry_hosts(hosts)}
+        )
         save_history(trend_path, history)
         print(f"recorded entry for {sha} in {trend_path.name} ({len(history)} total)")
     return 0

@@ -127,6 +127,8 @@ def _run_serve(args) -> str:
 
 def _run_train(args) -> str:
     """Flight-recorder demo run: synthetic MTL training, fully instrumented."""
+    import resource
+
     import numpy as np
 
     from .core.balancer import available_balancers, create_balancer
@@ -174,6 +176,12 @@ def _run_train(args) -> str:
         )
     if args.profile:
         trainer.telemetry.emit({"type": "ops", "tid": trainer.telemetry.id, **ops.to_dict()})
+    # The whole process's high-water mark, read once at the end of the run
+    # (``ru_maxrss`` is in KiB on Linux, bytes on macOS).
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_rss_mb = peak_rss / (1024.0 * (1024.0 if sys.platform == "darwin" else 1.0))
+    trainer.telemetry.gauge("process_peak_rss_mb").set(peak_rss_mb)
+    trainer.telemetry.flush()
     lines = [
         f"trained {args.balancer} on {benchmark.name} — "
         f"{trainer.step_count} steps, K={args.tasks}",
@@ -182,6 +190,7 @@ def _run_train(args) -> str:
             f"{task.name}={loss:.4f}"
             for task, loss in zip(trainer.tasks, trainer.history.step_losses[-1])
         ),
+        f"peak RSS: {peak_rss_mb:.1f} MiB",
     ]
     if args.streaming:
         telemetry = trainer.telemetry

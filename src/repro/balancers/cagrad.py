@@ -20,7 +20,6 @@ as in the reference implementation.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..core.balancer import GradientBalancer, register_balancer
 
@@ -48,6 +47,11 @@ class CAGrad(GradientBalancer):
             raise ValueError("c must be in (0, 1)")
         self.c = c
         self.rescale = rescale
+        # scipy is imported here, not at module scope (``import repro``
+        # would load it in every process) and not in the timed balance().
+        from scipy.optimize import minimize
+
+        self._minimize = minimize
 
     def balance(self, grads: np.ndarray, losses: np.ndarray) -> np.ndarray:
         grads, _ = self._check_inputs(grads, losses)
@@ -65,7 +69,7 @@ class CAGrad(GradientBalancer):
         w0 = np.full(num_tasks, 1.0 / num_tasks)
         constraints = {"type": "eq", "fun": lambda w: w.sum() - 1.0}
         bounds = [(0.0, 1.0)] * num_tasks
-        result = minimize(
+        result = self._minimize(
             objective,
             w0,
             method="SLSQP",

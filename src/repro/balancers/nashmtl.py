@@ -21,7 +21,6 @@ combined gradient can be norm-capped (``max_norm``).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ..core.balancer import GradientBalancer, register_balancer
 
@@ -35,8 +34,11 @@ def solve_nash_weights(gram: np.ndarray, max_iter: int = 40) -> np.ndarray:
 
     Uses scipy's trust-region least squares on the residual with a
     positivity bound; falls back to uniform weights when the gradient matrix
-    is degenerate.
+    is degenerate.  scipy is imported on first call (:class:`NashMTL`
+    pays that at construction), never when this module loads.
     """
+    from scipy.optimize import least_squares
+
     num_tasks = gram.shape[0]
     diag = np.clip(np.diag(gram), _EPS, None)
     # Initialize from the decoupled solution α_k = 1/‖g_k‖.
@@ -77,6 +79,8 @@ class NashMTL(GradientBalancer):
             raise ValueError("update_weights_every must be ≥ 1")
         self.update_weights_every = update_weights_every
         self.max_norm = max_norm
+        # Load scipy now so the first timed balance() does not pay for it.
+        import scipy.optimize  # noqa: F401
         self._alpha: np.ndarray | None = None
         self._step = 0
 

@@ -53,15 +53,17 @@ matrix.  The per-pair loop and the full-matrix ``balance`` are the
 reference implementations the tests compare against
 (``tests/reference/``).
 
-Momentum state: every per-step path advances Eq. (9) *in place* —
-``m *= β; m += (1−β)·g`` through one reused ``(K, d)`` buffer — which is
-bitwise equal to ``β·m + (1−β)·g``.  The per-task norms ``‖m_k‖`` are
-taken at most once per step (one ``einsum`` pass, cached until the next
-update) and feed the ``mocograd_momentum_norm`` gauges,
-:meth:`MoCoGrad.dynamics` and the direct path's next zero-momentum mask
-and scale (the full-matrix path keeps its own ``np.linalg.norm``, so its
-trajectories are unchanged).  Because the state mutates in place,
-:attr:`MoCoGrad.momentum` returns a copy.
+Momentum state: every per-step path advances Eq. (9) *in place*, one
+task row at a time — ``m_k *= β; m_k += (1−β)·g_k`` through one reused
+``(d,)`` row scratch — which is bitwise equal to ``β·m + (1−β)·g`` (the
+same elementwise operations) and keeps no second ``(K, d)`` matrix.
+The per-task norms ``‖m_k‖`` are taken at most once per step (one
+``einsum`` pass, cached until the next update) and feed the
+``mocograd_momentum_norm`` gauges, :meth:`MoCoGrad.dynamics` and the
+direct path's next zero-momentum mask and scale (the full-matrix path
+keeps its own ``np.linalg.norm``, so its trajectories are unchanged).
+Because the state mutates in place, :attr:`MoCoGrad.momentum` returns a
+copy.
 """
 
 from __future__ import annotations
@@ -130,8 +132,8 @@ class MoCoGrad(GradientBalancer):
         self._momentum: np.ndarray | None = None
         #: ``‖m_k‖`` of the current momentum, ``None`` until first read.
         self._momentum_norms: np.ndarray | None = None
-        #: reused ``(K, d)`` scratch of the in-place Eq. (9) update
-        self._buffer: np.ndarray | None = None
+        #: reused ``(d,)`` row scratch of the in-place Eq. (9) update
+        self._scratch: np.ndarray | None = None
         self.step_count = 0
 
     # ------------------------------------------------------------------
@@ -139,7 +141,7 @@ class MoCoGrad(GradientBalancer):
         super().reset(num_tasks)
         self._momentum = None
         self._momentum_norms = None
-        self._buffer = None
+        self._scratch = None
         self.step_count = 0
 
     @property
@@ -200,23 +202,33 @@ class MoCoGrad(GradientBalancer):
             # momentum history mid-run without any signal; make the caller
             # decide.
             self.telemetry.counter("mocograd_momentum_shape_mismatch_total").inc()
+            if grads.shape[0] == self._momentum.shape[0]:
+                cause = (
+                    "the gradient width changed with the task count unchanged: the "
+                    "shared-parameter set changed, or, under grad_space='features' "
+                    "where a row is batch × features wide, a partial trailing batch "
+                    "arrived (fit(..., drop_last=True) avoids this)"
+                )
+            else:
+                cause = "the task count changed mid-run"
             raise ValueError(
                 f"gradient matrix shape {grads.shape} does not match momentum state "
-                f"{self._momentum.shape}; the task count or shared-parameter set "
-                "changed mid-run — call reset() to start a fresh momentum history"
+                f"{self._momentum.shape}; {cause} — call reset() to start a fresh "
+                "momentum history"
             )
         if self.telemetry.enabled:
             # λ in effect for this step (step_count has not advanced yet).
             self.telemetry.gauge("mocograd_lambda").set(self.current_calibration())
 
     def _advance_momentum(self, source: np.ndarray) -> None:
-        """Eq. (9) in place: ``m ← β·m + (1−β)·source``, bitwise."""
-        momentum = self._momentum
-        if self._buffer is None:
-            self._buffer = np.empty_like(momentum)
-        momentum *= self.beta1
-        np.multiply(source, 1.0 - self.beta1, out=self._buffer)
-        momentum += self._buffer
+        """Eq. (9) in place, row by row: ``m_k ← β·m_k + (1−β)·source_k``, bitwise."""
+        if self._scratch is None:
+            self._scratch = np.empty(self._momentum.shape[1])
+        scratch = self._scratch
+        for momentum_k, source_k in zip(self._momentum, source):
+            momentum_k *= self.beta1
+            np.multiply(source_k, 1.0 - self.beta1, out=scratch)
+            momentum_k += scratch
 
     def _end_step(self) -> None:
         """Advance the step count and publish the post-update norms."""

@@ -38,6 +38,12 @@ from pathlib import Path
 
 import numpy as np
 
+# numpy loads ``numpy.random`` on first use and ``np.quantile`` loads
+# ``numpy.ma`` on its first call (~18 ms each): import both with this
+# module so that cost is not paid inside the first stream's set-up.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .aliexpress import (
     _COUNTRY_PROFILES,
     _FIELD_SIZES,

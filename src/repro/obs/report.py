@@ -334,6 +334,13 @@ def format_report(summary: Mapping) -> str:
             )
         sections.append("\n".join(lines))
 
+    peak_rss = [
+        value for (name, _labels), value in summary["gauges"].items()
+        if name == "process_peak_rss_mb"
+    ]
+    if peak_rss:
+        sections.append(f"Process\n  peak RSS: {max(peak_rss):.1f} MiB")
+
     applied = summary["counters"].get("mocograd_calibrations_total", {})
     skipped = summary["counters"].get("mocograd_skipped_zero_momentum_total", {})
     if applied or skipped:

@@ -205,11 +205,11 @@ class MTLTrainer:
         ``"parameters"`` (default) or ``"features"`` (see the module
         docstring).  Features work with every balancer and every
         single-input architecture implementing
-        :meth:`~repro.arch.base.MTLModel.shared_features`.  Note that
-        stateful balancers (MoCoGrad, GradVac) shape their state to
-        d_feat, which follows the batch shape — keep batch sizes fixed
-        (or use a stateless balancer) when the loader yields a partial
-        trailing batch.
+        :meth:`~repro.arch.base.MTLModel.shared_features`.  A feature
+        row is batch × d_feat wide, so its width follows the batch
+        size; MoCoGrad's per-task momentum is shaped to it and raises on
+        a partial trailing batch — train it with
+        ``fit(..., drop_last=True)``.
     feature_ema:
         Optional EMA smoothing factor in ``[0, 1)`` enabling a
         :class:`~repro.core.ema.EMANormalizer` over the feature-gradient
@@ -677,8 +677,10 @@ class MTLTrainer:
         on demand, double-buffered by a prefetch thread that is shut down
         even when a training step raises; an in-memory dataset is one
         shard, indexed in place.  ``drop_last`` discards each shard's
-        trailing partial batch — useful when a stateful balancer assumes a
-        fixed batch shape.  An epoch draws exactly the batches it trains
+        trailing partial batch.  Feature-space MoCoGrad needs it: a
+        ``grad_space="features"`` row is batch × features wide, so a
+        partial batch changes the width of the momentum's rows and
+        MoCoGrad raises.  An epoch draws exactly the batches it trains
         on, ``max_steps_per_epoch`` included.  On completion the trainer's
         metric registry is flushed to the attached sinks.
 

@@ -36,17 +36,34 @@ def at_head(trend, monkeypatch):
     monkeypatch.setattr(trend, "git_sha", lambda short=True: HEAD)
 
 
+#: The host fingerprint the test reports carry by default.
+HOST = {"cpu_model": "Test CPU 9000", "nproc": 2, "blas": "openblas 0.3",
+        "openblas_num_threads": None}
+
+
 def _current(trend, root: Path) -> dict[str, float]:
     return trend.collect_measured(root, HEAD)[0]
 
 
-def _write_reports(root: Path, grad_speedup=1.8, adam_speedup=6.0, sha=HEAD):
+def _entry(trend, root: Path, sha="bbbbbbb", **host) -> dict:
+    """A history entry holding the current reports' metrics, recorded on
+    their host with ``host`` overrides."""
+    _, _, _, hosts = trend.collect_measured(root, HEAD)
+    hosts = {label: {**fingerprint, **host} for label, fingerprint in hosts.items()}
+    return {"sha": sha, "ts": 0.0, "metrics": _current(trend, root),
+            "hosts": trend.entry_hosts(hosts)}
+
+
+def _write_reports(root: Path, grad_speedup=1.8, adam_speedup=6.0, sha=HEAD, host=HOST):
+    """Four reports; ``host=None`` writes them without a host fingerprint."""
+    fingerprint = host or {}
     (root / "BENCH_grad_collection.json").write_text(
         json.dumps(
             {
                 "benchmark": "grad_collection",
                 "schema": 2,
                 "git_sha": sha,
+                **fingerprint,
                 "results": [
                     {"num_tasks": 2, "speedup": 1.2},
                     {"num_tasks": 8, "speedup": grad_speedup},
@@ -60,6 +77,7 @@ def _write_reports(root: Path, grad_speedup=1.8, adam_speedup=6.0, sha=HEAD):
                 "benchmark": "balancers",
                 "schema": 2,
                 "git_sha": sha,
+                **fingerprint,
                 "results": [
                     {"balancer": "mocograd", "num_tasks": 8, "speedup": 2.0,
                      "gated": True},
@@ -79,6 +97,7 @@ def _write_reports(root: Path, grad_speedup=1.8, adam_speedup=6.0, sha=HEAD):
                 "benchmark": "optim",
                 "schema": 2,
                 "git_sha": sha,
+                **fingerprint,
                 "results": [{"optimizer": "adam", "speedup": adam_speedup}],
                 "train_step": {"speedup": 1.2},
             }
@@ -90,6 +109,7 @@ def _write_reports(root: Path, grad_speedup=1.8, adam_speedup=6.0, sha=HEAD):
                 "benchmark": "streaming",
                 "schema": 2,
                 "git_sha": sha,
+                **fingerprint,
                 "results": [
                     {"mode": "eager", "speedup": 1.0},
                     {"mode": "prefetch", "speedup": 1.1},
@@ -163,11 +183,8 @@ class TestGate:
 
     def test_fails_on_injected_regression(self, trend, tmp_path, capsys):
         _write_reports(tmp_path)
-        baseline = _current(trend, tmp_path)
         (tmp_path / "BENCH_trend.json").write_text(
-            json.dumps({"schema": 1, "history": [
-                {"sha": "bbbbbbb", "ts": 0.0, "metrics": baseline}
-            ]})
+            json.dumps({"schema": 1, "history": [_entry(trend, tmp_path)]})
         )
         # Inject a synthetic regression: adam drops 6.0x -> 2.0x (-67%).
         _write_reports(tmp_path, adam_speedup=2.0)
@@ -192,10 +209,7 @@ class TestGate:
     def test_tighter_threshold_flags_same_drift(self, trend, tmp_path):
         _write_reports(tmp_path, adam_speedup=6.0)
         (tmp_path / "BENCH_trend.json").write_text(
-            json.dumps({"schema": 1, "history": [
-                {"sha": "bbbbbbb", "ts": 0.0,
-                 "metrics": _current(trend, tmp_path)}
-            ]})
+            json.dumps({"schema": 1, "history": [_entry(trend, tmp_path)]})
         )
         _write_reports(tmp_path, adam_speedup=5.0)
         assert trend.main(["--root", str(tmp_path), "--check", "--threshold", "0.1"]) == 1
@@ -323,11 +337,10 @@ class TestHostFingerprint:
         assert benchlib.provenance()["openblas_num_threads"] is None
 
     def test_each_report_is_listed_with_sha_and_host(self, trend, tmp_path, capsys):
-        _write_reports(tmp_path)  # written before the fingerprint existed
+        _write_reports(tmp_path, host=None)  # written before the fingerprint existed
         path = tmp_path / "BENCH_optim.json"
         report = json.loads(path.read_text())
-        report.update(cpu_model="Test CPU 9000", nproc=2, blas="openblas 0.3",
-                      openblas_num_threads=None)
+        report.update(HOST)
         path.write_text(json.dumps(report))
         assert trend.main(["--root", str(tmp_path), "--check"]) == 0
         out = capsys.readouterr().out
@@ -338,3 +351,61 @@ class TestHostFingerprint:
         assert f"BENCH_balancers.json  {HEAD}  host not recorded" in out
         # the older reports are still read and gated
         assert "balancers/mocograd/K8" in out
+
+
+class TestHostAwareGate:
+    """A speedup is gated only against a baseline from the same host."""
+
+    def _history(self, tmp_path, entry):
+        (tmp_path / "BENCH_trend.json").write_text(
+            json.dumps({"schema": 1, "history": [entry]})
+        )
+
+    def test_regression_on_the_same_host_fails(self, trend, tmp_path, capsys):
+        _write_reports(tmp_path)
+        self._history(tmp_path, _entry(trend, tmp_path))
+        _write_reports(tmp_path, adam_speedup=2.0)
+        assert trend.main(["--root", str(tmp_path), "--check"]) == 1
+        out, err = capsys.readouterr()
+        assert "REGRESSED" in out and "optim/adam" in err
+
+    def test_same_drop_against_another_host_is_listed_and_passes(
+        self, trend, tmp_path, capsys
+    ):
+        _write_reports(tmp_path)
+        self._history(tmp_path, _entry(trend, tmp_path, nproc=1))
+        _write_reports(tmp_path, adam_speedup=2.0)
+        assert trend.main(["--root", str(tmp_path), "--check"]) == 0
+        out, err = capsys.readouterr()
+        row = next(line for line in out.splitlines() if line.startswith("optim/adam"))
+        assert "-66.7% other host" in row
+        assert "REGRESSED" not in out and "FAIL" not in err
+
+    def test_baseline_without_hosts_is_not_gated(self, trend, tmp_path, capsys):
+        _write_reports(tmp_path)
+        entry = _entry(trend, tmp_path)
+        del entry["hosts"]  # an entry recorded before hosts were
+        self._history(tmp_path, entry)
+        _write_reports(tmp_path, adam_speedup=2.0)
+        assert trend.main(["--root", str(tmp_path), "--check"]) == 0
+        assert "other host" in capsys.readouterr().out
+
+    def test_report_without_fingerprint_is_not_gated(self, trend, tmp_path, capsys):
+        _write_reports(tmp_path)
+        self._history(tmp_path, _entry(trend, tmp_path))
+        _write_reports(tmp_path, adam_speedup=2.0, host=None)
+        assert trend.main(["--root", str(tmp_path), "--check"]) == 0
+        assert "other host" in capsys.readouterr().out
+
+    def test_recorded_entry_names_each_metrics_host(self, trend, tmp_path):
+        _write_reports(tmp_path)
+        path = tmp_path / "BENCH_optim.json"
+        report = json.loads(path.read_text())
+        for field in trend.HOST_FIELDS:
+            del report[field]
+        path.write_text(json.dumps(report))
+        assert trend.main(["--root", str(tmp_path)]) == 0
+        entry = json.loads((tmp_path / "BENCH_trend.json").read_text())["history"][-1]
+        fingerprinted = sorted(set(entry["metrics"]) - {"optim/adam"})
+        assert entry["hosts"] == [{**HOST, "metrics": fingerprinted}]
+        assert trend.metric_hosts(entry) == dict.fromkeys(fingerprinted, HOST)

@@ -1,5 +1,7 @@
 """Tests for the MoCoGrad algorithm (Algorithm 1, Eq. 8–9, Theorem 1)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core import MoCoGrad, check_theorem1, create_balancer
+
+from ..reference.balancers import MatrixMomentumMoCoGrad
 
 
 def make_conflicting_grads():
@@ -146,6 +150,61 @@ class TestMomentumModes:
         # With beta1=0, momentum equals the latest calibrated gradients,
         # which differ from raw for conflicting tasks.
         assert not np.allclose(balancer.momentum, grads)
+
+
+def conflicting_trajectory(num_tasks, dim, steps, seed=0):
+    """Noisy gradients around a shared direction with alternating signs:
+    every step has conflicting pairs once momentum is non-zero."""
+    rng = np.random.default_rng(seed)
+    shared = rng.normal(size=dim)
+    signs = np.where(np.arange(num_tasks) % 2 == 0, 1.0, -1.0)[:, None]
+    for _ in range(steps):
+        yield rng.normal(size=(num_tasks, dim)) + 2.0 * signs * shared, np.ones(num_tasks)
+
+
+class TestRowwiseMomentum:
+    """Eq. (9) runs one task row at a time through a ``(d,)`` scratch."""
+
+    @pytest.mark.parametrize("source", ["raw", "calibrated"])
+    @pytest.mark.parametrize("num_tasks", [2, 9])
+    def test_bitwise_equal_to_full_matrix_update(self, num_tasks, source):
+        dim = 48
+        rowwise = MoCoGrad(momentum_source=source, seed=0)
+        matrix = MatrixMomentumMoCoGrad(momentum_source=source, seed=0)
+        for step, (grads, losses) in enumerate(conflicting_trajectory(num_tasks, dim, 30)):
+            direction = rowwise.balance(grads, losses)
+            assert np.array_equal(direction, matrix.balance(grads, losses)), step
+            assert np.array_equal(rowwise.momentum, matrix.momentum), step
+        assert rowwise._scratch.shape == (dim,)
+        assert not np.array_equal(direction, grads.sum(axis=0))  # calibration applied
+
+    def test_reset_drops_the_scratch(self):
+        balancer = MoCoGrad(seed=0)
+        balancer.balance(np.ones((3, 5)), np.ones(3))
+        balancer.reset(3)
+        balancer.balance(np.ones((3, 7)), np.ones(3))
+        assert balancer._scratch.shape == (7,)
+
+    def test_no_second_k_by_d_block_at_ml9_shape(self):
+        """At ``ml9``'s (9, 162,832) the balancer holds one ``(K, d)``
+        matrix (its momentum) and a warmed-up balance() allocates no
+        ``(K, d)`` temporary."""
+        num_tasks, dim = 9, 162_832
+        block = num_tasks * dim * 8
+        trajectory = list(conflicting_trajectory(num_tasks, dim, 3))
+        tracemalloc.start()
+        try:
+            balancer = MoCoGrad(seed=0)
+            for grads, losses in trajectory[:2]:
+                balancer.balance(grads, losses)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            balancer.balance(*trajectory[2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block <= held < 2 * block
+        assert peak - held < block
 
 
 class TestStateManagement:

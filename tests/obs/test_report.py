@@ -164,6 +164,20 @@ class TestFormatReport:
         )
         assert "Streaming data pipeline" not in report
 
+    def test_renders_process_peak_rss(self):
+        gauge = {
+            "type": "metric", "kind": "gauge", "name": "process_peak_rss_mb",
+            "labels": {}, "value": 105.25, "tid": 1, "ts": 1.0,
+        }
+        report = format_report(summarize_events([gauge]))
+        assert "Process\n  peak RSS: 105.2 MiB" in report
+
+    def test_process_section_absent_without_the_gauge(self):
+        report = format_report(
+            summarize_events([{"type": "span", "path": "step", "seconds": 0.1}])
+        )
+        assert "peak RSS" not in report
+
 
 class TestEndToEndRoundtrip:
     def test_telemetry_to_file_to_report(self, tmp_path):

@@ -26,6 +26,16 @@ class MatrixMoCoGrad(MoCoGrad):
         return self.calibrate(grads, stats=self._stats).sum(axis=0)
 
 
+class MatrixMomentumMoCoGrad(MoCoGrad):
+    """MoCoGrad whose Eq. (9) updates the whole ``(K, d)`` momentum at once,
+    through a ``(K, d)`` buffer — the update the row-by-row step replaced."""
+
+    def _advance_momentum(self, source):
+        buffer = np.multiply(source, 1.0 - self.beta1)
+        self._momentum *= self.beta1
+        self._momentum += buffer
+
+
 class LoopMoCoGrad(MatrixMoCoGrad):
     """MoCoGrad whose ``per_step`` Eq. (8) runs pair by pair (full matrix)."""
 

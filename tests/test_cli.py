@@ -151,6 +151,23 @@ class TestTelemetryCLI:
         out = capsys.readouterr().out
         assert "linear" in out and "backward walks: 3" in out
 
+    def test_train_prints_peak_rss_and_report_shows_it(self, capsys, tmp_path):
+        import re
+        import resource
+
+        def high_water_mb():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+        path = str(tmp_path / "run.jsonl")
+        before = high_water_mb()
+        assert main(["train", "--steps", "2", "--tasks", "2", "--telemetry", path]) == 0
+        printed = re.search(r"^peak RSS: ([0-9.]+) MiB$", capsys.readouterr().out, re.M)
+        assert printed is not None
+        # this (test) process's high-water mark, printed to 0.1 MiB
+        assert before - 0.05 <= float(printed.group(1)) <= high_water_mb() + 0.05
+        assert main(["report", path]) == 0
+        assert f"peak RSS: {printed.group(1)} MiB" in capsys.readouterr().out
+
     def test_report_ops_without_profile_says_so(self, capsys, tmp_path):
         path = str(tmp_path / "run.jsonl")
         assert main(["train", "--steps", "2", "--tasks", "2", "--telemetry", path]) == 0

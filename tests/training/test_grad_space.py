@@ -220,6 +220,26 @@ class TestFeatureAccumulation:
         with pytest.raises(ValueError, match="momentum"):
             trainer.train_step_single(x8, t8)
 
+    def test_partial_trailing_batch_error_names_drop_last(self):
+        """256 samples leave a 204-row train split: batch 64 ends on a
+        12-row batch, whose feature rows are narrower."""
+        from repro.data import make_synthetic_mtl
+
+        bench = make_synthetic_mtl(num_tasks=3, num_samples=256, seed=1)
+
+        def fit(balancer, drop_last):
+            model = bench.build_model("hps", np.random.default_rng(1))
+            trainer = MTLTrainer(model, bench.tasks, balancer, grad_space="features", seed=1)
+            trainer.fit(bench.train, epochs=1, batch_size=64, drop_last=drop_last)
+            return trainer
+
+        with pytest.raises(ValueError, match=r"batch × features wide.*drop_last=True"):
+            fit(create_balancer("mocograd", seed=0), drop_last=False)
+        assert fit(create_balancer("mocograd", seed=0), drop_last=True).step_count == 3
+        # balancers without width-shaped state still train on the partial batch
+        for name in ("gradvac", "equal"):
+            assert fit(create_balancer(name, seed=0), drop_last=False).step_count == 4
+
 
 # ----------------------------------------------------------------------
 # Workspace cache (per-dim, bounded)
