@@ -23,9 +23,6 @@ Tracked metrics (label → speedup):
 - ``balancers/mocograd_ml9`` — MoCoGrad's direct Σ ĝ vs its full-matrix
   reference at the ``ml9`` shape (``bench_balancers.py``);
 - ``optim/{name}`` — flat vs loop optimizer step;
-- ``parallel/K{K}/W{W}`` — W shared-memory workers vs sequential (only
-  recorded when the host has at least W usable cores — see
-  ``bench_parallel.py``);
 - ``feature_space/d{d}`` — feature-space vs parameter-space balancing
   cost at shared-parameter count d (``bench_feature_space.py``);
 - ``streaming/prefetch`` / ``streaming/warm_cache`` — double-buffered
@@ -101,16 +98,6 @@ def extract_metrics(report: dict) -> dict[str, float]:
     elif kind == "optim":
         for row in report.get("results", []):
             metrics[f"optim/{row['optimizer']}"] = float(row["speedup"])
-    elif kind == "parallel":
-        # Parallel speedup is hardware-bound: a W-worker run cannot beat
-        # sequential on fewer than W cores, so only configurations the
-        # recording host could actually parallelize are tracked.
-        cores = int(report.get("cpu_count", 0))
-        for row in report.get("results", []):
-            if cores >= int(row["workers"]):
-                metrics[f"parallel/K{row['num_tasks']}/W{row['workers']}"] = float(
-                    row["speedup"]
-                )
     elif kind == "feature_space":
         for row in report.get("results", []):
             metrics[f"feature_space/d{row['dim_shared']}"] = float(

@@ -8,7 +8,6 @@ Usage::
     python -m repro table4 --methods equal,mocograd
     python -m repro table1 --telemetry out.jsonl   # stream telemetry events
     python -m repro report out.jsonl               # pretty-print a saved run
-    python -m repro report run.jsonl run.worker*.jsonl   # merge a parallel run
     python -m repro serve --requests 512 --clients 8     # micro-batched inference demo
 
 Flight recorder (see DESIGN.md, "Flight recorder")::
@@ -236,11 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "path",
-        nargs="*",
-        default=[],
-        help="telemetry JSONL file(s) (required by the `report` subcommand; "
-        "pass the parent file plus any run.worker<i>.jsonl files to merge a "
-        "multi-process run)",
+        nargs="?",
+        default=None,
+        help="telemetry JSONL file (required by the `report` subcommand)",
     )
     parser.add_argument("--preset", default="quick", choices=("quick", "full"))
     parser.add_argument(
@@ -367,9 +364,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.experiment == "report":
         if not args.path:
-            parser.error("report requires at least one telemetry JSONL path")
+            parser.error("report requires a telemetry JSONL path")
         try:
-            events = obs.load_run_events(args.path)
+            events = obs.load_events(args.path)
         except OSError as exc:
             parser.error(f"cannot read telemetry file: {exc}")
         except ValueError as exc:

@@ -37,20 +37,19 @@ SINGLE_INPUT = "single_input"
 MULTI_INPUT = "multi_input"
 
 #: Seed used when neither an ``rng`` nor a ``seed`` is given.  Batch order
-#: must always derive from an explicit seed so that runs — and the shard
-#: streams data-parallel workers cut from them — are reproducible; an
-#: OS-entropy fallback would silently break that contract.
+#: must always derive from an explicit seed so that runs are reproducible;
+#: an OS-entropy fallback would silently break that contract.
 DEFAULT_DATA_SEED = 0
 
 
 def shard_rng(seed: int, shard_index: int) -> np.random.Generator:
     """Deterministic per-shard generator: ``default_rng(seed + shard_index)``.
 
-    The spawn-safe seeding helper for data-parallel workers: each shard's
-    stream is a pure function of ``(seed, shard_index)``, so a worker
-    process reconstructs it identically under any start method (fork or
-    spawn) without inheriting parent RNG state.  ``seed`` must be explicit
-    — reproducibility of worker shards is the whole point.
+    Each shard's stream is a pure function of ``(seed, shard_index)``, so
+    any consumer — the loader, its prefetch thread, the shard cache, a
+    fresh process — regenerates a shard identically without sharing RNG
+    state.  ``seed`` must be explicit: reproducible shards are the whole
+    point.
     """
     if seed is None:
         raise ValueError("shard_rng requires an explicit seed")

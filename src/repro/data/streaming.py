@@ -8,8 +8,8 @@ streaming counterpart, and the loader that walks both:
 - :class:`ChunkedSource` — a generator that produces fixed-size *chunks*
   (shards) on demand.  Shard ``i`` is a pure function of
   ``(seed, shard_index)`` via :func:`~repro.data.base.shard_rng`, so any
-  consumer — the sequential loader, a prefetch thread, a data-parallel
-  worker, a warm cache — reconstructs identical bytes independently.
+  consumer — the loader, a prefetch thread, global-index ``batch()``, a
+  warm cache — reconstructs identical bytes independently.
 - :class:`StreamingDataset` — the dataset view over a source: every
   shard fetch (the loader's and global-index ``batch()``) goes through a
   tiny shard LRU, so a stream of at most two shards is generated once
@@ -26,10 +26,9 @@ streaming counterpart, and the loader that walks both:
 - :class:`DataLoader` — the only loader, over a :class:`StreamingDataset`
   or an :class:`~repro.data.base.ArrayDataset` (a one-shard stream that
   hands out its own arrays, with no copy and no prefetch thread); it
-  fetches every shard through ``dataset.shard``.  Its
-  epochs, its :meth:`~DataLoader.batch_indices` (the parallel trainer's
-  index stream) and evaluation all take their order from
-  :func:`shard_batch_index_iter`, the one place batch order is drawn.
+  fetches every shard through ``dataset.shard``.  Its epochs and
+  evaluation both take their order from :func:`shard_batch_index_iter`,
+  the one place batch order is drawn.
 
 Ordering contract: one shard-order permutation, then each shard's rows
 batched by :func:`~repro.data.base.batch_index_iter`.  Batches never cross
@@ -138,10 +137,9 @@ def shard_batch_index_iter(
     drawn now (the prefetcher needs it up front); ``batches`` then yields
     ``(shard_index, within-shard positions)``, drawing each shard's
     :func:`~repro.data.base.batch_index_iter` permutation as it reaches
-    that shard — O(chunk_size) live index memory.  The loader, its
-    parallel index stream and evaluation all consume this sequence, so
-    sequential and data-parallel runs at equal seeds walk identical
-    batches.
+    that shard — O(chunk_size) live index memory.  Training epochs and
+    evaluation both walk it through the loader, so runs at equal seeds
+    see identical batches whatever the storage.
     """
     rng = rng if rng is not None else np.random.default_rng(DEFAULT_DATA_SEED)
     order = np.arange(num_shards(total_rows, chunk_size))
@@ -171,7 +169,7 @@ class ChunkedSource:
     random value from ``shard_rng(self.seed, index)``.  World-level state
     (latent tables, task directions) is computed in ``__init__`` from the
     seed alone, so a pickled source regenerates identical shards in any
-    process (the data-parallel workers rely on this).
+    process.
 
     ``cache_key()`` returns a string identifying the generated
     *distribution* (generator name + every parameter that changes the
@@ -245,9 +243,9 @@ def as_stream(
 class StreamingDataset:
     """Dataset view over a :class:`ChunkedSource` with caching and LRU.
 
-    Shares the :class:`ArrayDataset` surface the loader and the
-    data-parallel workers touch: ``__len__``, ``chunk_size``, ``shard``,
-    ``load_shard``, ``prefetch_depth``, ``telemetry`` and ``batch``.
+    Shares the :class:`ArrayDataset` surface the loader and the analysis
+    helpers touch: ``__len__``, ``chunk_size``, ``shard``, ``load_shard``,
+    ``prefetch_depth``, ``telemetry`` and ``batch``.
 
     Parameters
     ----------
@@ -267,7 +265,7 @@ class StreamingDataset:
     telemetry:
         Default :class:`repro.obs.Telemetry` for cache/generation
         instrumentation; the trainer's loader overrides it per-fit.
-        Dropped on pickling (workers count into their own sinks).
+        Dropped on pickling (an unpickled copy counts into its own sinks).
     """
 
     def __init__(
@@ -394,9 +392,7 @@ class StreamingDataset:
 
         Positions are grouped by shard; each touched shard is loaded once
         through the LRU.  Row order of ``idx`` is preserved exactly, so
-        this is a drop-in for :meth:`ArrayDataset.batch` — the
-        data-parallel workers call it with their contiguous slice of the
-        step's batch.
+        this is a drop-in for :meth:`ArrayDataset.batch`.
         """
         idx = np.asarray(idx)
         if idx.size == 0:
@@ -611,32 +607,16 @@ class DataLoader:
             len(self.dataset), self.dataset.chunk_size, self.batch_size, self.drop_last
         )
 
-    def _batch_order(self):
-        return shard_batch_index_iter(
-            len(self.dataset),
-            self.dataset.chunk_size,
+    def __iter__(self) -> Iterator:
+        dataset, telemetry = self.dataset, self.telemetry
+        order, batches = shard_batch_index_iter(
+            len(dataset),
+            dataset.chunk_size,
             self.batch_size,
             rng=self.rng,
             shuffle=self.shuffle,
             drop_last=self.drop_last,
         )
-
-    def batch_indices(self) -> Iterator[np.ndarray]:
-        """One epoch's batches as global row positions, loading nothing.
-
-        Consumes the exact RNG draws of ``iter(self)``, so a parallel run
-        dispatching these indices to workers (each calls
-        ``dataset.batch`` on its slice) and a sequential run at the same
-        seed train on identical batches.
-        """
-        _, batches = self._batch_order()
-        chunk_size = self.dataset.chunk_size
-        for index, positions in batches:
-            yield index * chunk_size + positions
-
-    def __iter__(self) -> Iterator:
-        order, batches = self._batch_order()
-        dataset, telemetry = self.dataset, self.telemetry
         prefetcher = None
         if dataset.prefetch_depth > 0:
             prefetcher = ShardPrefetcher(

@@ -4,8 +4,8 @@ Each ``make_*_stream`` builder mirrors its eager sibling but returns a
 :class:`~repro.data.base.Benchmark` whose training split is a
 :class:`~repro.data.streaming.StreamingDataset`: rows are generated in
 fixed-size shards on demand, each shard a pure function of
-``shard_rng(stream_seed, shard_index)``, so any consumer (prefetch
-thread, data-parallel worker, mmap cache writer) regenerates identical
+``shard_rng(stream_seed, shard_index)``, so any consumer (the loader,
+its prefetch thread, the mmap cache writer) regenerates identical
 bytes independently — at 10–100× the eager row counts with a flat memory
 ceiling.
 
@@ -312,8 +312,8 @@ def make_movielens_stream(
 
     Multi-input: each genre's train split is its own
     :class:`StreamingDataset` over the shared world, with a per-genre
-    shard stream (so ``parallel`` row identities stay disjoint across
-    tasks just like distinct eager datasets).
+    shard stream (so row identities stay disjoint across tasks just like
+    distinct eager datasets).
     """
     unknown = set(genres) - set(GENRES)
     if unknown:

@@ -56,19 +56,6 @@ from .module import Parameter
 __all__ = ["ParameterArena", "packed_segment"]
 
 
-def _check_external_buffer(name: str, buf: np.ndarray, size: int) -> np.ndarray:
-    """Validate an externally provided arena buffer (no copies, no casts)."""
-    if not isinstance(buf, np.ndarray):
-        raise TypeError(f"{name} buffer must be an ndarray, got {type(buf).__name__}")
-    if buf.dtype != np.float64:
-        raise ValueError(f"{name} buffer must be float64, got {buf.dtype}")
-    if buf.ndim != 1 or not buf.flags.c_contiguous:
-        raise ValueError(f"{name} buffer must be a contiguous (d,) vector")
-    if buf.size != size:
-        raise ValueError(f"{name} buffer has length {buf.size}; packed size is {size}")
-    return buf
-
-
 class ParameterArena:
     """Pack parameters into contiguous flat data/grad buffers (as views).
 
@@ -78,29 +65,9 @@ class ParameterArena:
         The parameters to pack, in packing order.  Duplicates (by identity)
         are collapsed to their first occurrence.  Values and any existing
         gradients are preserved through packing.
-    data, grad:
-        Optional externally provided flat float64 C-contiguous buffers of
-        exactly the packed length ``d`` — e.g. numpy views over
-        ``multiprocessing.shared_memory`` blocks.  When given, the arena
-        packs *into* them instead of allocating, so every ``param.data`` /
-        ``param.grad`` view aliases the external memory and in-place
-        optimizer steps are visible to any process mapping the same block.
-        Pass both or neither.
-    load:
-        Only meaningful with external buffers.  ``False`` (default, the
-        parent side) copies the parameters' current values and gradients
-        into the buffers; ``True`` (the worker side) adopts the buffers'
-        existing contents as authoritative, discarding the parameters'
-        own values — the replica snaps to whatever the parent published.
     """
 
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        data: np.ndarray | None = None,
-        grad: np.ndarray | None = None,
-        load: bool = False,
-    ) -> None:
+    def __init__(self, parameters: Sequence[Parameter]) -> None:
         seen: set[int] = set()
         params: list[Parameter] = []
         for param in parameters:
@@ -127,33 +94,19 @@ class ParameterArena:
             total += param.size
         #: total packed length ``d``
         self.size: int = total
-        if (data is None) != (grad is None):
-            raise ValueError("pass both data and grad buffers, or neither")
-        external = data is not None
-        if external:
-            data = _check_external_buffer("data", data, total)
-            grad = _check_external_buffer("grad", grad, total)
-        else:
-            if load:
-                raise ValueError("load=True requires external data/grad buffers")
-            data = np.empty(total)
-            grad = np.zeros(total)
         #: the contiguous ``(d,)`` value buffer (parameter ``.data`` are
         #: views); ``None`` after :meth:`unpack`
-        self.data: np.ndarray | None = data
+        self.data: np.ndarray | None = np.empty(total)
         #: the contiguous ``(d,)`` gradient buffer (parameter ``.grad`` are
         #: views); ``None`` after :meth:`unpack`
-        self.grad: np.ndarray | None = grad
+        self.grad: np.ndarray | None = np.zeros(total)
         for param, offset in zip(params, self.offsets):
             shape = param.data.shape
             data_view = self.data[offset : offset + param.size].reshape(shape)
             grad_view = self.grad[offset : offset + param.size].reshape(shape)
-            if not load:
-                data_view[...] = param.data
-                if external:
-                    grad_view[...] = 0.0 if param.grad is None else param.grad
-                elif param.grad is not None:
-                    grad_view[...] = param.grad
+            data_view[...] = param.data
+            if param.grad is not None:
+                grad_view[...] = param.grad
             param.data = data_view
             param.grad = grad_view
             param._arena = self
@@ -175,8 +128,7 @@ class ParameterArena:
 
         After this the parameters may be packed into a new arena, and the
         arena drops its buffers: ``data`` and ``grad`` become ``None``, so
-        nothing can keep stepping memory the parameters no longer use —
-        for a shared-memory block, memory that is about to be released.
+        nothing can keep stepping memory the parameters no longer use.
         """
         for param in self.parameters:
             param.data = param.data.copy()

@@ -30,7 +30,6 @@ from .report import (
     format_ops,
     format_report,
     load_events,
-    load_run_events,
     summarize_dynamics,
     summarize_events,
     summarize_ops,
@@ -63,7 +62,6 @@ __all__ = [
     "add_default_sink",
     "default_sinks",
     "load_events",
-    "load_run_events",
     "summarize_events",
     "format_report",
     "Profiler",

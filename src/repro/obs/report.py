@@ -17,26 +17,16 @@ Aggregation rules
   then instances pool by ``(name, labels)``: counts, sums, and per-bucket
   counts add (bucket merging needs matching bounds; mismatched bounds
   keep count/sum only).
-
-Multi-file runs
----------------
-A data-parallel run writes one JSONL file per process (``run.jsonl`` +
-``run.worker<i>.jsonl``); :func:`load_run_events` concatenates them,
-namespacing each file's telemetry ids (``"1:3"``) so instances from
-different processes never collide.  ``python -m repro report a.jsonl
-b.jsonl …`` funnels through it.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import statistics
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 __all__ = [
     "load_events",
-    "load_run_events",
     "summarize_events",
     "format_report",
     "summarize_dynamics",
@@ -68,31 +58,6 @@ def load_events(path: str) -> list[dict]:
         if not isinstance(event, dict):
             raise ValueError(f"{path}:{number}: event must be a JSON object")
         events.append(event)
-    return events
-
-
-def load_run_events(paths: Sequence[str] | str | os.PathLike) -> list[dict]:
-    """Load one run's event stream from one or several JSONL files.
-
-    With a single path this is exactly :func:`load_events`.  With several
-    (a parent file plus per-worker files), events are concatenated and
-    every ``tid`` is namespaced by file position (``"0:1"``, ``"1:1"``) —
-    telemetry ids are only unique within a process, and forked workers can
-    even share one, so cross-file collisions would otherwise merge
-    distinct instances and under-count their summed counters.
-    """
-    if isinstance(paths, (str, os.PathLike)):
-        paths = [paths]
-    if not paths:
-        raise ValueError("load_run_events needs at least one path")
-    if len(paths) == 1:
-        return load_events(paths[0])
-    events: list[dict] = []
-    for index, path in enumerate(paths):
-        for event in load_events(path):
-            if "tid" in event:
-                event["tid"] = f"{index}:{event['tid']}"
-            events.append(event)
     return events
 
 

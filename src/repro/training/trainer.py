@@ -7,9 +7,7 @@ Reproduces the LibMTL-style optimization loop the paper runs on
    (:func:`repro.nn.tensor.backward_multi`: one topological sort, one walk
    over the union graph of all K task losses) fills a reused trainer-owned
    ``(K, dim)`` matrix with each task's gradient; an embedding table's
-   gradient is written as its touched rows only.  In parallel mode the
-   workers compute shard gradients and the executor's weighted reduce
-   fills the same matrix.
+   gradient is written as its touched rows only.
 2. **accumulate** (``accumulate_steps=W > 1`` only, GCond-style) — sum the
    matrix and the losses over ``W`` micro-steps; model gradients sum in the
    arena because micro-steps skip ``zero_grad``.
@@ -18,14 +16,14 @@ Reproduces the LibMTL-style optimization loop the paper runs on
 4. **write-back** — the direction replaces the shared gradient.
 5. **step** — one optimizer step over the parameter arena, then zero.
 
-Only *collect* depends on the input (single-input, multi-input or the
-parallel reduce); what depends on the gradient space lives in one
-gradient-source object per space.  ``grad_space="parameters"`` rows are
-shared-parameter gradients, written back into the shared partition.
-``grad_space="features"`` rows are gradients of the shared representation
-z (the paper's §VI-C mode): the forward cuts the graph at z, and
-write-back back-propagates ``direction / W`` through each retained trunk
-graph, so balancing costs O(K·d_feat) instead of O(K·d).
+Only *collect* depends on the input (single-input or multi-input); what
+depends on the gradient space lives in one gradient-source object per
+space.  ``grad_space="parameters"`` rows are shared-parameter gradients,
+written back into the shared partition.  ``grad_space="features"`` rows
+are gradients of the shared representation z (the paper's §VI-C mode):
+the forward cuts the graph at z, and write-back back-propagates
+``direction / W`` through each retained trunk graph, so balancing costs
+O(K·d_feat) instead of O(K·d).
 
 The model's parameters always live in one contiguous
 :class:`~repro.nn.arena.ParameterArena` (shared partition first), so row
@@ -61,8 +59,6 @@ see DESIGN.md ("Flight recorder").
 
 from __future__ import annotations
 
-import itertools
-import time
 import warnings
 from typing import Callable, Mapping, Sequence
 
@@ -71,7 +67,7 @@ import numpy as np
 from ..arch.base import MTLModel
 from ..core.balancer import GradientBalancer
 from ..core.ema import EMANormalizer
-from ..data.base import MULTI_INPUT, SINGLE_INPUT, ArrayDataset, TaskSpec
+from ..data.base import MULTI_INPUT, SINGLE_INPUT, TaskSpec
 from ..data.streaming import DataLoader
 from ..nn.arena import ParameterArena
 from ..nn.optim import SGD, Adam, AdaGrad, Optimizer, RMSProp
@@ -79,13 +75,6 @@ from ..nn.profile import active_op_profile
 from ..nn.tensor import Tensor, backward_multi
 from ..nn.utils import grad_vector_from_slots, set_grad_from_vector
 from ..obs import NULL_TELEMETRY, DynamicsRecorder, Profiler, Telemetry, default_sinks
-from ..parallel import (
-    ArenaDims,
-    ParallelExecutor,
-    SharedArenaBuffers,
-    WorkerSpec,
-    arena_order,
-)
 from .history import History
 
 __all__ = ["MTLTrainer", "GRAD_SPACES"]
@@ -112,16 +101,19 @@ def _make_optimizer(name: str, arena: ParameterArena, lr: float) -> Optimizer:
 
 
 def _build_arena(model: MTLModel) -> ParameterArena:
-    """Pack the model into one arena in :func:`~repro.parallel.arena_order`.
+    """Pack the model into one arena: shared parameters, then the rest.
 
-    The ordering matters: with the shared partition contiguous at offset 0,
-    the row fills and the write-back hit the zero-copy segment fast path in
-    :mod:`repro.nn.utils`.  If the model is already packed (e.g. a second
+    This is the one owner of the packing order (duplicates are dropped by
+    identity).  The ordering matters: with the shared partition contiguous
+    at offset 0, the row fills and the write-back hit the zero-copy segment
+    fast path in :mod:`repro.nn.utils`.  If the model is already packed (e.g. a second
     trainer over the same model), the existing arena is reused when it
     covers exactly the model's parameters.  A partial or foreign packing is
     rejected: repacking would detach the other arena's live views.
     """
-    ordered, _ = arena_order(model)
+    shared = model.shared_parameters()
+    shared_ids = {id(p) for p in shared}
+    ordered = shared + [p for p in model.parameters() if id(p) not in shared_ids]
     existing = next((p._arena for p in ordered if p._arena is not None), None)
     if existing is None:
         return ParameterArena(ordered)
@@ -243,33 +235,12 @@ class MTLTrainer:
         *once* (so stateful balancers — MoCoGrad momentum, DWA history —
         advance once per resolve) and takes one optimizer step on the
         window-mean gradients.  Works with every balancer, in both
-        gradient spaces, and in parallel mode.  With
+        gradient spaces and both input modes.  With
         ``grad_space="features"`` each micro-step's trunk graph is
         retained and back-propagated at the window boundary, so memory
         grows with ``W`` retained forward graphs; a mid-window
         feature-dimension change (batch-size change) discards the open
         window with a ``RuntimeWarning``.
-    parallel:
-        ``0`` (default) trains in-process.  ``N ≥ 1`` creates the trainer's
-        arena over a :mod:`repro.parallel` shared-memory block and, inside
-        :meth:`fit`, runs each batch as ``N`` worker processes over
-        deterministic contiguous shards with a weighted flat-sum reduce —
-        the same batch stream as sequential training, matching it ≤ 1e-12.
-        Requires ``model_factory``, single-input mode and
-        ``grad_space="parameters"``.  Call :meth:`close` (or use the
-        trainer as a context manager) to release the shared-memory block.
-    model_factory:
-        Zero-argument callable rebuilding the model *structure* in each
-        worker (same parameters, same order; values are adopted from the
-        shared buffer).  Must be picklable under the ``spawn`` start
-        method.  Required when ``parallel ≥ 1``.
-    start_method / worker_telemetry / step_timeout:
-        Parallel-mode knobs: the multiprocessing start method (default
-        ``fork`` where available, else ``spawn``); a base JSONL path giving
-        every worker its own telemetry sink (``run.jsonl`` →
-        ``run.worker<i>.jsonl``; merge with ``repro report``); and the
-        per-step barrier timeout in seconds before a silent worker is
-        declared crashed.
     record_dynamics:
         Per-step conflict-dynamics recording into a bounded
         :class:`repro.obs.DynamicsRecorder` (``trainer.recorder``):
@@ -302,11 +273,6 @@ class MTLTrainer:
         profile: str | Profiler | None = None,
         record_dynamics: bool | int | DynamicsRecorder = False,
         accumulate_steps: int = 1,
-        parallel: int = 0,
-        model_factory: Callable[[], MTLModel] | None = None,
-        start_method: str | None = None,
-        worker_telemetry: str | None = None,
-        step_timeout: float = 120.0,
         feature_ema: float | None = None,
     ) -> None:
         if mode not in (SINGLE_INPUT, MULTI_INPUT):
@@ -319,15 +285,6 @@ class MTLTrainer:
             raise ValueError(f"accumulate_steps must be ≥ 1; got {accumulate_steps}")
         if feature_ema is not None and grad_space != "features":
             raise ValueError("feature_ema requires grad_space='features'")
-        if parallel < 0:
-            raise ValueError(f"parallel must be ≥ 0; got {parallel}")
-        if parallel:
-            if model_factory is None:
-                raise ValueError("parallel training requires a model_factory")
-            if mode != SINGLE_INPUT:
-                raise ValueError("parallel training requires single-input mode")
-            if grad_space != "parameters":
-                raise ValueError("parallel training requires grad_space='parameters'")
         model_tasks = set(model.task_names)
         spec_tasks = {task.name for task in tasks}
         if model_tasks != spec_tasks:
@@ -345,23 +302,9 @@ class MTLTrainer:
             EMANormalizer(beta=feature_ema) if feature_ema is not None else None
         )
         self.accumulate_steps = int(accumulate_steps)
-        self.parallel = int(parallel)
-        self.model_factory = model_factory
-        self._start_method = start_method
-        self._worker_telemetry = worker_telemetry
-        self._step_timeout = step_timeout
-        #: parent-owned shared-memory block (parallel mode), or None
-        self.shared_buffers: SharedArenaBuffers | None = None
-        #: the contiguous parameter arena (shared partition first); None
-        #: only after :meth:`close` released a parallel trainer
-        self.arena: ParameterArena | None = None
-        try:
-            self.arena = self._pack(model)
-            self.optimizer = _make_optimizer(optimizer, self.arena, lr)
-        except BaseException:
-            # Never leave the model packed into an orphaned shared block.
-            self.close()
-            raise
+        #: the contiguous parameter arena (shared partition first)
+        self.arena: ParameterArena = _build_arena(model)
+        self.optimizer = _make_optimizer(optimizer, self.arena, lr)
         self.rng = np.random.default_rng(seed)
         self.balancer.reset(len(self.tasks))
         self.history = History([task.name for task in self.tasks])
@@ -402,47 +345,6 @@ class MTLTrainer:
         self._micro_steps = 0
 
     # ------------------------------------------------------------------
-    def _pack(self, model: MTLModel) -> ParameterArena:
-        """The model's arena; in parallel mode, packed into a new shared block."""
-        if not self.parallel:
-            return _build_arena(model)
-        # Parallel mode packs straight into the shared block so the fused
-        # optimizer step doubles as the parameter broadcast.
-        ordered, shared = arena_order(model)
-        dims = ArenaDims(
-            num_workers=self.parallel,
-            num_tasks=len(self.tasks),
-            dim_total=sum(p.size for p in ordered),
-            dim_shared=sum(p.size for p in shared),
-        )
-        self.shared_buffers = SharedArenaBuffers.create(dims)
-        return ParameterArena(
-            ordered, data=self.shared_buffers.params, grad=self.shared_buffers.parent_grad
-        )
-
-    def close(self) -> None:
-        """Release the parallel shared-memory block (no-op otherwise).
-
-        Idempotent; required in parallel mode once the trainer is done —
-        shared-memory segments outlive the process if never unlinked.  The
-        model keeps its (now copied-out) parameters usable via
-        :meth:`~repro.nn.arena.ParameterArena.unpack`, which also leaves
-        ``trainer.optimizer`` raising instead of stepping released memory.
-        """
-        if self.shared_buffers is None:
-            return
-        if self.arena is not None:
-            self.arena.unpack()
-            self.arena = None
-        self.shared_buffers.close()
-        self.shared_buffers = None
-
-    def __enter__(self) -> "MTLTrainer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     #: Max distinct gradient widths cached by :meth:`_workspace` (FIFO).
     _MAX_WORKSPACES = 8
 
@@ -683,27 +585,12 @@ class MTLTrainer:
         MoCoGrad raises.  An epoch draws exactly the batches it trains
         on, ``max_steps_per_epoch`` included.  On completion the trainer's
         metric registry is flushed to the attached sinks.
-
-        In parallel mode the worker pool is started on entry and shut down
-        before returning (even on error), so workers never outlive a fit.
         """
-        executor = None
-        if self.parallel:
-            executor = self._start_executor(train_data, batch_size)
-        try:
-            for _ in range(epochs):
-                if executor is not None:
-                    self._run_epoch_parallel(
-                        executor, train_data, batch_size, max_steps_per_epoch, drop_last
-                    )
-                else:
-                    self._run_epoch(train_data, batch_size, max_steps_per_epoch, drop_last)
-                metrics = self.evaluate(eval_data) if eval_data is not None else None
-                self.history.close_epoch(metrics)
-                self.telemetry.counter("train_epochs_total", **self._step_labels).inc()
-        finally:
-            if executor is not None:
-                executor.shutdown()
+        for _ in range(epochs):
+            self._run_epoch(train_data, batch_size, max_steps_per_epoch, drop_last)
+            metrics = self.evaluate(eval_data) if eval_data is not None else None
+            self.history.close_epoch(metrics)
+            self.telemetry.counter("train_epochs_total", **self._step_labels).inc()
         self.flush_dynamics()
         self.telemetry.flush()
         if self.profiler is not None and self._profile_path is not None:
@@ -723,97 +610,6 @@ class MTLTrainer:
         for event in self.recorder.to_events(meta=meta):
             self.telemetry.emit(event)
 
-    # ------------------------------------------------------------------
-    # Parallel (shared-memory data-parallel) training
-    # ------------------------------------------------------------------
-    def _start_executor(self, dataset: ArrayDataset, batch_size: int) -> ParallelExecutor:
-        """Spawn the worker pool for one ``fit`` over ``dataset``."""
-        spec = WorkerSpec(
-            model_factory=self.model_factory,
-            task_names=[task.name for task in self.tasks],
-            loss_fns=[task.loss_fn for task in self.tasks],
-            dataset=dataset,
-            telemetry_base=self._worker_telemetry,
-        )
-        return ParallelExecutor(
-            spec,
-            self.shared_buffers,
-            batch_size,
-            start_method=self._start_method,
-            step_timeout=self._step_timeout,
-        )
-
-    def _run_epoch_parallel(
-        self,
-        executor: ParallelExecutor,
-        dataset: ArrayDataset,
-        batch_size: int,
-        max_steps,
-        drop_last: bool = False,
-    ) -> None:
-        # The loader's index stream: the same generator calls as its
-        # sequential epoch, cut at the same step count, so parallel and
-        # sequential runs with equal seeds walk identical batch streams.
-        # Every batch lies inside one shard, so each worker's contiguous
-        # slice touches a single shard of its own dataset copy.
-        loader = self._make_loader(dataset, batch_size, drop_last)
-        steps = self._epoch_steps([loader], max_steps)
-        for idx in itertools.islice(loader.batch_indices(), steps):
-            self._parallel_train_step(executor, idx)
-
-    def _parallel_train_step(
-        self, executor: ParallelExecutor, batch_indices: np.ndarray
-    ) -> np.ndarray:
-        """One data-parallel step: the executor reduce is the collect stage."""
-        return self._step(self._collect_parallel, executor, batch_indices)
-
-    def _collect_parallel(
-        self, executor: ParallelExecutor, batch_indices: np.ndarray, telemetry: Telemetry
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Collect stage, parallel: dispatch → barrier → weighted reduce.
-
-        The workers produce weighted shard gradients whose flat-sum equals
-        the sequential whole-batch gradient (per-sample mean losses compose
-        exactly under ``n_w / n`` weights); the rest of the pipeline then
-        runs exactly as in the single-process step.  Raises
-        :class:`~repro.parallel.WorkerCrashed` if a worker dies mid-step.
-        """
-        with telemetry.span("dispatch"):
-            executor.dispatch(
-                self.step_count, np.ascontiguousarray(batch_indices, dtype=np.int64)
-            )
-        wait_started = time.perf_counter()
-        with telemetry.span("shard_compute"):
-            busy_seconds = executor.wait(self.step_count)
-        wait_wall = time.perf_counter() - wait_started
-        if telemetry.enabled and wait_wall > 0:
-            for worker, busy in enumerate(busy_seconds):
-                telemetry.gauge("parallel_worker_utilization", worker=str(worker)).set(
-                    min(busy / wait_wall, 1.0)
-                )
-        grads = self._workspace(sum(p.size for p in self.source.roots))
-        losses = np.empty(len(self.tasks))
-        with telemetry.span("reduce"):
-            executor.reduce(
-                grads,
-                self.arena.grad,
-                losses,
-                accumulate_full=self.accumulate_steps > 1,
-            )
-        return grads, losses
-
-    def _make_loader(self, dataset, batch_size: int, drop_last: bool) -> DataLoader:
-        """The epoch loader for one dataset, drawing from the trainer's rng."""
-        return DataLoader(
-            dataset, batch_size, rng=self.rng, drop_last=drop_last, telemetry=self.telemetry
-        )
-
-    @staticmethod
-    def _epoch_steps(loaders: list[DataLoader], max_steps) -> int:
-        """Steps in one epoch: the longest loader, capped at ``max_steps``."""
-        steps = max(len(loader) for loader in loaders)
-        return steps if max_steps is None else min(steps, max_steps)
-
     def _run_epoch(self, train_data, batch_size: int, max_steps, drop_last: bool = False) -> None:
         """One epoch; single-input is one loader feeding every task.
 
@@ -825,10 +621,15 @@ class MTLTrainer:
         single = self.mode == SINGLE_INPUT
         datasets = {None: train_data} if single else train_data
         loaders = {
-            name: self._make_loader(dataset, batch_size, drop_last)
+            name: DataLoader(
+                dataset, batch_size, rng=self.rng, drop_last=drop_last, telemetry=self.telemetry
+            )
             for name, dataset in datasets.items()
         }
-        steps = self._epoch_steps(list(loaders.values()), max_steps)
+        # The longest loader sets the epoch, capped at max_steps.
+        steps = max(len(loader) for loader in loaders.values())
+        if max_steps is not None:
+            steps = min(steps, max_steps)
         empty = sorted(name for name, loader in loaders.items() if len(loader) == 0)
         if steps > 0 and empty:
             # Cycling an empty loader would StopIteration forever; name the

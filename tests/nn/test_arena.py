@@ -222,68 +222,3 @@ class TestSerializationRoundTrip:
         for param in model.parameters():
             assert np.shares_memory(param.data, arena.data)
 
-
-class TestExternalBuffers:
-    def test_pack_into_external_buffers_copies_values(self, rng):
-        params = make_params(rng)
-        before = [p.data.copy() for p in params]
-        data, grad = np.zeros(18), np.zeros(18)
-        arena = ParameterArena(params, data=data, grad=grad)
-        assert arena.data is data and arena.grad is grad
-        for param, value in zip(params, before):
-            np.testing.assert_array_equal(param.data, value)
-            assert np.shares_memory(param.data, data)
-            assert np.shares_memory(param.grad, grad)
-
-    def test_pack_into_external_buffers_copies_existing_grads(self, rng):
-        params = make_params(rng)
-        params[1].grad = np.full(4, 2.5)
-        grad = np.full(18, -1.0)  # stale external contents must be replaced
-        arena = ParameterArena(params, data=np.zeros(18), grad=grad)
-        np.testing.assert_array_equal(arena.grad[6:10], np.full(4, 2.5))
-        np.testing.assert_array_equal(arena.grad[:6], np.zeros(6))
-
-    def test_load_adopts_external_contents(self, rng):
-        params = make_params(rng)
-        data = np.arange(18, dtype=np.float64)
-        grad = np.arange(18, dtype=np.float64) * 10.0
-        ParameterArena(params, data=data, grad=grad, load=True)
-        np.testing.assert_array_equal(params[0].data, np.arange(6.0).reshape(3, 2))
-        np.testing.assert_array_equal(params[1].grad, np.arange(6.0, 10.0) * 10.0)
-
-    def test_external_writes_are_visible_both_ways(self, rng):
-        params = make_params(rng)
-        data = np.zeros(18)
-        ParameterArena(params, data=data, grad=np.zeros(18))
-        data[:6] = 7.0  # e.g. another process publishing through shm
-        np.testing.assert_array_equal(params[0].data, np.full((3, 2), 7.0))
-        params[1].data[...] = 3.0
-        np.testing.assert_array_equal(data[6:10], np.full(4, 3.0))
-
-    def test_requires_both_buffers_or_neither(self, rng):
-        with pytest.raises(ValueError, match="both"):
-            ParameterArena(make_params(rng), data=np.zeros(18))
-        with pytest.raises(ValueError, match="both"):
-            ParameterArena(make_params(rng), grad=np.zeros(18))
-
-    def test_load_requires_external_buffers(self, rng):
-        with pytest.raises(ValueError, match="load"):
-            ParameterArena(make_params(rng), load=True)
-
-    def test_rejects_wrong_length(self, rng):
-        with pytest.raises(ValueError, match="length"):
-            ParameterArena(make_params(rng), data=np.zeros(17), grad=np.zeros(17))
-
-    def test_rejects_wrong_dtype(self, rng):
-        bad = np.zeros(18, dtype=np.float32)
-        with pytest.raises(ValueError, match="float64"):
-            ParameterArena(make_params(rng), data=bad, grad=np.zeros(18))
-
-    def test_rejects_noncontiguous_buffer(self, rng):
-        bad = np.zeros(36)[::2]
-        with pytest.raises(ValueError, match="contiguous"):
-            ParameterArena(make_params(rng), data=bad, grad=np.zeros(18))
-
-    def test_rejects_non_ndarray(self, rng):
-        with pytest.raises(TypeError, match="ndarray"):
-            ParameterArena(make_params(rng), data=[0.0] * 18, grad=np.zeros(18))

@@ -214,47 +214,6 @@ class TestEndToEndRoundtrip:
         assert [e["type"] for e in from_file] == [e["type"] for e in memory.events]
 
 
-class TestLoadRunEvents:
-    def test_single_path_is_plain_load(self, tmp_path):
-        from repro.obs import load_run_events
-
-        path = str(tmp_path / "run.jsonl")
-        events = [{"type": "span", "path": "step", "seconds": 0.1, "tid": 1}]
-        write_jsonl(path, events)
-        assert load_run_events(path) == events
-        assert load_run_events([path]) == events
-
-    def test_multi_file_namespaces_tids(self, tmp_path):
-        from repro.obs import load_run_events
-
-        parent, worker = str(tmp_path / "run.jsonl"), str(tmp_path / "run.worker0.jsonl")
-        write_jsonl(parent, [{"type": "metric", "kind": "counter", "name": "c",
-                              "labels": {}, "value": 1, "tid": 1}])
-        write_jsonl(worker, [{"type": "metric", "kind": "counter", "name": "c",
-                              "labels": {}, "value": 2, "tid": 1}])
-        events = load_run_events([parent, worker])
-        assert [e["tid"] for e in events] == ["0:1", "1:1"]
-
-    def test_colliding_tids_sum_instead_of_overwriting(self, tmp_path):
-        """Forked workers can share a tid; merged counters must still add."""
-        from repro.obs import load_run_events
-
-        paths = []
-        for index in range(2):
-            path = str(tmp_path / f"run.worker{index}.jsonl")
-            write_jsonl(path, [{"type": "metric", "kind": "counter", "name": "steps",
-                                "labels": {}, "value": 3, "tid": 7}])
-            paths.append(path)
-        summary = summarize_events(load_run_events(paths))
-        assert summary["counters"]["steps"][()] == pytest.approx(6.0)
-
-    def test_empty_path_list_rejected(self):
-        from repro.obs import load_run_events
-
-        with pytest.raises(ValueError, match="at least one"):
-            load_run_events([])
-
-
 def _histogram_event(tid, count, total, bucket_counts, bounds=(0.1, 1.0, float("inf"))):
     return {
         "type": "metric", "kind": "histogram", "name": "latency",

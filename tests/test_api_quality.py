@@ -25,7 +25,6 @@ PACKAGES = [
     "repro.experiments",
     "repro.obs",
     "repro.serve",
-    "repro.parallel",
 ]
 
 

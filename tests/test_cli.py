@@ -179,6 +179,14 @@ class TestTelemetryCLI:
         with pytest.raises(SystemExit):
             main(["report"])
 
+    def test_report_takes_one_file(self, tmp_path):
+        paths = [str(tmp_path / name) for name in ("run.jsonl", "other.jsonl")]
+        for path in paths:
+            open(path, "w").close()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", *paths])
+        assert exit_info.value.code == 2
+
 
 class TestTrainStreaming:
     def test_streaming_flag_reports_pipeline_counters(self, capsys, tmp_path):

@@ -2,7 +2,8 @@
 
 ``import repro`` must load neither scipy (only CAGrad's and Nash-MTL's
 solvers use it) nor networkx (only the QM9 generator does); each loads
-where it is used.  The test session itself has imported both, so every
+where it is used.  Nothing in the package starts a process, so
+``multiprocessing`` stays out as well.  The test session itself has imported both, so every
 check runs in a fresh interpreter.
 """
 
@@ -23,6 +24,7 @@ import sys
 import repro, repro.balancers, repro.training, repro.serve, repro.data.streams
 assert "scipy" not in sys.modules, "import repro loaded scipy"
 assert "networkx" not in sys.modules, "import repro loaded networkx"
+assert "multiprocessing" not in sys.modules, "import repro loaded multiprocessing"
 # numpy loads these lazily; repro.data.streams imports them up front so
 # their cost stays out of the first stream's set-up.
 assert "numpy.random" in sys.modules and "numpy.ma" in sys.modules

@@ -71,22 +71,6 @@ def test_max_steps_on_a_shard_boundary_draws_only_trained_batches(prefetch_depth
     assert trainer.rng.bit_generator.state == reference.bit_generator.state
 
 
-def test_parallel_max_steps_on_a_shard_boundary_matches_sequential():
-    bench = make_synthetic_stream(
-        num_samples=512 + 64, chunk_size=128, val_records=32, test_records=32,
-        prefetch_depth=0, seed=1,
-    )
-    sequential = make_trainer(bench)
-    sequential.fit(bench.train, epochs=1, batch_size=32, max_steps_per_epoch=4)
-
-    def factory():
-        return bench.build_model("hps", np.random.default_rng(0))
-
-    with make_trainer(bench, parallel=1, model_factory=factory) as parallel:
-        parallel.fit(bench.train, epochs=1, batch_size=32, max_steps_per_epoch=4)
-    assert parallel.rng.bit_generator.state == sequential.rng.bit_generator.state
-
-
 def test_record_dynamics_accepts_an_empty_recorder_instance():
     recorder = DynamicsRecorder(capacity=64)
     assert len(recorder) == 0  # falsy until it holds a sample
