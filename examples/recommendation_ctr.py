@@ -10,32 +10,19 @@ click task.
     python examples/recommendation_ctr.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from repro import MTLTrainer, create_balancer, train_stl_all
+from repro import RunSpec, run_stl
 from repro.data import make_aliexpress
 from repro.experiments import format_percent, format_table
 from repro.metrics import delta_m_from_results
+from repro.training.run import run
 
 SCENARIOS = ("ES", "US")
 METHODS = ("equal", "pcgrad", "mocograd")
-EPOCHS = 6
-BATCH = 128
-LR = 2e-3
-
-
-def train_one(benchmark, method: str, seed: int = 0):
-    model = benchmark.build_model("hps", np.random.default_rng(seed))
-    trainer = MTLTrainer(
-        model,
-        benchmark.tasks,
-        create_balancer(method, seed=seed),
-        mode=benchmark.mode,
-        lr=LR,
-        seed=seed,
-    )
-    trainer.fit(benchmark.train, EPOCHS, BATCH)
-    return trainer.evaluate(benchmark.test)
+SPEC = RunSpec(epochs=6, batch_size=128, lr=2e-3, seed=0)
 
 
 def main() -> None:
@@ -48,11 +35,11 @@ def main() -> None:
     for scenario in SCENARIOS:
         benchmark = make_aliexpress(scenario, num_records=3000, seed=0)
         headers += [f"{scenario}_CTR", f"{scenario}_CTCVR"]
-        stl = train_stl_all(benchmark, EPOCHS, BATCH, lr=LR, seed=0)
+        stl = run_stl(benchmark, SPEC)
         rows[0] += [stl["CTR"]["auc"], stl["CTCVR"]["auc"]]
         directions = {t.name: dict(t.higher_is_better) for t in benchmark.tasks}
         for i, method in enumerate(METHODS, start=1):
-            metrics = train_one(benchmark, method)
+            metrics, _ = run(benchmark, replace(SPEC, method=method))
             rows[i] += [metrics["CTR"]["auc"], metrics["CTCVR"]["auc"]]
             deltas[method].append(delta_m_from_results(metrics, stl, directions))
 

@@ -20,9 +20,7 @@ Quick start::
     print(trainer.evaluate(bench.test))
 """
 
-# First: experiments' figure runners import analysis, which imports experiments.runner.
-from . import experiments  # isort: skip
-from . import analysis, arch, balancers, core, data, metrics, nn, obs, serve, training
+from . import analysis, arch, balancers, core, data, experiments, metrics, nn, obs, serve, training
 from .core import (
     GradientBalancer,
     GradStats,
@@ -33,7 +31,7 @@ from .core import (
     pairwise_gcd,
     task_conflict_intensity,
 )
-from .training import MTLTrainer, train_stl, train_stl_all
+from .training import MTLTrainer, RunSpec, build_trainer, run_stl
 
 __version__ = "1.0.0"
 
@@ -58,7 +56,8 @@ __all__ = [
     "pairwise_gcd",
     "task_conflict_intensity",
     "MTLTrainer",
-    "train_stl",
-    "train_stl_all",
+    "RunSpec",
+    "build_trainer",
+    "run_stl",
     "__version__",
 ]

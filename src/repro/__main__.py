@@ -128,12 +128,10 @@ def _run_train(args) -> str:
     """Flight-recorder demo run: synthetic MTL training, fully instrumented."""
     import resource
 
-    import numpy as np
-
-    from .core.balancer import available_balancers, create_balancer
+    from .core.balancer import available_balancers
     from .data import make_synthetic_mtl, make_synthetic_stream
     from .nn import OpProfile
-    from .training import MTLTrainer
+    from .training import RunSpec, build_trainer
 
     if args.balancer not in available_balancers():
         raise SystemExit(
@@ -157,21 +155,25 @@ def _run_train(args) -> str:
         )
     else:
         benchmark = make_synthetic_mtl(num_samples=max(80 * args.steps, 512), **workload)
-    model = benchmark.build_model("hps", np.random.default_rng(args.seed))
-    trainer = MTLTrainer(
-        model,
-        benchmark.tasks,
-        create_balancer(args.balancer, seed=args.seed),
+    spec = RunSpec(
+        method=args.balancer,
         grad_space=args.grad_space,
+        epochs=1,
+        batch_size=64,
+        max_steps_per_epoch=args.steps,
         seed=args.seed,
-        profile=args.profile,
-        record_dynamics=args.record_dynamics,
+    )
+    trainer = build_trainer(
+        benchmark, spec, profile=args.profile, record_dynamics=args.record_dynamics
     )
     # The flight recorder also profiles the engine op by op.
     ops = OpProfile() if args.profile else contextlib.nullcontext()
     with ops:
         trainer.fit(
-            benchmark.train, epochs=1, batch_size=64, max_steps_per_epoch=args.steps
+            benchmark.train,
+            spec.epochs,
+            spec.batch_size,
+            max_steps_per_epoch=spec.max_steps_per_epoch,
         )
     if args.profile:
         trainer.telemetry.emit({"type": "ops", "tid": trainer.telemetry.id, **ops.to_dict()})

@@ -8,11 +8,12 @@ architecture and composes with the richer ones.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..arch import ARCHITECTURES
 from ..data.cityscapes import make_cityscapes
-from ..experiments.runner import RunConfig, run_method
 from ..metrics.delta import delta_m_from_results
-from ..training.stl import train_stl_all
+from ..training.run import RunSpec, run, run_stl
 
 __all__ = ["architecture_sweep"]
 
@@ -28,19 +29,13 @@ def architecture_sweep(
 ) -> dict:
     """ΔM of ``method`` under each architecture: ``{arch: delta_m}``."""
     benchmark = make_cityscapes(num_scenes=num_scenes, seed=seed)
-    stl = train_stl_all(benchmark, epochs, batch_size, lr=lr, seed=seed)
+    spec = RunSpec(method=method, epochs=epochs, batch_size=batch_size, lr=lr, seed=seed)
+    stl = run_stl(benchmark, spec)
     directions = {t.name: dict(t.higher_is_better) for t in benchmark.tasks}
     deltas: dict[str, float] = {}
     metrics_by_arch: dict[str, dict] = {}
     for architecture in architectures:
-        config = RunConfig(
-            epochs=epochs,
-            batch_size=batch_size,
-            lr=lr,
-            seed=seed,
-            architecture=architecture,
-        )
-        metrics = run_method(benchmark, method, config)
+        metrics, _ = run(benchmark, replace(spec, architecture=architecture))
         metrics_by_arch[architecture] = metrics
         deltas[architecture] = delta_m_from_results(metrics, stl, directions)
     return {"delta_m": deltas, "metrics": metrics_by_arch, "stl": stl}

@@ -12,38 +12,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..arch.base import MTLModel
 from ..arch.encoders import MLPEncoder
 from ..arch.heads import LinearHead
-from ..balancers.equal import EqualWeighting
 from ..core.conflict import pairwise_gcd, task_conflict_intensity
-from ..data.base import ArrayDataset, TaskSpec
+from ..data.base import SINGLE_INPUT, ArrayDataset, Benchmark, TaskSpec
 from ..data.latent import correlated_task_matrix
 from ..data.movielens import GENRES, make_movielens
 from ..metrics.regression import rmse
 from ..nn.functional import mse_loss
-from ..training.stl import train_stl
-from ..training.trainer import MTLTrainer
+from ..training.run import RunSpec, build_trainer, run, run_stl
 
 __all__ = ["task_interference_curve", "tci_gcd_correlation", "SharedOutputRegressor"]
-
-
-def _train_joint(
-    benchmark, epochs: int, batch_size: int, lr: float, seed: int, architecture: str
-):
-    model = benchmark.build_model(architecture, np.random.default_rng(seed))
-    trainer = MTLTrainer(
-        model,
-        benchmark.tasks,
-        EqualWeighting(),
-        mode=benchmark.mode,
-        lr=lr,
-        seed=seed,
-    )
-    trainer.fit(benchmark.train, epochs, batch_size)
-    return trainer
 
 
 def task_interference_curve(
@@ -62,6 +46,9 @@ def task_interference_curve(
     Returns ``{"task_sets": [...], "rmse": [...]}`` where entry i jointly
     trains the target with the first i partners (entry 0 is STL).
     """
+    spec = RunSpec(
+        architecture=architecture, epochs=epochs, batch_size=batch_size, lr=lr, seed=seed
+    )
     results = {"task_sets": [], "rmse": []}
     for count in range(len(partner_genres) + 1):
         genres = (target_genre,) + tuple(partner_genres[:count])
@@ -72,12 +59,11 @@ def task_interference_curve(
             seed=seed,
         )
         if count == 0:
-            metrics = train_stl(benchmark, target_genre, epochs, batch_size, lr=lr, seed=seed)
+            metrics = run_stl(benchmark, replace(spec, tasks=(target_genre,)))
         else:
-            trainer = _train_joint(benchmark, epochs, batch_size, lr, seed, architecture)
-            metrics = trainer.evaluate(benchmark.test)[target_genre]
+            metrics, _ = run(benchmark, spec)
         results["task_sets"].append("+".join(genres))
-        results["rmse"].append(metrics["rmse"])
+        results["rmse"].append(metrics[target_genre]["rmse"])
     return results
 
 
@@ -131,7 +117,10 @@ def tci_gcd_correlation(
     a shared-output trunk so they compete for the same function.  GCD is
     probed on per-task gradients in the second half of training, TCI is the
     target task's test-RMSE gap to its single-task twin, both averaged over
-    the ``seeds`` streams ``seed, seed + 1, …``.
+    the ``seeds`` streams ``seed, seed + 1, …``.  Each stream's data is one
+    :class:`~repro.data.base.Benchmark` whose builder is
+    :class:`SharedOutputRegressor`, so the twin and the joint trainer come
+    from one :class:`~repro.training.RunSpec`.
     """
     gcds, tcis = [], []
     tasks = [
@@ -162,13 +151,19 @@ def tci_gcd_correlation(
                 eval_inputs,
                 {"t0": eval_inputs @ directions[0], "t1": eval_inputs @ directions[1]},
             )
-            stl_model = SharedOutputRegressor(["t0"], in_features, np.random.default_rng(s))
-            stl_trainer = MTLTrainer(stl_model, tasks[:1], EqualWeighting(), lr=lr, seed=s)
-            stl_trainer.fit(train_set, epochs, batch_size)
-            stl_rmse = stl_trainer.evaluate(test_set)["t0"]["rmse"]
+            benchmark = Benchmark(
+                name="instrumented",
+                mode=SINGLE_INPUT,
+                tasks=tasks,
+                train=train_set,
+                val=None,
+                test=test_set,
+                build_model=lambda _, rng, names: SharedOutputRegressor(names, in_features, rng),
+            )
+            spec = RunSpec(epochs=epochs, batch_size=batch_size, lr=lr, seed=s)
+            stl_rmse = run_stl(benchmark, replace(spec, tasks=("t0",)))["t0"]["rmse"]
 
-            model = SharedOutputRegressor(["t0", "t1"], in_features, np.random.default_rng(s))
-            trainer = MTLTrainer(model, tasks, EqualWeighting(), lr=lr, seed=s)
+            trainer = build_trainer(benchmark, spec)
             probes = []
             probe_rng = np.random.default_rng(10_000 + s)
             for epoch in range(epochs):

@@ -6,12 +6,8 @@ curves for each task plus the across-task average (the paper's panels a–d).
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core.balancer import create_balancer
 from ..data.nyuv2 import make_nyuv2
-from ..experiments.runner import METHODS
-from ..training.trainer import MTLTrainer
+from ..training.run import METHODS, RunSpec, build_trainer
 
 __all__ = ["convergence_curves"]
 
@@ -28,16 +24,8 @@ def convergence_curves(
     benchmark = make_nyuv2(num_scenes=num_scenes, seed=seed)
     curves: dict[str, dict[str, list[float]]] = {}
     for method in methods:
-        model = benchmark.build_model("hps", np.random.default_rng(seed))
-        trainer = MTLTrainer(
-            model,
-            benchmark.tasks,
-            create_balancer(method, seed=seed),
-            mode=benchmark.mode,
-            lr=lr,
-            seed=seed,
-        )
-        history = trainer.fit(benchmark.train, epochs, batch_size)
+        spec = RunSpec(method=method, lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)
+        history = build_trainer(benchmark, spec).fit(benchmark.train, spec.epochs, spec.batch_size)
         curves[method] = {
             task.name: history.task_loss_curve(task.name).tolist()
             for task in benchmark.tasks

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.officehome import make_officehome
-from ..experiments.runner import RunConfig, run_method
+from ..training.run import RunSpec, run
 
 __all__ = ["lambda_sensitivity", "DEFAULT_LAMBDA_GRID"]
 
@@ -43,14 +43,15 @@ def lambda_sensitivity(
     )
     averages = []
     for lam in lambda_grid:
-        config = RunConfig(
+        spec = RunSpec(
+            method="mocograd",
+            balancer_kwargs={"calibration": lam},
             epochs=epochs,
             batch_size=batch_size,
             lr=lr,
             seed=seed,
             num_seeds=num_seeds,
-            balancer_kwargs={"calibration": lam},
         )
-        metrics = run_method(benchmark, "mocograd", config)
+        metrics, _ = run(benchmark, spec)
         averages.append(float(np.mean([m["accuracy"] for m in metrics.values()])))
     return {"lambda": list(lambda_grid), "avg_accuracy": averages}

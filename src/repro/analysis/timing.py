@@ -14,12 +14,9 @@ for comparison.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core.balancer import create_balancer
 from ..data.aliexpress import make_aliexpress
-from ..experiments.runner import METHODS
 from ..obs import Telemetry
+from ..training.run import METHODS, RunSpec, build_trainer
 from ..training.trainer import MTLTrainer
 
 __all__ = ["backward_time_study"]
@@ -42,19 +39,12 @@ def backward_time_study(
     benchmark = make_aliexpress("ES", num_records=num_records, seed=seed)
     trainers: dict[str, MTLTrainer] = {}
     for method in methods:
-        model = benchmark.build_model("hps", np.random.default_rng(seed))
+        spec = RunSpec(
+            method=method, grad_space=grad_space, lr=lr, batch_size=batch_size, seed=seed
+        )
         # A private telemetry per method keeps span populations separate
         # (no sinks: only the in-memory durations are needed here).
-        trainer = MTLTrainer(
-            model,
-            benchmark.tasks,
-            create_balancer(method, seed=seed),
-            mode=benchmark.mode,
-            grad_space=grad_space,
-            lr=lr,
-            seed=seed,
-            telemetry=Telemetry(),
-        )
+        trainer = build_trainer(benchmark, spec, telemetry=Telemetry())
         # Warm-up step excluded from the statistics (first-call overheads).
         trainer.fit(benchmark.train, 1, batch_size, max_steps_per_epoch=1)
         trainer.telemetry.reset_timings()

@@ -20,7 +20,7 @@ name                  method
 ====================  =======================================
 
 STL (single-task learning) is not a balancer — use
-:class:`repro.training.STLTrainer`.
+:func:`repro.training.run_stl`.
 """
 
 from ..core.mocograd import MoCoGrad

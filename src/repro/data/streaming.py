@@ -168,8 +168,7 @@ class ChunkedSource:
     *pure function* of ``(self.seed, index)`` — typically by drawing every
     random value from ``shard_rng(self.seed, index)``.  World-level state
     (latent tables, task directions) is computed in ``__init__`` from the
-    seed alone, so a pickled source regenerates identical shards in any
-    process.
+    seed alone.
 
     ``cache_key()`` returns a string identifying the generated
     *distribution* (generator name + every parameter that changes the
@@ -265,7 +264,6 @@ class StreamingDataset:
     telemetry:
         Default :class:`repro.obs.Telemetry` for cache/generation
         instrumentation; the trainer's loader overrides it per-fit.
-        Dropped on pickling (an unpickled copy counts into its own sinks).
     """
 
     def __init__(
@@ -282,20 +280,6 @@ class StreamingDataset:
         self.prefetch_depth = int(prefetch_depth)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._lru: OrderedDict[int, tuple] = OrderedDict()
-        self._lru_lock = threading.Lock()
-
-    # -- pickling: telemetry and the LRU are process-local ---------------
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["telemetry"] = None
-        state["_lru"] = None
-        state["_lru_lock"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.telemetry = NULL_TELEMETRY
-        self._lru = OrderedDict()
         self._lru_lock = threading.Lock()
 
     # -- sizes -----------------------------------------------------------

@@ -6,28 +6,15 @@ every artifact id (``fig1`` … ``ablation_grad_source``) to its module, in
 paper order; see DESIGN.md for the experiment index.
 """
 
-from .runner import (
-    METHODS,
-    MethodResult,
-    RunConfig,
-    average_metric_dicts,
-    run_method,
-    run_methods,
-    run_stl_baseline,
-)
 from .plots import ascii_bar_chart, ascii_line_chart, ascii_scatter
 from .registry import ARTIFACT_ORDER, REGISTRY
 from .reporting import format_percent, format_table
+from .runner import MethodResult, run_methods
 from .summary import missing_results, summarize_results
 
 __all__ = [
-    "METHODS",
-    "RunConfig",
     "MethodResult",
-    "run_method",
     "run_methods",
-    "run_stl_baseline",
-    "average_metric_dicts",
     "format_table",
     "format_percent",
     "REGISTRY",

@@ -3,11 +3,14 @@ conflict (MovieLens, relatedness 0.05) and noisy gradients (batch 24)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..data.movielens import GENRES, make_movielens
+from ..training.run import RunSpec
+from ..training.run import run as run_spec
 from .reporting import format_table
-from .runner import RunConfig, run_method
 
 __all__ = ["METHODS", "PRESETS", "run", "format_result"]
 
@@ -23,12 +26,13 @@ METHODS = ("equal", "pcgrad", "cagrad", "gradnorm", "mocograd")
 
 def rmse_per_seed(benchmark, method: str, epochs: int, seeds, **balancer_kwargs) -> list:
     """Across-task test RMSE of one batch-24 training run per seed."""
+    spec = RunSpec(
+        method=method, balancer_kwargs=balancer_kwargs, epochs=epochs, batch_size=24, lr=3e-3
+    )
     values = []
     for seed in seeds:
-        config = RunConfig(
-            epochs=epochs, batch_size=24, lr=3e-3, seed=seed, balancer_kwargs=balancer_kwargs
-        )
-        values.append(np.mean([m["rmse"] for m in run_method(benchmark, method, config).values()]))
+        metrics, _ = run_spec(benchmark, replace(spec, seed=seed))
+        values.append(np.mean([m["rmse"] for m in metrics.values()]))
     return values
 
 

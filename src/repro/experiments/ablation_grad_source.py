@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from ..core.balancer import create_balancer
 from ..data.aliexpress import make_aliexpress
-from ..training.trainer import MTLTrainer
+from ..training.run import RunSpec, build_trainer
 from .reporting import format_table
 
 __all__ = ["PRESETS", "run", "format_result"]
@@ -30,22 +31,21 @@ def run(preset: str = "quick", seed: int = 0) -> dict:
     """
     params = PRESETS[preset]
     data = make_aliexpress("ES", num_records=params["num_records"], seed=seed)
+    spec = RunSpec(
+        method="mocograd",
+        lr=2e-3,
+        epochs=params["epochs"],
+        batch_size=params["batch_size"],
+        seed=seed,
+    )
     trainers = {
-        space: MTLTrainer(
-            data.build_model("hps", np.random.default_rng(seed)),
-            data.tasks,
-            create_balancer("mocograd", seed=seed),
-            mode=data.mode,
-            grad_space=space,
-            lr=2e-3,
-            seed=seed,
-        )
+        space: build_trainer(data, replace(spec, grad_space=space))
         for space in ("parameters", "features")
     }
-    for epoch in range(params["epochs"]):
+    for epoch in range(spec.epochs):
         chunk = list(trainers.values())
         for trainer in chunk if epoch % 2 == 0 else reversed(chunk):
-            trainer.fit(data.train, 1, params["batch_size"])
+            trainer.fit(data.train, 1, spec.batch_size)
     seconds = {space: trainer.median_step_seconds for space, trainer in trainers.items()}
     auc = {
         space: float(np.mean([m["auc"] for m in trainer.evaluate(data.test).values()]))

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.officehome import DOMAINS, make_officehome
+from ..training.run import METHODS, RunSpec
 from .reporting import format_percent, format_table
-from .runner import METHODS, RunConfig, run_methods
+from .runner import run_methods
 
 __all__ = ["PRESETS", "run", "format_result"]
 
@@ -53,15 +54,14 @@ def run(
         style_strength=params["style_strength"],
         seed=seed,
     )
-    config = RunConfig(
+    spec = RunSpec(
         epochs=params["epochs"],
         batch_size=params["batch_size"],
         lr=params["lr"],
         seed=seed,
         num_seeds=params.get("num_seeds", 1),
-        balancer_kwargs={},
     )
-    results = run_methods(benchmark, methods, config)
+    results = run_methods(benchmark, spec, methods)
     accuracy = {
         name: {domain: r.metrics[domain]["accuracy"] for domain in DOMAINS}
         for name, r in results.items()

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from ..analysis import convergence_curves
+from ..training.run import METHODS
 from .plots import ascii_line_chart
 from .reporting import format_table
-from .runner import METHODS
 
 __all__ = ["PRESETS", "run", "format_result"]
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from ..analysis import backward_time_study
+from ..training.run import METHODS
 from .reporting import format_table
-from .runner import METHODS
 
 __all__ = ["PRESETS", "run", "format_result"]
 

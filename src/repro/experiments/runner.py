@@ -1,70 +1,21 @@
-"""Shared experiment runner: one (benchmark, method) training run.
+"""Method tables: the STL row plus one seed-averaged row per method, with ΔM.
 
-Every table/figure reproduction funnels through :func:`run_method`, which
-trains the benchmark's model under one balancing method and returns test
-metrics, and :func:`run_methods`, which adds the STL baseline and the ΔM
-aggregate (Eq. 27) for a whole method list.
+:func:`run_methods` runs :func:`repro.training.run_stl` and
+:func:`repro.training.run.run` for a whole method list under one
+:class:`~repro.training.RunSpec` and attaches the ΔM aggregate (Eq. 27).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from ..core.balancer import create_balancer
 from ..data.base import Benchmark
 from ..metrics.delta import delta_m_from_results
 from ..training.history import History
-from ..training.stl import train_stl_all
-from ..training.trainer import MTLTrainer
+from ..training.run import METHODS, RunSpec, run, run_stl
 
-__all__ = [
-    "METHODS",
-    "RunConfig",
-    "MethodResult",
-    "run_method",
-    "run_methods",
-    "run_stl_baseline",
-    "average_metric_dicts",
-]
-
-#: Method order used throughout the paper's tables.
-METHODS = (
-    "equal",
-    "dwa",
-    "mgda",
-    "pcgrad",
-    "graddrop",
-    "gradvac",
-    "cagrad",
-    "imtl",
-    "rlw",
-    "nashmtl",
-    "mocograd",
-)
-
-
-@dataclass
-class RunConfig:
-    """Training hyper-parameters for one experiment.
-
-    ``num_seeds`` repeats each run with seeds ``seed, seed+1, …`` and
-    averages the metrics — the synthetic-scale analogue of the paper's
-    "average of ten runs" protocol (essential here, since at laptop scale
-    single-seed noise exceeds the between-method gaps).
-    """
-
-    epochs: int = 5
-    batch_size: int = 64
-    lr: float = 1e-3
-    optimizer: str = "adam"
-    seed: int = 0
-    architecture: str = "hps"
-    max_steps_per_epoch: int | None = None
-    balancer_kwargs: dict = field(default_factory=dict)
-    num_seeds: int = 1
+__all__ = ["MethodResult", "run_methods"]
 
 
 @dataclass
@@ -85,103 +36,25 @@ class MethodResult:
     telemetry: dict | None = None
 
 
-def average_metric_dicts(runs: Sequence[Mapping[str, Mapping[str, float]]]) -> dict:
-    """Element-wise mean of ``{task: {metric: value}}`` dictionaries."""
-    if not runs:
-        raise ValueError("need at least one run")
-    averaged: dict[str, dict[str, float]] = {}
-    for task in runs[0]:
-        averaged[task] = {
-            metric: float(np.mean([run[task][metric] for run in runs]))
-            for metric in runs[0][task]
-        }
-    return averaged
-
-
-def _run_method_once(benchmark: Benchmark, method: str, config: RunConfig, seed: int):
-    balancer = create_balancer(method, seed=seed, **config.balancer_kwargs)
-    rng = np.random.default_rng(seed)
-    model = benchmark.build_model(config.architecture, rng)
-    trainer = MTLTrainer(
-        model,
-        benchmark.tasks,
-        balancer,
-        mode=benchmark.mode,
-        optimizer=config.optimizer,
-        lr=config.lr,
-        seed=seed,
-    )
-    trainer.fit(
-        benchmark.train,
-        config.epochs,
-        config.batch_size,
-        max_steps_per_epoch=config.max_steps_per_epoch,
-    )
-    return trainer.evaluate(benchmark.test), trainer
-
-
-def run_method(
-    benchmark: Benchmark,
-    method: str,
-    config: RunConfig,
-    return_trainer: bool = False,
-):
-    """Train ``benchmark`` under ``method`` and return test metrics.
-
-    ``method`` is a registered balancer name.  Use
-    :func:`repro.training.train_stl_all` for the STL row.  With
-    ``config.num_seeds > 1`` the returned metrics are seed averages (the
-    trainer returned with ``return_trainer`` is the last seed's).
-    """
-    runs = []
-    trainer = None
-    for offset in range(max(config.num_seeds, 1)):
-        metrics, trainer = _run_method_once(benchmark, method, config, config.seed + offset)
-        runs.append(metrics)
-    metrics = average_metric_dicts(runs)
-    if return_trainer:
-        return metrics, trainer
-    return metrics
-
-
-def run_stl_baseline(benchmark: Benchmark, config: RunConfig) -> dict:
-    """Seed-averaged STL metrics matching ``run_method``'s protocol."""
-    runs = []
-    for offset in range(max(config.num_seeds, 1)):
-        runs.append(
-            train_stl_all(
-                benchmark,
-                config.epochs,
-                config.batch_size,
-                lr=config.lr,
-                optimizer=config.optimizer,
-                seed=config.seed + offset,
-                max_steps_per_epoch=config.max_steps_per_epoch,
-            )
-        )
-    return average_metric_dicts(runs)
-
-
 def run_methods(
     benchmark: Benchmark,
+    spec: RunSpec,
     methods: Sequence[str] = METHODS,
-    config: RunConfig | None = None,
     stl_metrics: Mapping[str, Mapping[str, float]] | None = None,
 ) -> dict[str, MethodResult]:
-    """Run STL plus all ``methods``; attach ΔM per method.
+    """Run STL plus every method of ``methods`` under ``spec``; attach ΔM per method.
 
     Returns ``{"stl": MethodResult, method: MethodResult, ...}``; the STL
     row carries ΔM = 0 by definition.
     """
-    config = config or RunConfig()
     if stl_metrics is None:
-        stl_metrics = run_stl_baseline(benchmark, config)
+        stl_metrics = run_stl(benchmark, spec)
     directions = {
         task.name: dict(task.higher_is_better) for task in benchmark.tasks
     }
     results = {"stl": MethodResult("stl", dict(stl_metrics), 0.0)}
     for method in methods:
-        metrics, trainer = run_method(benchmark, method, config, return_trainer=True)
+        metrics, trainer = run(benchmark, replace(spec, method=method))
         delta = delta_m_from_results(metrics, stl_metrics, directions)
         results[method] = MethodResult(
             method,

@@ -7,10 +7,13 @@ all eight task metrics, exactly the layout of the paper's Table I.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..data.aliexpress import COUNTRIES, make_aliexpress_suite
 from ..metrics.delta import delta_m
+from ..training.run import METHODS, RunSpec, run_stl
+from ..training.run import run as run_spec
 from .reporting import format_percent, format_table
-from .runner import METHODS, RunConfig, run_method, run_stl_baseline
 
 __all__ = ["PRESETS", "run", "format_result"]
 
@@ -30,22 +33,22 @@ def run(
     params = PRESETS[preset]
     suite = make_aliexpress_suite(num_records=params["num_records"], seed=seed)
 
-    def config_for(method: str) -> RunConfig:
+    spec = RunSpec(
+        epochs=params["epochs"],
+        batch_size=params["batch_size"],
+        lr=params["lr"],
+        seed=seed,
+        num_seeds=params.get("num_seeds", 1),
+    )
+
+    def spec_for(method: str) -> RunSpec:
         kwargs = {"calibration": mocograd_lambda} if method == "mocograd" else {}
-        return RunConfig(
-            epochs=params["epochs"],
-            batch_size=params["batch_size"],
-            lr=params["lr"],
-            seed=seed,
-            balancer_kwargs=kwargs,
-            num_seeds=params.get("num_seeds", 1),
-        )
+        return replace(spec, method=method, balancer_kwargs=kwargs)
 
     auc: dict[str, dict[str, float]] = {"stl": {}}
     stl_flat: dict[str, float] = {}
-    base_config = config_for("equal")
     for country, benchmark in suite.items():
-        stl = run_stl_baseline(benchmark, base_config)
+        stl = run_stl(benchmark, spec)
         for task in ("CTR", "CTCVR"):
             key = f"{country}_{task}"
             auc["stl"][key] = stl[task]["auc"]
@@ -55,7 +58,7 @@ def run(
     for method in methods:
         auc[method] = {}
         for country, benchmark in suite.items():
-            metrics = run_method(benchmark, method, config_for(method))
+            metrics, _ = run_spec(benchmark, spec_for(method))
             for task in ("CTR", "CTCVR"):
                 auc[method][f"{country}_{task}"] = metrics[task]["auc"]
         keys = sorted(stl_flat)

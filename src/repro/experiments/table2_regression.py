@@ -6,13 +6,16 @@ the table reports the across-task average MAE / RMSE plus ΔM per dataset.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..data.movielens import GENRES, make_movielens
 from ..data.qm9 import PROPERTIES, make_qm9
 from ..metrics.delta import delta_m_from_results
+from ..training.run import METHODS, RunSpec, run_stl
+from ..training.run import run as run_spec
 from .reporting import format_percent, format_table
-from .runner import METHODS, RunConfig, run_method, run_stl_baseline
 
 __all__ = ["PRESETS", "run", "format_result"]
 
@@ -77,18 +80,18 @@ def run(preset: str = "quick", methods=METHODS, seed: int = 0) -> dict:
         ("qm9", qm9, "mae"),
         ("movielens", movielens, "rmse"),
     ):
-        config = RunConfig(
+        spec = RunSpec(
             epochs=params[name]["epochs"],
             batch_size=params[name]["batch_size"],
             lr=params["lr"],
             seed=seed,
             num_seeds=params.get("num_seeds", 1),
         )
-        stl = run_stl_baseline(benchmark, config)
+        stl = run_stl(benchmark, spec)
         directions = {t.name: dict(t.higher_is_better) for t in benchmark.tasks}
         result[name]["stl"] = {"avg": _average(stl, avg_metric), "delta_m": 0.0}
         for method in methods:
-            metrics = run_method(benchmark, method, config)
+            metrics, _ = run_spec(benchmark, replace(spec, method=method))
             result[name][method] = {
                 "avg": _average(metrics, avg_metric),
                 "delta_m": delta_m_from_results(metrics, stl, directions),

@@ -8,8 +8,9 @@ within-t° fractions for surface normals, plus ΔM over all nine numbers.
 from __future__ import annotations
 
 from ..data.nyuv2 import make_nyuv2
+from ..training.run import METHODS, RunSpec
 from .reporting import format_percent, format_table
-from .runner import METHODS, RunConfig, run_methods
+from .runner import run_methods
 
 __all__ = ["PRESETS", "run", "format_result", "METRIC_COLUMNS"]
 
@@ -36,14 +37,14 @@ def run(preset: str = "quick", methods=METHODS, seed: int = 0) -> dict:
     """Run Table III; returns per-method metric dicts plus ΔM."""
     params = PRESETS[preset]
     benchmark = make_nyuv2(num_scenes=params["num_scenes"], seed=seed)
-    config = RunConfig(
+    spec = RunSpec(
         epochs=params["epochs"],
         batch_size=params["batch_size"],
         lr=params["lr"],
         seed=seed,
         num_seeds=params.get("num_seeds", 1),
     )
-    results = run_methods(benchmark, methods, config)
+    results = run_methods(benchmark, spec, methods)
     return {
         "preset": preset,
         "metrics": {name: r.metrics for name, r in results.items()},

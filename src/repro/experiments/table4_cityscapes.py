@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from ..data.cityscapes import make_cityscapes
+from ..training.run import METHODS, RunSpec
 from .reporting import format_percent, format_table
-from .runner import METHODS, RunConfig, run_methods
+from .runner import run_methods
 
 __all__ = ["PRESETS", "run", "format_result", "METRIC_COLUMNS"]
 
@@ -25,14 +26,14 @@ def run(preset: str = "quick", methods=METHODS, seed: int = 0) -> dict:
     """Run Table IV; returns per-method metric dicts plus ΔM."""
     params = PRESETS[preset]
     benchmark = make_cityscapes(num_scenes=params["num_scenes"], seed=seed)
-    config = RunConfig(
+    spec = RunSpec(
         epochs=params["epochs"],
         batch_size=params["batch_size"],
         lr=params["lr"],
         seed=seed,
         num_seeds=params.get("num_seeds", 1),
     )
-    results = run_methods(benchmark, methods, config)
+    results = run_methods(benchmark, spec, methods)
     return {
         "preset": preset,
         "metrics": {name: r.metrics for name, r in results.items()},

@@ -1,7 +1,6 @@
 """Tests for the streaming shard pipeline core (``repro.data.streaming``)."""
 
 import os
-import pickle
 import subprocess
 import sys
 import threading
@@ -148,26 +147,6 @@ class TestStreamingDataset:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             as_stream(make_dataset(10), 4).batch(np.array([], dtype=np.int64))
-
-    def test_pickle_drops_telemetry_and_lru(self):
-        stream = as_stream(make_dataset(10), 4, telemetry=Telemetry())
-        stream.shard(0)
-        clone = pickle.loads(pickle.dumps(stream))
-        assert clone._lru == {}
-        # A pickled stream must still load shards in the new process.
-        inputs, _ = clone.load_shard(1)
-        np.testing.assert_array_equal(inputs, stream.load_shard(1)[0])
-        # The clone gets a fresh lock and an LRU of its own.
-        assert clone._lru_lock is not stream._lru_lock
-        assert not clone._lru_lock.locked()
-        with stream._lru_lock:  # the original's lock does not block the clone
-            clone.shard(1)
-            clone.shard(2)
-        assert list(clone._lru) == [1, 2]
-        assert list(stream._lru) == [0]
-        reused = clone.shard(2)
-        assert reused is clone._lru[2]
-        np.testing.assert_array_equal(reused[0], stream.load_shard(2)[0])
 
     def test_lru_hit_counts_reuse_on_the_passed_telemetry(self):
         default, passed = Telemetry(), Telemetry()

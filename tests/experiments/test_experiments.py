@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from repro.data import make_aliexpress
-from repro.experiments import (
-    METHODS,
-    REGISTRY,
-    RunConfig,
-    format_percent,
-    format_table,
-    run_method,
-    run_methods,
-)
+from repro.experiments import REGISTRY, format_percent, format_table, run_methods
+from repro.training import METHODS, RunSpec
+from repro.training.run import run
 
 
 class TestReporting:
@@ -56,33 +50,28 @@ class TestRunner:
         )
 
     def test_run_method_returns_metrics(self, bench):
-        config = RunConfig(epochs=1, batch_size=64, lr=2e-3, seed=0)
-        metrics = run_method(bench, "mocograd", config)
+        metrics, _ = run(bench, RunSpec(method="mocograd", epochs=1, lr=2e-3, seed=0))
         assert set(metrics) == {"CTR", "CTCVR"}
 
     def test_run_method_with_trainer(self, bench):
-        config = RunConfig(epochs=1, batch_size=64, seed=0)
-        metrics, trainer = run_method(bench, "equal", config, return_trainer=True)
+        metrics, trainer = run(bench, RunSpec(epochs=1, seed=0))
         assert trainer.step_count > 0
 
     def test_run_methods_includes_stl_and_delta(self, bench):
-        config = RunConfig(epochs=1, batch_size=64, seed=0)
-        results = run_methods(bench, methods=("equal",), config=config)
+        results = run_methods(bench, RunSpec(epochs=1, seed=0), methods=("equal",))
         assert set(results) == {"stl", "equal"}
         assert results["stl"].delta_m == 0.0
         assert results["equal"].delta_m is not None
 
     def test_balancer_kwargs_forwarded(self, bench):
-        config = RunConfig(
-            epochs=1, batch_size=64, seed=0, balancer_kwargs={"calibration": 0.5}
-        )
-        metrics = run_method(bench, "mocograd", config)
+        spec = RunSpec(method="mocograd", balancer_kwargs={"calibration": 0.5}, epochs=1)
+        metrics, trainer = run(bench, spec)
         assert set(metrics) == {"CTR", "CTCVR"}
+        assert trainer.balancer.calibration == 0.5
 
     def test_stl_metrics_reusable(self, bench):
-        config = RunConfig(epochs=1, batch_size=64, seed=0)
         stl = {"CTR": {"auc": 0.6}, "CTCVR": {"auc": 0.7}}
-        results = run_methods(bench, methods=("equal",), config=config, stl_metrics=stl)
+        results = run_methods(bench, RunSpec(epochs=1, seed=0), ("equal",), stl_metrics=stl)
         assert results["stl"].metrics == stl
 
 

@@ -8,7 +8,7 @@ qualitative properties the paper's evaluation depends on.
 import numpy as np
 import pytest
 
-from repro import MoCoGrad, MTLTrainer, create_balancer, train_stl_all
+from repro import MoCoGrad, MTLTrainer, RunSpec, create_balancer, run_stl
 from repro.balancers import EqualWeighting
 from repro.data import (
     make_aliexpress,
@@ -88,7 +88,7 @@ class TestQM9EndToEnd:
 class TestDeltaMPipeline:
     def test_delta_m_computable_from_real_runs(self):
         bench = make_aliexpress("NL", num_records=600, seed=0)
-        stl = train_stl_all(bench, epochs=2, batch_size=64, lr=2e-3, seed=0)
+        stl = run_stl(bench, RunSpec(epochs=2, batch_size=64, lr=2e-3, seed=0))
         model = bench.build_model("hps", np.random.default_rng(0))
         trainer = MTLTrainer(
             model, bench.tasks, EqualWeighting(), mode=bench.mode, lr=2e-3, seed=0

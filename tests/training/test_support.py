@@ -1,11 +1,11 @@
-"""Tests for History, evaluation, and the STL trainer."""
+"""Tests for History and evaluation."""
 
 import numpy as np
 import pytest
 
 from repro.data import make_aliexpress, make_movielens
 from repro.data.movielens import GENRES
-from repro.training import History, evaluate_model, train_stl, train_stl_all
+from repro.training import History, evaluate_model
 from repro.training.evaluation import collect_outputs
 
 
@@ -120,26 +120,3 @@ class TestEvaluation:
         evaluate_model(model, bench.tasks, bench.test, bench.mode)
         assert all(p.grad is None for p in model.parameters())
 
-
-class TestSTL:
-    def test_single_task_metrics(self):
-        bench = make_aliexpress("ES", num_records=400, seed=0)
-        metrics = train_stl(bench, "CTR", epochs=2, batch_size=64, lr=2e-3, seed=0)
-        assert "auc" in metrics
-        assert 0.0 <= metrics["auc"] <= 1.0
-
-    def test_all_tasks(self):
-        bench = make_aliexpress("ES", num_records=300, seed=0)
-        results = train_stl_all(bench, epochs=1, batch_size=64, seed=0)
-        assert set(results) == {"CTR", "CTCVR"}
-
-    def test_multi_input_stl(self):
-        bench = make_movielens(genres=GENRES[:2], records_per_genre=80, seed=0)
-        metrics = train_stl(bench, GENRES[0], epochs=1, batch_size=32, seed=0)
-        assert "rmse" in metrics
-
-    def test_stl_learns(self):
-        """STL AUC on the learnable CTR task should beat chance."""
-        bench = make_aliexpress("ES", num_records=1500, seed=0)
-        metrics = train_stl(bench, "CTR", epochs=6, batch_size=128, lr=2e-3, seed=0)
-        assert metrics["auc"] > 0.55
