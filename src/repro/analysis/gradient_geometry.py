@@ -23,7 +23,7 @@ def conflict_trajectory(trainer, window: int = 1) -> dict:
     """Summarize the conflict dynamics of a ``record_dynamics`` run.
 
     Reads the ``gcd_mean`` / ``conflict_fraction`` of the trainer's
-    recorder samples (one per resolving step) and returns per-window means
+    recorder samples (one per step) and returns per-window means
     plus overall statistics.  ``window`` groups samples by step — window
     ``w`` holds steps ``w·window + 1 … (w + 1)·window`` (set it to
     steps-per-epoch for per-epoch curves).  A bounded recorder decimates

@@ -5,8 +5,6 @@
 - :mod:`~repro.core.conflict`: GCD / TCI diagnostics (Definitions 2–3).
 - :mod:`~repro.core.gradstats`: the shared per-step pairwise-geometry
   cache (Gram, norms, cosines, conflict mask) behind the balancer kernels.
-- :mod:`~repro.core.ema`: exponential moving averages and the
-  feature-gradient norm normalizer behind ``grad_space="features"``.
 - :mod:`~repro.core.theory`: executable forms of Theorems 1–3.
 - :mod:`~repro.core.balancer`: the balancer API and registry shared with
   all baselines in :mod:`repro.balancers`.
@@ -27,7 +25,6 @@ from .conflict import (
     task_conflict_intensity,
     tci_profile,
 )
-from .ema import EMA, EMANormalizer
 from .gradstats import GradStats
 from .mocograd import MoCoGrad
 from .theory import (
@@ -47,8 +44,6 @@ __all__ = [
     "available_balancers",
     "MoCoGrad",
     "GradStats",
-    "EMA",
-    "EMANormalizer",
     "cosine_similarity",
     "gradient_conflict_degree",
     "is_conflicting",

@@ -85,31 +85,6 @@ class GradientBalancer:
         """
         raise NotImplementedError
 
-    def resolve_accumulated(
-        self, grads_sum: np.ndarray, losses_sum: np.ndarray, window: int
-    ) -> np.ndarray:
-        """Resolve conflicts once on a ``window``-step gradient accumulation.
-
-        The GCond-style accumulate-then-resolve entry point: the trainer
-        sums per-task gradient matrices (and loss vectors) over ``window``
-        micro-steps, then calls this once.  The default normalizes both to
-        their window means and delegates to :meth:`balance`, so any
-        stateful balancer (MoCoGrad momentum, DWA loss history, GradVac
-        EMA) advances exactly once per resolve rather than once per
-        micro-step.  ``window == 1`` is the per-step path itself — the
-        inputs are forwarded untouched, keeping the trajectory bit-identical
-        to calling :meth:`balance` directly.
-        """
-        if window < 1:
-            raise ValueError(f"accumulation window must be ≥ 1; got {window}")
-        if window == 1:
-            return self.balance(grads_sum, losses_sum)
-        scale = 1.0 / float(window)
-        return self.balance(
-            np.asarray(grads_sum, dtype=np.float64) * scale,
-            np.asarray(losses_sum, dtype=np.float64) * scale,
-        )
-
     # ------------------------------------------------------------------
     def _check_inputs(self, grads: np.ndarray, losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grads = np.asarray(grads, dtype=np.float64)

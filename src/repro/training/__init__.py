@@ -5,7 +5,6 @@
 :func:`run_stl` train it seed-averaged (the STL row is ``run_stl``).
 """
 
-from .callbacks import BestCheckpoint, EarlyStopping
 from .evaluation import collect_outputs, evaluate_model
 from .history import History
 from .run import METHODS, RunSpec, average_metric_dicts, build_trainer, run_stl
@@ -21,6 +20,4 @@ __all__ = [
     "build_trainer",
     "run_stl",
     "average_metric_dicts",
-    "EarlyStopping",
-    "BestCheckpoint",
 ]

@@ -1,28 +1,25 @@
 """Multi-task trainer: one step pipeline over per-task gradients.
 
 Reproduces the LibMTL-style optimization loop the paper runs on
-(Algorithm 1).  Every optimization step runs the same five stages:
+(Algorithm 1).  Every optimization step runs the same four stages:
 
 1. **collect** — forward every task, then ONE multi-root backward
    (:func:`repro.nn.tensor.backward_multi`: one topological sort, one walk
    over the union graph of all K task losses) fills a reused trainer-owned
    ``(K, dim)`` matrix with each task's gradient; an embedding table's
    gradient is written as its touched rows only.
-2. **accumulate** (``accumulate_steps=W > 1`` only, GCond-style) — sum the
-   matrix and the losses over ``W`` micro-steps; model gradients sum in the
-   arena because micro-steps skip ``zero_grad``.
-3. **resolve** — the balancer (MoCoGrad or any baseline) turns the
-   (window-mean) matrix into one direction, once per window.
-4. **write-back** — the direction replaces the shared gradient.
-5. **step** — one optimizer step over the parameter arena, then zero.
+2. **resolve** — the balancer (MoCoGrad or any baseline) turns the
+   matrix into one direction.
+3. **write-back** — the direction replaces the shared gradient.
+4. **step** — one optimizer step over the parameter arena, then zero.
 
 Only *collect* depends on the input (single-input or multi-input); what
 depends on the gradient space lives in one gradient-source object per
 space.  ``grad_space="parameters"`` rows are shared-parameter gradients,
 written back into the shared partition.  ``grad_space="features"`` rows
 are gradients of the shared representation z (the paper's §VI-C mode):
-the forward cuts the graph at z, and write-back back-propagates
-``direction / W`` through each retained trunk graph, so balancing costs
+the forward cuts the graph at z, and write-back back-propagates the
+direction through the retained trunk graph, so balancing costs
 O(K·d_feat) instead of O(K·d).
 
 The model's parameters always live in one contiguous
@@ -44,11 +41,9 @@ Every step is traced with nested :mod:`repro.obs` spans::
 
 The union-graph walk is not separable by task, so each ``task_backward``
 span wraps one root's *accumulation* into the gradient matrix; the walk
-itself is the remainder of the enclosing ``backward`` span.  Within an
-accumulation window every micro-step records ``forward``/``backward``;
-``balance``, ``backward_shared`` and ``optimizer_step`` are recorded once
-per window.  Counters: ``train_steps_total`` / ``train_epochs_total``,
-plus per-task ``train_loss`` gauges.
+itself is the remainder of the enclosing ``backward`` span.  Counters:
+``train_steps_total`` / ``train_epochs_total``, plus per-task
+``train_loss`` gauges.
 
 The flight recorder builds on the same spans: ``profile=`` exports the
 step timeline as Chrome ``trace_event`` JSON and ``record_dynamics=``
@@ -59,14 +54,12 @@ see DESIGN.md ("Flight recorder").
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..arch.base import MTLModel
 from ..core.balancer import GradientBalancer
-from ..core.ema import EMANormalizer
 from ..data.base import MULTI_INPUT, SINGLE_INPUT, TaskSpec
 from ..data.streaming import DataLoader
 from ..nn.arena import ParameterArena
@@ -131,15 +124,12 @@ class _ParameterSource:
     def __init__(self, model: MTLModel) -> None:
         #: the tensors whose per-task gradients form the rows
         self.roots: list[Tensor] = model.shared_parameters()
-        #: trunk graphs awaiting write-back — always empty here, because
-        #: parameter gradients accumulate in the arena by themselves
-        self.retained: list[Tensor] = []
 
     @staticmethod
     def forward(model: MTLModel, inputs) -> dict[str, Tensor]:
         return model.forward_all(inputs)
 
-    def write_back(self, combined: np.ndarray, window: int, telemetry: Telemetry) -> None:
+    def write_back(self, combined: np.ndarray, telemetry: Telemetry) -> None:
         """The direction becomes the shared partition's gradient."""
         set_grad_from_vector(self.roots, combined)
 
@@ -154,36 +144,33 @@ class _FeatureSource:
 
     def __init__(self) -> None:
         self.roots: list[Tensor] = []
-        self.retained: list[Tensor] = []
+        #: the step's trunk output, its graph retained for the write-back
+        self.features: Tensor | None = None
 
     def forward(self, model: MTLModel, inputs) -> dict[str, Tensor]:
-        features = model.shared_features(inputs)
-        cut = Tensor(features.data)
+        self.features = model.shared_features(inputs)
+        cut = Tensor(self.features.data)
         cut.requires_grad = True
         self.roots = [cut]
-        self.retained.append(features)
         return model.forward_heads(cut, inputs)
 
-    def write_back(self, combined: np.ndarray, window: int, telemetry: Telemetry) -> None:
-        """Back-propagate ``combined / W`` through each retained trunk graph.
+    def write_back(self, combined: np.ndarray, telemetry: Telemetry) -> None:
+        """Back-propagate ``combined`` through the retained trunk graph.
 
-        ``Σ_w J_wᵀ (combined / W)`` is the window-mean chain rule; for
-        ``W = 1`` it is the single trunk backprop that makes this space
-        fast.  It is still backward time, so it gets its own span and
+        This single trunk backprop is what makes this space fast.  It is
+        still backward time, so it gets its own span and
         :attr:`MTLTrainer.backward_seconds` includes it.
         """
-        graphs, self.retained = self.retained, []
-        seed = (combined / window).reshape(graphs[0].shape)
+        features, self.features = self.features, None
         with telemetry.span("backward_shared"):
-            for graph in graphs:
-                graph.backward(seed)
+            features.backward(combined.reshape(features.shape))
 
 
 class MTLTrainer:
     """Trains an :class:`~repro.arch.base.MTLModel` under a gradient balancer.
 
-    Each step runs collect → (accumulate) → resolve → write-back → step;
-    see the module docstring.
+    Each step runs collect → resolve → write-back → step; see the module
+    docstring.
 
     Parameters
     ----------
@@ -202,13 +189,6 @@ class MTLTrainer:
         size; MoCoGrad's per-task momentum is shaped to it and raises on
         a partial trailing batch — train it with
         ``fit(..., drop_last=True)``.
-    feature_ema:
-        Optional EMA smoothing factor in ``[0, 1)`` enabling a
-        :class:`~repro.core.ema.EMANormalizer` over the feature-gradient
-        rows (``grad_space="features"`` only): per-task rows are rescaled
-        so their *smoothed* norms agree before balancing, keeping task
-        scales comparable across steps.  ``None`` (default) applies no
-        normalization.
     optimizer / lr:
         Optimizer name (adam, sgd, sgdm, adagrad, rmsprop) and learning
         rate; the paper uses Adam at 1e-4 (recommendation/vision) or 3e-3
@@ -227,27 +207,12 @@ class MTLTrainer:
         :meth:`fit` completes (load it in ``chrome://tracing`` or
         Perfetto); a :class:`repro.obs.Profiler` instance attaches as-is
         (export it yourself).  Requires enabled telemetry.
-    accumulate_steps:
-        GCond-style accumulate-then-resolve window ``W``.  ``1`` (default)
-        resolves conflicts every step.  ``W > 1`` sums the per-task
-        gradient matrices and losses over ``W`` micro-steps, then calls
-        :meth:`~repro.core.balancer.GradientBalancer.resolve_accumulated`
-        *once* (so stateful balancers — MoCoGrad momentum, DWA history —
-        advance once per resolve) and takes one optimizer step on the
-        window-mean gradients.  Works with every balancer, in both
-        gradient spaces and both input modes.  With
-        ``grad_space="features"`` each micro-step's trunk graph is
-        retained and back-propagated at the window boundary, so memory
-        grows with ``W`` retained forward graphs; a mid-window
-        feature-dimension change (batch-size change) discards the open
-        window with a ``RuntimeWarning``.
     record_dynamics:
         Per-step conflict-dynamics recording into a bounded
         :class:`repro.obs.DynamicsRecorder` (``trainer.recorder``):
         ``True`` for the default 1024-sample stride recorder, an int for
-        a custom capacity, or a preconfigured recorder instance.  Each
-        step that resolves — every step, or with ``accumulate_steps=W``
-        the last micro-step of each window — samples the balancer's
+        a custom capacity, or a preconfigured recorder instance.  Every
+        step samples the balancer's
         :class:`~repro.core.gradstats.GradStats`
         (per-task grad norms, pairwise GCD, mean GCD, conflicting-pair
         fraction, cosine extrema) plus the balancer's
@@ -272,8 +237,6 @@ class MTLTrainer:
         telemetry: Telemetry | None = None,
         profile: str | Profiler | None = None,
         record_dynamics: bool | int | DynamicsRecorder = False,
-        accumulate_steps: int = 1,
-        feature_ema: float | None = None,
     ) -> None:
         if mode not in (SINGLE_INPUT, MULTI_INPUT):
             raise ValueError(f"mode must be {SINGLE_INPUT!r} or {MULTI_INPUT!r}")
@@ -281,10 +244,6 @@ class MTLTrainer:
             raise ValueError(f"grad_space must be one of {GRAD_SPACES}; got {grad_space!r}")
         if grad_space == "features" and mode != SINGLE_INPUT:
             raise ValueError("feature-level gradients require single-input MTL")
-        if accumulate_steps < 1:
-            raise ValueError(f"accumulate_steps must be ≥ 1; got {accumulate_steps}")
-        if feature_ema is not None and grad_space != "features":
-            raise ValueError("feature_ema requires grad_space='features'")
         model_tasks = set(model.task_names)
         spec_tasks = {task.name for task in tasks}
         if model_tasks != spec_tasks:
@@ -297,11 +256,6 @@ class MTLTrainer:
         #: where the rows of the gradient matrix come from, and where the
         #: balanced direction is written back (one object per space)
         self.source = _FeatureSource() if grad_space == "features" else _ParameterSource(model)
-        #: EMA norm-normalizer over the feature-gradient rows, or None
-        self.feature_normalizer = (
-            EMANormalizer(beta=feature_ema) if feature_ema is not None else None
-        )
-        self.accumulate_steps = int(accumulate_steps)
         #: the contiguous parameter arena (shared partition first)
         self.arena: ParameterArena = _build_arena(model)
         self.optimizer = _make_optimizer(optimizer, self.arena, lr)
@@ -338,11 +292,6 @@ class MTLTrainer:
         # matrix, so reuse is safe; `task_gradients` hands out fresh
         # matrices because its callers may keep them.
         self._grad_workspaces: dict[int, np.ndarray] = {}
-        # Accumulate-stage state: running (K, dim) gradient sum, (K,) loss
-        # sum and the micro-step count within the open window.
-        self._acc_grads: np.ndarray | None = None
-        self._acc_losses: np.ndarray | None = None
-        self._micro_steps = 0
 
     # ------------------------------------------------------------------
     #: Max distinct gradient widths cached by :meth:`_workspace` (FIFO).
@@ -376,15 +325,13 @@ class MTLTrainer:
         return self._step(self._collect_multi, batches)
 
     def _step(self, collect: Callable, *batch) -> np.ndarray:
-        """Run one (micro-)step: collect, then accumulate → resolve → step."""
+        """Run one step: collect, then resolve → write-back → step."""
         telemetry = self.telemetry
         with telemetry.span("step", **self._step_labels):
             self.model.train()
-            if self._micro_steps == 0:
-                # A new window starts from zero gradients and no trunk
-                # graphs, even if the previous step raised part-way.
-                self.arena.zero_grad()
-                self.source.retained.clear()
+            # Start from zero gradients even if the previous step raised
+            # part-way.
+            self.arena.zero_grad()
             ops = active_op_profile()
             if ops is not None:
                 # The step's first forward lap starts here, not at the
@@ -425,8 +372,6 @@ class MTLTrainer:
         grads = self._workspace(sum(root.size for root in roots))
         with telemetry.span("backward"):
             self._task_gradients_into(loss_tensors, roots, grads, telemetry)
-        if self.feature_normalizer is not None:
-            self.feature_normalizer.normalize(grads)
         return grads
 
     def _task_gradients_into(
@@ -453,50 +398,13 @@ class MTLTrainer:
                 grad_vector_from_slots(roots, slots, k, out=grads[k])
 
     def _update(self, grads: np.ndarray, losses: np.ndarray, telemetry: Telemetry) -> None:
-        """Accumulate → resolve → write-back → step (resolve once per window)."""
-        window = self.accumulate_steps
-        if window > 1:
-            if not self._accumulate(grads, losses):
-                return
-            grads, losses = self._acc_grads, self._acc_losses
-            # The model gradients summed over the window become their mean.
-            self.arena.grad *= 1.0 / window
+        """Resolve → write-back → step."""
         with telemetry.span("balance", method=self.balancer.name):
-            combined = self.balancer.resolve_accumulated(grads, losses, window)
-        self.source.write_back(combined, window, telemetry)
+            combined = self.balancer.balance(grads, losses)
+        self.source.write_back(combined, telemetry)
         with telemetry.span("optimizer_step"):
             self.optimizer.step()
         self.arena.zero_grad()
-        self._micro_steps = 0
-
-    def _accumulate(self, grads: np.ndarray, losses: np.ndarray) -> bool:
-        """Fold one micro-step into the open window; True once it is full.
-
-        A window left partially filled (e.g. at the end of ``fit``) stays
-        open — its micro-steps apply no update until the window completes.
-        A mid-window width change (a batch-size change in feature space)
-        discards the open window with a warning rather than mixing
-        incompatible spaces; the current micro-step opens a fresh one.
-        """
-        if self._micro_steps and self._acc_grads.shape != grads.shape:
-            warnings.warn(
-                "feature-space accumulation window discarded: the feature "
-                f"dimension changed from {self._acc_grads.shape[1]} to "
-                f"{grads.shape[1]} mid-window (batch-size change); the dropped "
-                "micro-steps apply no update",
-                RuntimeWarning,
-                stacklevel=5,
-            )
-            self._micro_steps = 0
-            self.arena.zero_grad()
-            del self.source.retained[:-1]
-        if self._micro_steps == 0:
-            self._acc_grads = np.zeros_like(grads)
-            self._acc_losses = np.zeros_like(losses)
-        self._acc_grads += grads
-        self._acc_losses += losses
-        self._micro_steps += 1
-        return self._micro_steps >= self.accumulate_steps
 
     def _finish_step(self, losses: np.ndarray) -> None:
         """Per-step bookkeeping: history, counters, dynamics sample."""
@@ -507,8 +415,7 @@ class MTLTrainer:
             telemetry.counter("train_steps_total", **self._step_labels).inc()
             for task, loss in zip(self.tasks, losses):
                 telemetry.gauge("train_loss", task=task.name).set(float(loss))
-        if self.recorder is not None and self._micro_steps == 0:
-            # Only a resolving step has fresh balancer stats to sample.
+        if self.recorder is not None:
             self._record_dynamics_sample(losses)
 
     def _record_dynamics_sample(self, losses: np.ndarray) -> None:
@@ -673,12 +580,6 @@ class MTLTrainer:
     # Timing views (span-backed)
     # ------------------------------------------------------------------
     @property
-    def last_step_seconds(self) -> float:
-        """Wall-clock seconds of the most recent optimization step."""
-        durations = self.telemetry.durations("step")
-        return durations[-1] if durations else 0.0
-
-    @property
     def backward_seconds(self) -> list[float]:
         """Per-step *backward-only* seconds (the paper's Fig. 8 quantity).
 
@@ -693,22 +594,10 @@ class MTLTrainer:
         return per_step
 
     @property
-    def mean_step_seconds(self) -> float:
-        """Average wall-clock seconds per *whole* optimization step."""
-        durations = self.telemetry.durations("step")
-        return float(np.mean(durations)) if durations else 0.0
-
-    @property
     def median_step_seconds(self) -> float:
         """Median step time — robust to scheduler noise."""
         durations = self.telemetry.durations("step")
         return float(np.median(durations)) if durations else 0.0
-
-    @property
-    def mean_backward_seconds(self) -> float:
-        """Average backward-only seconds per step (Fig. 8)."""
-        durations = self.backward_seconds
-        return float(np.mean(durations)) if durations else 0.0
 
     @property
     def median_backward_seconds(self) -> float:

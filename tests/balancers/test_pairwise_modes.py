@@ -246,10 +246,9 @@ class TestMoCoGradDirectPath:
         assert len(pairs) == 2 * 3 * 2
 
     @pytest.mark.parametrize("reference", [MatrixMoCoGrad, LoopMoCoGrad])
-    def test_trainer_accumulated_resolves_match(self, reference):
-        """Real gradients from ``MTLTrainer(accumulate_steps=3)``: each
-        resolve the production balancer sees replays exactly on the
-        oracles."""
+    def test_trainer_resolves_match(self, reference):
+        """Real gradients from ``MTLTrainer``: each step's resolve the
+        production balancer sees replays exactly on the oracles."""
         bench = make_synthetic_mtl(
             num_tasks=4, num_samples=192, pairwise_cosine=-0.3, seed=3
         )
@@ -268,9 +267,8 @@ class TestMoCoGradDirectPath:
             balancer,
             seed=3,
             optimizer="sgd",
-            accumulate_steps=3,
         )
-        trainer.fit(bench.train, epochs=8, batch_size=16)
+        trainer.fit(bench.train, epochs=3, batch_size=16)
         assert len(seen) >= 21
         replayed, applied = assert_direct_path_matches(reference, seen)
         assert applied >= 20

@@ -157,7 +157,7 @@ def _single_input(bench):
     return ArrayDataset(inputs, targets)
 
 
-def _train(bench, tasks, grad_space, accumulate_steps):
+def _train(bench, tasks, grad_space):
     single = grad_space == "features"
     model = bench.build_model("hps", np.random.default_rng(0))
     trainer = MTLTrainer(
@@ -166,21 +166,19 @@ def _train(bench, tasks, grad_space, accumulate_steps):
         MoCoGrad(seed=0),
         mode="single_input" if single else bench.mode,
         grad_space=grad_space,
-        accumulate_steps=accumulate_steps,
         seed=0,
     )
     data = _single_input(bench) if single else bench.train
-    trainer.fit(data, epochs=1, batch_size=32, max_steps_per_epoch=5 * accumulate_steps)
+    trainer.fit(data, epochs=1, batch_size=32, max_steps_per_epoch=5)
     return model.state_dict()
 
 
-@pytest.mark.parametrize("accumulate_steps", [1, 2])
 @pytest.mark.parametrize("grad_space", ["parameters", "features"])
-def test_nine_task_trained_weights_match_dense_lookup(grad_space, accumulate_steps, monkeypatch):
+def test_nine_task_trained_weights_match_dense_lookup(grad_space, monkeypatch):
     bench = make_movielens(records_per_genre=200, seed=0)
     assert len(bench.tasks) == 9
-    sparse = _train(bench, bench.tasks, grad_space, accumulate_steps)
-    dense = _train(bench, use_composites(monkeypatch, bench.tasks), grad_space, accumulate_steps)
+    sparse = _train(bench, bench.tasks, grad_space)
+    dense = _train(bench, use_composites(monkeypatch, bench.tasks), grad_space)
     assert sparse.keys() == dense.keys()
     for name in sparse:
         np.testing.assert_array_equal(sparse[name], dense[name], err_msg=name)

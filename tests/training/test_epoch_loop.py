@@ -5,8 +5,7 @@
 - an epoch draws exactly the batches it trains on, so a
   ``max_steps_per_epoch`` cut on a shard boundary leaves the trainer's rng
   where a loader advanced by those batches leaves it;
-- ``record_dynamics`` accepts a recorder instance, and samples only steps
-  that resolve (one per accumulation window).
+- ``record_dynamics`` accepts a recorder instance, and samples every step.
 """
 
 import itertools
@@ -83,23 +82,3 @@ def test_record_dynamics_accepts_an_empty_recorder_instance():
 @pytest.mark.parametrize("disabled", [False, None])
 def test_record_dynamics_off(disabled):
     assert make_trainer(record_dynamics=disabled).recorder is None
-
-
-def test_accumulated_dynamics_sample_each_window_once():
-    window = 3
-    trainer = make_trainer(method="mocograd", record_dynamics=True, accumulate_steps=window)
-    seen = []
-    original = trainer.balancer.resolve_accumulated
-
-    def spying(grads, losses, steps):
-        combined = original(grads, losses, steps)
-        seen.append(trainer.balancer.gradstats.snapshot()["gcd_mean"])
-        return combined
-
-    trainer.balancer.resolve_accumulated = spying
-    trainer.fit(BENCH.train, epochs=1, batch_size=16, max_steps_per_epoch=3 * window + 1)
-    samples = trainer.recorder.samples()
-    # The trailing micro-step opens a window that never resolves: no sample.
-    assert [sample["step"] for sample in samples] == [3, 6, 9]
-    assert [sample["gcd_mean"] for sample in samples] == seen
-    assert len(set(seen)) == len(seen)

@@ -72,12 +72,10 @@ class TestBuildTrainer:
             telemetry=telemetry,
             profile=profiler,
             record_dynamics=recorder,
-            accumulate_steps=2,
         )
         assert trainer.telemetry is telemetry
         assert trainer.profiler is profiler
         assert trainer.recorder is recorder
-        assert trainer.accumulate_steps == 2
 
     def test_matches_the_hand_built_trainer(self, bench):
         spec = RunSpec(method="mocograd", balancer_kwargs={"calibration": 0.3}, lr=2e-3, seed=4)

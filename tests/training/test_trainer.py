@@ -1,4 +1,5 @@
-"""Tests for the multi-task trainer: gradient collection, modes, equivalences."""
+"""Tests for the multi-task trainer: gradient collection, modes, equivalences,
+conflict tracking."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from repro.arch import HardParameterSharing, LinearHead, MLPEncoder
 from repro.balancers import EqualWeighting
 from repro.core import MoCoGrad, create_balancer
+from repro.core.conflict import conflict_fraction, pairwise_gcd
 from repro.data import MULTI_INPUT, SINGLE_INPUT, ArrayDataset, TaskSpec
 from repro.nn import Tensor
 from repro.nn.functional import mse_loss
@@ -207,9 +209,9 @@ class TestTraining:
         dataset, tasks = make_problem(rng)
         model = make_model(rng, tasks)
         trainer = MTLTrainer(model, tasks, EqualWeighting(), seed=0)
-        assert trainer.mean_step_seconds == 0.0
+        assert trainer.median_step_seconds == 0.0
         trainer.fit(dataset, epochs=1, batch_size=16)
-        assert trainer.mean_step_seconds > 0.0
+        assert trainer.median_step_seconds > 0.0
 
     def test_balancer_sees_correct_loss_values(self, rng):
         dataset, tasks = make_problem(rng)
@@ -226,3 +228,65 @@ class TestTraining:
         x, targets = dataset.batch(np.arange(8))
         reported = trainer.train_step_single(x, targets)
         np.testing.assert_allclose(captured[0], reported)
+
+
+class TestConflictTracking:
+    def test_history_recorded_per_step(self, rng):
+        x = rng.normal(size=(32, 3))
+        data = ArrayDataset(x, {"a": x @ np.ones(3), "b": -(x @ np.ones(3))})
+        tasks = [TaskSpec("a", mse_loss, {}, {}), TaskSpec("b", mse_loss, {}, {})]
+        model = HardParameterSharing(
+            MLPEncoder(3, [4], rng),
+            {"a": LinearHead(4, 1, rng), "b": LinearHead(4, 1, rng)},
+        )
+        trainer = MTLTrainer(
+            model, tasks, EqualWeighting(), seed=0, record_dynamics=True
+        )
+        trainer.fit(data, epochs=2, batch_size=16)
+        samples = trainer.recorder.samples()
+        assert len(samples) == trainer.step_count
+        for sample in samples:
+            assert 0.0 <= sample["gcd_mean"] <= 2.0
+            assert 0.0 <= sample["conflict_fraction"] <= 1.0
+
+    def test_samples_match_step_gradients(self, rng):
+        """Each sample is the mean GCD / conflict fraction of that step's
+        per-task gradients, as Definition 3 computes them directly."""
+        x = rng.normal(size=(16, 3))
+        data = ArrayDataset(x, {"a": x @ np.ones(3), "b": x @ rng.normal(size=3)})
+        tasks = [TaskSpec("a", mse_loss, {}, {}), TaskSpec("b", mse_loss, {}, {})]
+        model = HardParameterSharing(
+            MLPEncoder(3, [4], rng),
+            {"a": LinearHead(4, 1, rng), "b": LinearHead(4, 1, rng)},
+        )
+        trainer = MTLTrainer(model, tasks, EqualWeighting(), seed=0, record_dynamics=True)
+        inputs, targets = data.all()
+        for _ in range(3):
+            grads = trainer.task_gradients(inputs, targets)
+            trainer.train_step_single(inputs, targets)
+            sample = trainer.recorder.samples()[-1]
+            assert sample["gcd_mean"] == pytest.approx(pairwise_gcd(grads)[0, 1], abs=1e-12)
+            assert sample["conflict_fraction"] == conflict_fraction(grads)
+
+    def test_opposite_tasks_flagged_conflicting(self, rng):
+        """Opposite targets competing for one shared output must conflict."""
+        from repro.analysis.conflict_experiment import SharedOutputRegressor
+
+        x = rng.normal(size=(64, 10))
+        y = x @ np.ones(10)
+        data = ArrayDataset(x, {"a": y, "b": -y})
+        tasks = [TaskSpec("a", mse_loss, {}, {}), TaskSpec("b", mse_loss, {}, {})]
+        model = SharedOutputRegressor(["a", "b"], 10, rng)
+        trainer = MTLTrainer(model, tasks, EqualWeighting(), lr=1e-2, seed=0, record_dynamics=True)
+        trainer.fit(data, epochs=6, batch_size=32)
+        fractions = [sample["conflict_fraction"] for sample in trainer.recorder.samples()[-4:]]
+        assert np.mean(fractions) > 0.5
+
+    def test_disabled_by_default(self, rng):
+        x = rng.normal(size=(16, 3))
+        data = ArrayDataset(x, {"a": x @ np.ones(3)})
+        tasks = [TaskSpec("a", mse_loss, {}, {})]
+        model = HardParameterSharing(MLPEncoder(3, [4], rng), {"a": LinearHead(4, 1, rng)})
+        trainer = MTLTrainer(model, tasks, EqualWeighting(), seed=0)
+        trainer.fit(data, epochs=1, batch_size=8)
+        assert trainer.recorder is None

@@ -111,39 +111,10 @@ class TestStepSpans:
         assert sum(trainer.backward_seconds) >= sum(telemetry.durations("step/backward"))
 
 
-class TestAccumulateSpans:
-    @pytest.mark.parametrize("grad_space", ("parameters", "features"))
-    def test_span_counts_per_micro_step_and_per_window(self, rng, grad_space):
-        """Micro-steps record step/forward/backward; the resolve tail
-        (balance, trunk backprop, optimizer step) runs once per window."""
-        dataset, tasks = make_problem(rng)
-        trainer = MTLTrainer(
-            make_model(rng, tasks),
-            tasks,
-            EqualWeighting(),
-            grad_space=grad_space,
-            accumulate_steps=4,
-            seed=0,
-            telemetry=Telemetry(),
-        )
-        x, targets = dataset.batch(np.arange(8))
-        for _ in range(10):  # two full windows, a third left open
-            trainer.train_step_single(x, targets)
-        durations = trainer.telemetry.durations
-        for path in ("step", "step/forward", "step/backward"):
-            assert len(durations(path)) == 10, path
-        assert len(durations("step/backward/task_backward")) == 2 * 10
-        assert len(durations("step/balance")) == 2
-        assert len(durations("step/optimizer_step")) == 2
-        shared = 2 if grad_space == "features" else 0
-        assert len(durations("step/backward_shared")) == shared
-
-
 class TestTimingViews:
     def test_backward_time_distinct_from_step_time(self, fitted):
         trainer, _ = fitted
-        assert 0.0 < trainer.mean_backward_seconds < trainer.mean_step_seconds
-        assert 0.0 < trainer.median_backward_seconds <= trainer.median_step_seconds
+        assert 0.0 < trainer.median_backward_seconds < trainer.median_step_seconds
 
     def test_disabled_telemetry_trains_identically(self, rng):
         dataset, tasks = make_problem(rng)
@@ -164,6 +135,6 @@ class TestTimingViews:
         model = make_model(rng, tasks)
         trainer = MTLTrainer(model, tasks, EqualWeighting(), seed=0, telemetry=NULL_TELEMETRY)
         trainer.fit(dataset, epochs=1, batch_size=8)
-        assert trainer.mean_step_seconds == 0.0
+        assert trainer.median_step_seconds == 0.0
         assert trainer.backward_seconds == []
-        assert trainer.last_step_seconds == 0.0
+        assert trainer.median_backward_seconds == 0.0
