@@ -2,20 +2,19 @@
 
 Times one full epoch (dataset construction + generation + batch
 iteration) over the AliExpress generator at 20x its default row count in
-five configurations, and writes ``BENCH_streaming.json`` at the
+four configurations, and writes ``BENCH_streaming.json`` at the
 repository root:
 
 - ``eager`` — the reference oracle: materialize every shard into one
   in-memory dataset, then stream batches from the concatenated arrays;
-- ``streaming`` — chunked generation on the consumer thread
-  (``prefetch_depth=0``), at most one shard alive at a time;
-- ``prefetch`` — double-buffered: a background thread generates shard
-  ``i+1`` while the loader batches shard ``i``;
-- ``cache_cold`` / ``cache_warm`` — the ``np.memmap`` shard cache on its
-  first (generate + write) and second (mmap-only) epoch.
+- ``streaming`` — chunked generation on the loader's thread, one shard
+  at a time;
+- ``cache_cold`` / ``cache_warm`` — the same loader over the
+  ``np.memmap`` shard cache on its first (generate + write) and second
+  (mmap-only) epoch.
 
 Streaming never pays eager's full-concat copy or its O(total_rows)
-residency, so ``prefetch`` must be at least as fast as ``eager`` even on
+residency, so ``streaming`` must be at least as fast as ``eager`` even on
 a single core, and ``cache_warm`` must beat it outright.  A separate
 tracemalloc probe checks the bounded-memory claim directly: the
 streaming peak must stay flat (within ``MEMORY_GATE``) when the row
@@ -28,8 +27,7 @@ full-product reference in ``tests/reference/movielens.py``.  Both must
 return bitwise equal histories.
 
 A ``shard_reuse`` row counts ``generate_chunk`` calls over two epochs of
-a two-shard AliExpress stream at each prefetch depth: the first epoch
-generates both shards, and the second must reuse them from the
+a two-shard AliExpress stream: the first epoch generates both shards, and the second must reuse them from the
 dataset's shard LRU and generate none.  It is a count, not a timing, so
 it holds on any host.
 
@@ -37,7 +35,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_streaming.py [--smoke] [--out PATH]
 
-``--smoke`` shrinks the run for CI and exits non-zero if ``prefetch`` or
+``--smoke`` shrinks the run for CI and exits non-zero if ``streaming`` or
 ``cache_warm`` is slower than ``eager`` (speedup < 1.0), the streaming
 peak is not flat across the 10x row-count step, or the MovieLens sampler
 is slower than (or differs from) its reference, or the second epoch of
@@ -78,12 +76,10 @@ MEMORY_GATE = 1.5
 ML_USERS, ML_MOVIES, ML_ROWS = 6000, 4000, 4096
 
 
-def build_dataset(
-    rows: int, chunk: int, cache: ShardCache | None = None, prefetch_depth: int = 0
-) -> StreamingDataset:
+def build_dataset(rows: int, chunk: int, cache: ShardCache | None = None) -> StreamingDataset:
     """Fresh AliExpress streaming dataset for one timed epoch."""
     source = AliExpressStream(COUNTRY, rows, chunk, seed=SEED)
-    return StreamingDataset(source, cache=cache, prefetch_depth=prefetch_depth)
+    return StreamingDataset(source, cache=cache)
 
 
 def consume(loader: DataLoader) -> int:
@@ -101,13 +97,11 @@ def run_epoch(mode: str, rows: int, chunk: int, cache_dir: Path | None = None) -
     start = time.perf_counter()
     if mode == "eager":
         dataset = build_dataset(rows, chunk)
-        stream = as_stream(dataset.materialize(), chunk, prefetch_depth=0)
+        stream = as_stream(dataset.materialize(), chunk)
     elif mode == "streaming":
         stream = build_dataset(rows, chunk)
-    elif mode == "prefetch":
-        stream = build_dataset(rows, chunk, prefetch_depth=1)
     elif mode in ("cache_cold", "cache_warm"):
-        stream = build_dataset(rows, chunk, cache=ShardCache(cache_dir), prefetch_depth=1)
+        stream = build_dataset(rows, chunk, cache=ShardCache(cache_dir))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     consumed = consume(DataLoader(stream, BATCH, seed=SEED))
@@ -178,19 +172,16 @@ def logged_generations(stream: StreamingDataset) -> list[int]:
 
 
 def shard_reuse(chunk: int) -> dict:
-    """``generate_chunk`` calls per epoch over a two-shard stream, per prefetch depth."""
-    generations = {}
-    for depth in (0, 1):
-        stream = build_dataset(2 * chunk, chunk, prefetch_depth=depth)
-        calls = logged_generations(stream)
-        loader = DataLoader(stream, BATCH, seed=SEED)
-        per_epoch = []
-        for _ in range(2):
-            before = len(calls)
-            consume(loader)
-            per_epoch.append(len(calls) - before)
-        generations[f"prefetch_depth_{depth}"] = per_epoch
-    return {"shards": 2, "chunk_size": chunk, "generations_per_epoch": generations}
+    """``generate_chunk`` calls per epoch over two epochs of a two-shard stream."""
+    stream = build_dataset(2 * chunk, chunk)
+    calls = logged_generations(stream)
+    loader = DataLoader(stream, BATCH, seed=SEED)
+    per_epoch = []
+    for _ in range(2):
+        before = len(calls)
+        consume(loader)
+        per_epoch.append(len(calls) - before)
+    return {"shards": 2, "chunk_size": chunk, "generations_per_epoch": per_epoch}
 
 
 def run(
@@ -204,13 +195,13 @@ def run(
         # Best-of-``repeats``, with the modes interleaved round-robin so a
         # slow phase of the host (frequency scaling, a noisy neighbor on a
         # shared runner) skews every mode equally instead of one of them.
-        interleaved = ("eager", "streaming", "prefetch", "cache_warm")
+        interleaved = ("eager", "streaming", "cache_warm")
         for _ in range(repeats):
             for mode in interleaved:
                 seconds = run_epoch(mode, rows, chunk, cache_dir)
                 timings[mode] = min(timings.get(mode, seconds), seconds)
     eager_seconds = timings["eager"]
-    for mode in ("eager", "streaming", "prefetch", "cache_cold", "cache_warm"):
+    for mode in ("eager", "streaming", "cache_cold", "cache_warm"):
         seconds = timings[mode]
         results.append(
             {
@@ -224,8 +215,8 @@ def run(
     # The probe uses its own (small, fixed) chunk size: boundedness means
     # the peak tracks the chunk, not the row count, so the chunk must stay
     # constant — and well below ``memory_rows`` — while rows grow 10x.
-    streaming_base = peak_bytes("prefetch", memory_rows, memory_chunk)
-    streaming_10x = peak_bytes("prefetch", memory_rows * 10, memory_chunk)
+    streaming_base = peak_bytes("streaming", memory_rows, memory_chunk)
+    streaming_10x = peak_bytes("streaming", memory_rows * 10, memory_chunk)
     eager_10x = peak_bytes("eager", memory_rows * 10, memory_chunk)
     memory = {
         "rows_base": memory_rows,
@@ -262,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="short CI run; fail (exit 1) if prefetch or warm-cache "
+        help="short CI run; fail (exit 1) if streaming or warm-cache "
         "streaming is slower than eager, peak memory grows with rows, or a "
         "second epoch over a two-shard stream generates a shard",
     )
@@ -276,10 +267,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # Both presets time 20x the generator's default 4000 rows and probe
     # memory at 4000 vs 40 000 (the 10x acceptance bar) — a full epoch is
-    # ~25 ms, so even the smoke run affords the real workload.  Generation
-    # must dominate the per-shard thread handoff for prefetch to pay off
-    # on few cores, which is why the row count stays high and the timing
-    # chunk stays wide.
+    # ~25 ms, so even the smoke run affords the real workload.
     rows, chunk, memory_rows, memory_chunk = 80_000, 8192, 4000, 1024
     repeats = 5 if args.smoke else 9
     report = run(rows, chunk, repeats, memory_rows, memory_chunk)
@@ -306,16 +294,13 @@ def main(argv: list[str] | None = None) -> int:
         f"bitwise equal: {shard['bitwise_equal']})"
     )
     reuse = report["shard_reuse"]["generations_per_epoch"]
-    print(
-        "shard_reuse: generations per epoch over a 2-shard stream: "
-        + ", ".join(f"{name} {counts}" for name, counts in reuse.items())
-    )
+    print(f"shard_reuse: generations per epoch over a 2-shard stream: {reuse}")
     print(f"wrote {args.out}")
 
     if args.smoke:
         failures = []
         speedups = {row["mode"]: row["speedup"] for row in report["results"]}
-        for mode in ("prefetch", "cache_warm"):
+        for mode in ("streaming", "cache_warm"):
             if speedups[mode] < 1.0:
                 failures.append(f"{mode} slower than eager ({speedups[mode]:.2f}x)")
         if memory["peak_ratio"] > MEMORY_GATE:
@@ -329,12 +314,12 @@ def main(argv: list[str] | None = None) -> int:
             )
         if not shard["bitwise_equal"]:
             failures.append("movielens_shard histories differ from the reference")
-        for name, (first, second) in reuse.items():
-            if first != 2 or second:
-                failures.append(
-                    f"shard_reuse {name}: epochs generated {first} and {second} "
-                    "shards (expected 2, then 0 from the shard LRU)"
-                )
+        first, second = reuse
+        if first != 2 or second:
+            failures.append(
+                f"shard_reuse: epochs generated {first} and {second} "
+                "shards (expected 2, then 0 from the shard LRU)"
+            )
         if failures:
             print("FAIL: " + "; ".join(failures), file=sys.stderr)
             return 1

@@ -25,9 +25,9 @@ Tracked metrics (label → speedup):
 - ``optim/{name}`` — flat vs loop optimizer step;
 - ``feature_space/d{d}`` — feature-space vs parameter-space balancing
   cost at shared-parameter count d (``bench_feature_space.py``);
-- ``streaming/prefetch`` / ``streaming/warm_cache`` — double-buffered
-  streaming and warm mmap-cache epochs vs the eager materialize-then-
-  iterate baseline (``bench_streaming.py``);
+- ``streaming/streaming`` / ``streaming/warm_cache`` — streaming and
+  warm mmap-cache epochs vs the eager materialize-then-iterate baseline
+  (``bench_streaming.py``);
 - ``streaming/movielens_shard`` — the blocked MovieLens history sampler
   vs its full-product reference on one shard (``bench_streaming.py``);
 - ``serve/batched`` / ``serve/no_grad`` — micro-batched request serving
@@ -104,9 +104,9 @@ def extract_metrics(report: dict) -> dict[str, float]:
                 row["balance_speedup"]
             )
     elif kind == "streaming":
-        # cold-cache and sync-streaming rows are diagnostics, not gates:
-        # only the two modes users run for speed are trend-tracked.
-        tracked = {"prefetch": "streaming/prefetch", "cache_warm": "streaming/warm_cache"}
+        # eager and cold-cache rows are diagnostics, not gates: only the
+        # two modes users run for speed are trend-tracked.
+        tracked = {"streaming": "streaming/streaming", "cache_warm": "streaming/warm_cache"}
         for row in report.get("results", []):
             label = tracked.get(row["mode"])
             if label is not None:

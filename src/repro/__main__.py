@@ -195,14 +195,11 @@ def _run_train(args) -> str:
     ]
     if args.streaming:
         telemetry = trainer.telemetry
-        hits = telemetry.counter("stream_prefetch_hits_total").value
-        stalls = telemetry.counter("stream_prefetch_stalls_total").value
         cache_hits = telemetry.counter("stream_cache_hits_total").value
         cache_misses = telemetry.counter("stream_cache_misses_total").value
         reused = telemetry.counter("stream_shard_reuse_total").value
         lines.append(
             f"streaming: chunk={args.chunk_size}, "
-            f"prefetch hits={int(hits)} stalls={int(stalls)}, "
             f"cache hits={int(cache_hits)} misses={int(cache_misses)}, "
             f"shards reused={int(reused)}"
             + (f" (dir {args.cache_dir})" if args.cache_dir else "")
@@ -294,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         "--streaming",
         action="store_true",
         help="train: generate data through the streaming shard pipeline "
-        "(bounded memory, double-buffered prefetch) instead of eagerly",
+        "(bounded memory, one shard generated at a time) instead of eagerly",
     )
     train.add_argument(
         "--chunk-size",

@@ -26,11 +26,9 @@ from .streaming import (
     ChunkedSource,
     DataLoader,
     EagerSource,
-    ShardPrefetcher,
     StreamingDataset,
     as_stream,
     num_shards,
-    shard_batch_index_iter,
     shard_row_range,
     streaming_batch_count,
 )
@@ -76,11 +74,9 @@ __all__ = [
     "ShardCache",
     "ChunkedSource",
     "EagerSource",
-    "ShardPrefetcher",
     "StreamingDataset",
     "as_stream",
     "num_shards",
-    "shard_batch_index_iter",
     "shard_row_range",
     "streaming_batch_count",
     "AliExpressStream",

@@ -46,8 +46,8 @@ def shard_rng(seed: int, shard_index: int) -> np.random.Generator:
     """Deterministic per-shard generator: ``default_rng(seed + shard_index)``.
 
     Each shard's stream is a pure function of ``(seed, shard_index)``, so
-    any consumer — the loader, its prefetch thread, the shard cache, a
-    fresh process — regenerates a shard identically without sharing RNG
+    any consumer — the loader, the shard cache, a fresh process —
+    regenerates a shard identically without sharing RNG
     state.  ``seed`` must be explicit: reproducible shards are the whole
     point.
     """
@@ -84,7 +84,7 @@ def batch_index_iter(
     """Yield per-batch position arrays over ``n`` samples.
 
     The within-shard step of the one batch-order draw,
-    :func:`repro.data.streaming.shard_batch_index_iter`.  An in-memory
+    ``repro.data.streaming.DataLoader.__iter__``.  An in-memory
     dataset is a single shard, so its epoch order is exactly this stream.
     """
     order = np.arange(n)
@@ -171,13 +171,11 @@ class ArrayDataset:
     (single task) or a dict ``{task: ndarray}`` (single-input MTL).
 
     To the loader it is a one-shard stream: :meth:`shard` returns the
-    dataset's own arrays (no copy), there is no prefetch thread, and
-    numpy draws nothing to shuffle a one-shard order — so its batch order
-    is :func:`batch_index_iter` over its rows.
+    dataset's own arrays (no copy), and numpy draws nothing to shuffle a
+    one-shard order — so its batch order is :func:`batch_index_iter` over
+    its rows.
     """
 
-    #: An in-memory dataset never starts a prefetch thread.
-    prefetch_depth = 0
     telemetry = NULL_TELEMETRY
 
     def __init__(self, inputs, targets) -> None:

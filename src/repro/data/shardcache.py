@@ -92,7 +92,7 @@ def _reassemble(spec: dict, arrays: list[np.ndarray]):
 class ShardCache:
     """Filesystem cache of generated shards under one directory.
 
-    Thread- and process-safe by construction: files are written once via
+    Safe across threads and processes by construction: files are written once via
     atomic rename, and concurrent writers for the same key produce
     byte-identical content (shards are pure functions of
     ``(seed, shard)``), so whichever rename lands last changes nothing.

@@ -8,8 +8,8 @@ streaming counterpart, and the loader that walks both:
 - :class:`ChunkedSource` — a generator that produces fixed-size *chunks*
   (shards) on demand.  Shard ``i`` is a pure function of
   ``(seed, shard_index)`` via :func:`~repro.data.base.shard_rng`, so any
-  consumer — the loader, a prefetch thread, global-index ``batch()``, a
-  warm cache — reconstructs identical bytes independently.
+  consumer — the loader, global-index ``batch()``, a warm cache —
+  reconstructs identical bytes independently.
 - :class:`StreamingDataset` — the dataset view over a source: every
   shard fetch (the loader's and global-index ``batch()``) goes through a
   tiny shard LRU, so a stream of at most two shards is generated once
@@ -17,18 +17,11 @@ streaming counterpart, and the loader that walks both:
   :class:`~repro.data.shardcache.ShardCache` (write-once ``np.memmap``
   files), and :meth:`~StreamingDataset.materialize`, the concatenation
   of all shards as a plain :class:`~repro.data.base.ArrayDataset`.
-- :class:`ShardPrefetcher` — the double buffer: a background thread
-  generates shard ``i+1`` while the trainer consumes shard ``i``, hiding
-  generation latency behind compute.  Instrumented with
-  :mod:`repro.obs` spans (``prefetch_shard`` on the producer thread,
-  ``shard_wait`` on the consumer) so the overlap is visible in the
-  Chrome trace.
 - :class:`DataLoader` — the only loader, over a :class:`StreamingDataset`
   or an :class:`~repro.data.base.ArrayDataset` (a one-shard stream that
-  hands out its own arrays, with no copy and no prefetch thread); it
-  fetches every shard through ``dataset.shard``.  Its epochs and
-  evaluation both take their order from :func:`shard_batch_index_iter`,
-  the one place batch order is drawn.
+  hands out its own arrays, with no copy).  It fetches every shard
+  through ``dataset.shard`` on the caller's thread, and its epochs and
+  evaluation both draw their batch order in :meth:`DataLoader.__iter__`.
 
 Ordering contract: one shard-order permutation, then each shard's rows
 batched by :func:`~repro.data.base.batch_index_iter`.  Batches never cross
@@ -43,10 +36,9 @@ identical batches, different storage.
 
 from __future__ import annotations
 
-import queue
 import threading
 from collections import OrderedDict
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -67,11 +59,9 @@ __all__ = [
     "EagerSource",
     "StreamingDataset",
     "DataLoader",
-    "ShardPrefetcher",
     "as_stream",
     "num_shards",
     "shard_row_range",
-    "shard_batch_index_iter",
     "streaming_batch_count",
 ]
 
@@ -121,40 +111,6 @@ def streaming_batch_count(
         start, stop = shard_row_range(total_rows, chunk_size, index)
         count += batch_count(stop - start, batch_size, drop_last)
     return count
-
-
-def shard_batch_index_iter(
-    total_rows: int,
-    chunk_size: int,
-    batch_size: int,
-    rng: np.random.Generator | None = None,
-    shuffle: bool = True,
-    drop_last: bool = False,
-) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
-    """Draw one epoch's batch order: ``(shard_order, batches)``.
-
-    The one place batch order is drawn.  The shard-order permutation is
-    drawn now (the prefetcher needs it up front); ``batches`` then yields
-    ``(shard_index, within-shard positions)``, drawing each shard's
-    :func:`~repro.data.base.batch_index_iter` permutation as it reaches
-    that shard — O(chunk_size) live index memory.  Training epochs and
-    evaluation both walk it through the loader, so runs at equal seeds
-    see identical batches whatever the storage.
-    """
-    rng = rng if rng is not None else np.random.default_rng(DEFAULT_DATA_SEED)
-    order = np.arange(num_shards(total_rows, chunk_size))
-    if shuffle:
-        rng.shuffle(order)
-
-    def batches() -> Iterator[tuple[int, np.ndarray]]:
-        for index in order:
-            start, stop = shard_row_range(total_rows, chunk_size, int(index))
-            for positions in batch_index_iter(
-                stop - start, batch_size, rng=rng, shuffle=shuffle, drop_last=drop_last
-            ):
-                yield int(index), positions
-
-    return order, batches()
 
 
 # ----------------------------------------------------------------------
@@ -211,8 +167,8 @@ class EagerSource(ChunkedSource):
 
     The eager fallback for generators without a chunked core (the
     image-like datasets) and the oracle adapter for equivalence tests:
-    any materialized dataset streams through the same loader/prefetcher
-    machinery by slicing rows.  Never cached — the data already lives in
+    any materialized dataset streams through the same loader machinery by
+    slicing rows.  Never cached — the data already lives in
     memory.
     """
 
@@ -244,7 +200,7 @@ class StreamingDataset:
 
     Shares the :class:`ArrayDataset` surface the loader and the analysis
     helpers touch: ``__len__``, ``chunk_size``, ``shard``, ``load_shard``,
-    ``prefetch_depth``, ``telemetry`` and ``batch``.
+    ``telemetry`` and ``batch``.
 
     Parameters
     ----------
@@ -256,11 +212,6 @@ class StreamingDataset:
         memory-mapped on every later load, so repeated epochs and
         repeated benchmark runs pay generation cost once.  Ignored when
         the source opts out (``cache_key() is None``).
-    prefetch_depth:
-        Shards the background prefetcher may hold ready ahead of the
-        consumer (``1`` = classic double buffering, the default).  ``0``
-        disables the prefetch thread — shards generate synchronously on
-        the consumer thread.
     telemetry:
         Default :class:`repro.obs.Telemetry` for cache/generation
         instrumentation; the trainer's loader overrides it per-fit.
@@ -270,14 +221,10 @@ class StreamingDataset:
         self,
         source: ChunkedSource,
         cache=None,
-        prefetch_depth: int = 1,
         telemetry=None,
     ) -> None:
-        if prefetch_depth < 0:
-            raise ValueError(f"prefetch_depth must be ≥ 0; got {prefetch_depth}")
         self.source = source
         self.cache = cache
-        self.prefetch_depth = int(prefetch_depth)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._lru: OrderedDict[int, tuple] = OrderedDict()
         self._lru_lock = threading.Lock()
@@ -338,17 +285,17 @@ class StreamingDataset:
     def shard(self, index: int, telemetry=None):
         """LRU-cached :meth:`load_shard` (capacity {cap}).
 
-        The one shard accessor: the loader (on its prefetch thread or,
-        at ``prefetch_depth=0``, its own) and :meth:`batch` both fetch
+        The one shard accessor: the loader and :meth:`batch` both fetch
         here, so a shard the LRU still holds is reused instead of
         regenerated.  On a stream of at most {cap} shards every epoch
         after the first generates nothing.  A hit counts
         ``stream_shard_reuse_total`` on ``telemetry``; a miss calls
         :meth:`load_shard`, which counts the mmap cache traffic.
 
-        One lock guards lookup, insert and evict; generation runs outside
-        it.  Two threads that miss the same index may therefore both
-        generate it — harmless, since a shard is a pure function of
+        ``shard`` and :meth:`batch` are public, so user threads may call
+        them concurrently with a loader: one lock guards lookup, insert
+        and evict; generation runs outside it.  Two threads that miss the
+        same index may therefore both generate it — harmless, since a shard is a pure function of
         ``(seed, index)``: either copy holds the same bytes.
         """
         telemetry = telemetry if telemetry is not None else self.telemetry
@@ -422,122 +369,6 @@ class StreamingDataset:
 
 
 # ----------------------------------------------------------------------
-# Prefetcher
-# ----------------------------------------------------------------------
-_SHARD, _DONE, _ERROR = "shard", "done", "error"
-
-
-class ShardPrefetcher:
-    """Double-buffered background shard loading.
-
-    A daemon thread walks ``order`` calling ``load`` (under a
-    ``prefetch_shard`` span on its own thread-local span stack) and
-    parks results in a bounded queue; with ``depth=1`` the producer is
-    always at most one shard ahead — generation of shard ``i+1`` overlaps
-    consumption of shard ``i``.  The pipeline holds at most
-    ``depth + 2`` shards (``depth`` queued, one in the producer —
-    generating, or finished and blocked on ``put`` — and one in the
-    consumer).  When ``load`` is :meth:`StreamingDataset.shard`, that
-    dataset's LRU also holds the two shards fetched last.  While the
-    pipeline is full both are in it already (the producer's and the
-    newest queued, or the newest queued and the one before it).  An LRU
-    shard outside the pipeline means the pipeline is short: the consumer
-    has caught up with the producer, or at the start of an epoch holds
-    no shard yet.  So the bound stays ``depth + 2`` live shards.
-
-    Iterate to receive ``(shard_index, data)`` in order.  A queue that
-    already holds the next shard counts a ``stream_prefetch_hits_total``;
-    an empty queue counts a ``stream_prefetch_stalls_total`` and the wait
-    is timed under a ``shard_wait`` span.  A producer exception is
-    re-raised on the consumer thread at the next ``__next__`` — never
-    swallowed, never masking a consumer-side exception (:meth:`close` is
-    silent).  Always :meth:`close` (or exhaust) the iterator; the
-    streaming loader does so in a ``finally``.
-    """
-
-    def __init__(
-        self,
-        load: Callable[[int], object],
-        order,
-        depth: int = 1,
-        telemetry=None,
-    ) -> None:
-        if depth < 1:
-            raise ValueError(f"prefetch depth must be ≥ 1; got {depth}")
-        self._load = load
-        self._order = [int(index) for index in order]
-        self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._queue: queue.Queue = queue.Queue(maxsize=depth)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._produce, name="shard-prefetch", daemon=True
-        )
-        self._thread.start()
-
-    # -- producer thread -------------------------------------------------
-    def _produce(self) -> None:
-        try:
-            for index in self._order:
-                if self._stop.is_set():
-                    return
-                with self._telemetry.span("prefetch_shard", shard=index):
-                    data = self._load(index)
-                if not self._put((_SHARD, index, data)):
-                    return
-            self._put((_DONE, None, None))
-        except BaseException as exc:  # noqa: BLE001 — relayed to consumer
-            self._put((_ERROR, None, exc))
-
-    def _put(self, item) -> bool:
-        """Park ``item``, abandoning (returns False) once stopped."""
-        while not self._stop.is_set():
-            try:
-                self._queue.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    # -- consumer side ---------------------------------------------------
-    def __iter__(self) -> Iterator[tuple[int, object]]:
-        try:
-            while True:
-                ready = not self._queue.empty()
-                with self._telemetry.span("shard_wait"):
-                    kind, index, payload = self._queue.get()
-                if kind == _DONE:
-                    return
-                if kind == _ERROR:
-                    raise payload
-                self._telemetry.counter(
-                    "stream_prefetch_hits_total"
-                    if ready
-                    else "stream_prefetch_stalls_total"
-                ).inc()
-                yield index, payload
-        finally:
-            self.close()
-
-    def close(self) -> None:
-        """Stop the producer and join its thread (idempotent, silent)."""
-        self._stop.set()
-        # Drain so a producer blocked in put() observes the stop flag.
-        while self._thread.is_alive():
-            try:
-                while True:
-                    self._queue.get_nowait()
-            except queue.Empty:
-                pass
-            self._thread.join(timeout=0.05)
-        self._thread.join()
-
-    @property
-    def closed(self) -> bool:
-        """True once the producer thread has terminated."""
-        return not self._thread.is_alive()
-
-
-# ----------------------------------------------------------------------
 # Loader
 # ----------------------------------------------------------------------
 class DataLoader:
@@ -545,20 +376,18 @@ class DataLoader:
     :class:`~repro.data.base.ArrayDataset` (a one-shard stream).
 
     Each ``iter()`` draws a fresh epoch order from the loader's generator
-    through :func:`shard_batch_index_iter` — reproducible from the seed;
-    when no ``rng`` is given it derives from ``seed`` (default
-    :data:`~repro.data.base.DEFAULT_DATA_SEED`), never from OS entropy.
-    Batches never cross shard boundaries.  Shards are fetched through
-    ``dataset.shard``, so a :class:`StreamingDataset`'s LRU lets an
-    epoch reuse the shards the previous one left there.  At most
-    ``prefetch_depth + 2`` shards are alive at once when prefetching
-    (see :class:`ShardPrefetcher` for the bound), counting one in
-    generation; at ``prefetch_depth=0`` the bound is 3: the consumer's
-    shard, the one being generated, and the LRU's copy of the shard
-    before the consumer's.  Closing semantics: the epoch iterator shuts
-    the prefetch thread down in a ``finally``, so breaking out mid-epoch
-    — or an exception unwinding through the consuming loop — leaks no
-    thread and keeps the original exception.
+    — reproducible from the seed; when no ``rng`` is given it derives from
+    ``seed`` (default :data:`~repro.data.base.DEFAULT_DATA_SEED`), never
+    from OS entropy.  It is the one place batch order is drawn: the
+    shard-order permutation first, then, as the epoch reaches each shard,
+    that shard's :func:`~repro.data.base.batch_index_iter` permutation —
+    O(chunk_size) live index memory, and an epoch cut short draws nothing
+    for the shards it never reached.  Batches never cross shard
+    boundaries.  Shards are fetched on the caller's thread through
+    ``dataset.shard``, so a :class:`StreamingDataset`'s LRU lets an epoch
+    reuse the shards the previous one left there.  At most 3 shards are
+    alive at once: the consumer's shard, the one being generated, and the
+    LRU's copy of the shard before the consumer's.
     """
 
     def __init__(
@@ -592,35 +421,15 @@ class DataLoader:
         )
 
     def __iter__(self) -> Iterator:
-        dataset, telemetry = self.dataset, self.telemetry
-        order, batches = shard_batch_index_iter(
-            len(dataset),
-            dataset.chunk_size,
-            self.batch_size,
-            rng=self.rng,
-            shuffle=self.shuffle,
-            drop_last=self.drop_last,
-        )
-        prefetcher = None
-        if dataset.prefetch_depth > 0:
-            prefetcher = ShardPrefetcher(
-                lambda index: dataset.shard(index, telemetry=telemetry),
-                order,
-                depth=dataset.prefetch_depth,
-                telemetry=telemetry,
-            )
-            shards = iter(prefetcher)
-        else:
-            shards = (
-                (int(index), dataset.shard(int(index), telemetry=telemetry))
-                for index in order
-            )
-        try:
-            index = inputs = targets = None
-            for shard, positions in batches:
-                while shard != index:  # skips shards drop_last left empty
-                    index, (inputs, targets) = next(shards)
+        dataset, rng = self.dataset, self.rng
+        order = np.arange(num_shards(len(dataset), dataset.chunk_size))
+        if self.shuffle:
+            rng.shuffle(order)
+        for index in order:
+            start, stop = shard_row_range(len(dataset), dataset.chunk_size, int(index))
+            inputs, targets = dataset.shard(int(index), telemetry=self.telemetry)
+            for positions in batch_index_iter(
+                stop - start, self.batch_size, rng=rng, shuffle=self.shuffle,
+                drop_last=self.drop_last,
+            ):
                 yield _tree_index(inputs, positions), _tree_index(targets, positions)
-        finally:
-            if prefetcher is not None:
-                prefetcher.close()

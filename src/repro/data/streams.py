@@ -5,7 +5,7 @@ Each ``make_*_stream`` builder mirrors its eager sibling but returns a
 :class:`~repro.data.streaming.StreamingDataset`: rows are generated in
 fixed-size shards on demand, each shard a pure function of
 ``shard_rng(stream_seed, shard_index)``, so any consumer (the loader,
-its prefetch thread, the mmap cache writer) regenerates identical
+the mmap cache writer, a fresh process) regenerates identical
 bytes independently — at 10–100× the eager row counts with a flat memory
 ceiling.
 
@@ -193,7 +193,6 @@ def make_aliexpress_stream(
     val_records: int | None = None,
     test_records: int | None = None,
     cache=None,
-    prefetch_depth: int = 1,
     telemetry=None,
 ) -> Benchmark:
     """Streaming counterpart of :func:`~repro.data.aliexpress.make_aliexpress`.
@@ -216,7 +215,6 @@ def make_aliexpress_stream(
     train = StreamingDataset(
         source("train", num_records),
         cache=cache,
-        prefetch_depth=prefetch_depth,
         telemetry=telemetry,
     )
     val = StreamingDataset(source("val", val_records)).materialize()
@@ -305,7 +303,6 @@ def make_movielens_stream(
     val_records: int | None = None,
     test_records: int | None = None,
     cache=None,
-    prefetch_depth: int = 1,
     telemetry=None,
 ) -> Benchmark:
     """Streaming counterpart of :func:`~repro.data.movielens.make_movielens`.
@@ -344,7 +341,6 @@ def make_movielens_stream(
         train[genre] = StreamingDataset(
             source(genre, g, "train", records_per_genre),
             cache=cache,
-            prefetch_depth=prefetch_depth,
             telemetry=telemetry,
         )
         val[genre] = StreamingDataset(source(genre, g, "val", val_records)).materialize()
@@ -451,7 +447,6 @@ def make_synthetic_stream(
     val_records: int | None = None,
     test_records: int | None = None,
     cache=None,
-    prefetch_depth: int = 1,
     telemetry=None,
 ) -> Benchmark:
     """Streaming counterpart of :func:`~repro.data.synthetic.make_synthetic_mtl`."""
@@ -474,9 +469,7 @@ def make_synthetic_stream(
         )
 
     train_source = source("train", num_samples)
-    train = StreamingDataset(
-        train_source, cache=cache, prefetch_depth=prefetch_depth, telemetry=telemetry
-    )
+    train = StreamingDataset(train_source, cache=cache, telemetry=telemetry)
     val = StreamingDataset(source("val", val_records)).materialize()
     test = StreamingDataset(source("test", test_records)).materialize()
 

@@ -137,7 +137,7 @@ class Profiler(Sink):
 
         def chrome_tid(telemetry_id: int, thread: int) -> int:
             # Thread 0 keeps the bare telemetry id (old traces unchanged);
-            # helper threads (shard prefetcher, …) get their own track.
+            # helper threads (a serving batcher's worker, …) get their own track.
             return telemetry_id if thread == 0 else telemetry_id * 1000 + thread
 
         tracks = sorted(

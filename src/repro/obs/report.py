@@ -276,8 +276,6 @@ def format_report(summary: Mapping) -> str:
         )
 
     stream_counters = {
-        "prefetch hits": "stream_prefetch_hits_total",
-        "prefetch stalls": "stream_prefetch_stalls_total",
         "cache hits": "stream_cache_hits_total",
         "cache misses": "stream_cache_misses_total",
         "shards reused": "stream_shard_reuse_total",
@@ -290,13 +288,6 @@ def format_report(summary: Mapping) -> str:
         lines = ["Streaming data pipeline"]
         for label, total in stream_totals.items():
             lines.append(f"  {label}: {int(total)}")
-        hits = stream_totals["prefetch hits"]
-        stalls = stream_totals["prefetch stalls"]
-        if hits + stalls:
-            lines.append(
-                f"  prefetch hit rate: {hits / (hits + stalls):.1%}"
-                " (stall = trainer waited on shard generation)"
-            )
         sections.append("\n".join(lines))
 
     peak_rss = [

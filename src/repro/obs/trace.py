@@ -45,10 +45,10 @@ class SpanRecord:
     perf_start: float = 0.0  # perf_counter at entry (monotonic timeline)
     memory_delta: int | None = None  # tracemalloc bytes delta, if tracked
     error: bool = False  # the span body raised
-    #: Per-tracer thread index: 0 for the first thread that opened a span
-    #: on this tracer (the trainer thread), 1+ for helpers like the shard
-    #: prefetcher.  Lets the Chrome-trace exporter draw background work on
-    #: its own track so producer/consumer overlap is visible.
+    #: Per-tracer thread index: 0 for the thread that built this tracer,
+    #: 1+ for helpers like a serving batcher's worker.  Lets the
+    #: Chrome-trace exporter draw background work on its own track so
+    #: producer/consumer overlap is visible.
     thread: int = 0
 
     def to_event(self) -> dict:
@@ -160,9 +160,9 @@ class Tracer:
         self._durations: dict[str, list[float]] = {}
         self._lock = threading.Lock()
         self._thread_count = 0
-        # The constructing thread (the trainer) claims index 0 up front, so
-        # helper threads always render on secondary tracks even when one of
-        # them (e.g. the shard prefetcher) opens the run's first span.
+        # The constructing thread claims index 0 up front, so helper
+        # threads always render on secondary tracks even when one of them
+        # (e.g. a serving batcher's worker) opens the run's first span.
         self._stack()
         self.on_close = on_close
         #: when True (and ``tracemalloc`` is tracing), every span records

@@ -3,15 +3,15 @@
 Reproduces the LibMTL-style optimization loop the paper runs on
 (Algorithm 1).  Every optimization step runs the same four stages:
 
-1. **collect** — forward every task, then ONE multi-root backward
-   (:func:`repro.nn.tensor.backward_multi`: one topological sort, one walk
-   over the union graph of all K task losses) fills a reused trainer-owned
-   ``(K, dim)`` matrix with each task's gradient; an embedding table's
-   gradient is written as its touched rows only.
+1. **collect** — zero the arena, forward every task, then ONE multi-root
+   backward (:func:`repro.nn.tensor.backward_multi`: one topological sort,
+   one walk over the union graph of all K task losses) fills a reused
+   trainer-owned ``(K, dim)`` matrix with each task's gradient; an
+   embedding table's gradient is written as its touched rows only.
 2. **resolve** — the balancer (MoCoGrad or any baseline) turns the
    matrix into one direction.
 3. **write-back** — the direction replaces the shared gradient.
-4. **step** — one optimizer step over the parameter arena, then zero.
+4. **step** — one optimizer step over the parameter arena.
 
 Only *collect* depends on the input (single-input or multi-input); what
 depends on the gradient space lives in one gradient-source object per
@@ -329,8 +329,8 @@ class MTLTrainer:
         telemetry = self.telemetry
         with telemetry.span("step", **self._step_labels):
             self.model.train()
-            # Start from zero gradients even if the previous step raised
-            # part-way.
+            # The step's one zeroing: it also clears what a step that
+            # raised part-way left behind.
             self.arena.zero_grad()
             ops = active_op_profile()
             if ops is not None:
@@ -404,7 +404,6 @@ class MTLTrainer:
         self.source.write_back(combined, telemetry)
         with telemetry.span("optimizer_step"):
             self.optimizer.step()
-        self.arena.zero_grad()
 
     def _finish_step(self, losses: np.ndarray) -> None:
         """Per-step bookkeeping: history, counters, dynamics sample."""
@@ -483,9 +482,8 @@ class MTLTrainer:
         dataset is walked by the one
         :class:`~repro.data.streaming.DataLoader`.  Streaming datasets
         iterate in bounded memory — shards are generated (or mmap-loaded)
-        on demand, double-buffered by a prefetch thread that is shut down
-        even when a training step raises; an in-memory dataset is one
-        shard, indexed in place.  ``drop_last`` discards each shard's
+        on demand, on this thread; an in-memory dataset is one shard,
+        indexed in place.  ``drop_last`` discards each shard's
         trailing partial batch.  Feature-space MoCoGrad needs it: a
         ``grad_space="features"`` row is batch × features wide, so a
         partial batch changes the width of the momentum's rows and
@@ -547,25 +545,18 @@ class MTLTrainer:
             )
         names = [None] if single else [task.name for task in self.tasks]
         iterators = {name: iter(loader) for name, loader in loaders.items()}
-        # Closing in a finally (not just on exhaustion) is what guarantees
-        # a raising train step leaves no prefetch thread behind — and a
-        # generator's close() never masks the in-flight exception.
-        try:
-            for _ in range(steps):
-                batches = {}
-                for name in names:
-                    try:
-                        batches[name] = next(iterators[name])
-                    except StopIteration:
-                        iterators[name] = iter(loaders[name])
-                        batches[name] = next(iterators[name])
-                if single:
-                    self.train_step_single(*batches[None])
-                else:
-                    self.train_step_multi(batches)
-        finally:
-            for iterator in iterators.values():
-                iterator.close()
+        for _ in range(steps):
+            batches = {}
+            for name in names:
+                try:
+                    batches[name] = next(iterators[name])
+                except StopIteration:
+                    iterators[name] = iter(loaders[name])
+                    batches[name] = next(iterators[name])
+            if single:
+                self.train_step_single(*batches[None])
+            else:
+                self.train_step_multi(batches)
 
     # ------------------------------------------------------------------
     # Evaluation

@@ -1,7 +1,6 @@
 """Tests for the analysis drivers (tiny configurations)."""
 
 import numpy as np
-import pytest
 
 from repro.analysis import (
     DEFAULT_LAMBDA_GRID,

@@ -112,7 +112,7 @@ def _write_reports(root: Path, grad_speedup=1.8, adam_speedup=6.0, sha=HEAD, hos
                 **fingerprint,
                 "results": [
                     {"mode": "eager", "speedup": 1.0},
-                    {"mode": "prefetch", "speedup": 1.1},
+                    {"mode": "streaming", "speedup": 1.1},
                     {"mode": "cache_cold", "speedup": 0.5},
                 ],
                 "movielens_shard": {"oracle_seconds": 0.5, "seconds": 0.1, "speedup": 5.0},
@@ -131,7 +131,7 @@ class TestExtraction:
             "balancers/mocograd/K8": 2.0,  # ungated diagnostic rows skipped
             "balancers/mocograd_ml9": 2.0,
             "optim/adam": 6.0,  # an old report's train_step row is no metric
-            "streaming/prefetch": 1.1,  # eager and cold-cache rows are diagnostics
+            "streaming/streaming": 1.1,  # eager and cold-cache rows are diagnostics
             "streaming/movielens_shard": 5.0,
         }
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    MULTI_INPUT,
     SINGLE_INPUT,
     ArrayDataset,
     Benchmark,

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import weakref
 from pathlib import Path
 
@@ -16,12 +15,11 @@ from repro.data import (
     ChunkedSource,
     DataLoader,
     ShardCache,
-    ShardPrefetcher,
     StreamingDataset,
     as_stream,
     batch_count,
+    batch_index_iter,
     num_shards,
-    shard_batch_index_iter,
     shard_row_range,
     streaming_batch_count,
 )
@@ -34,17 +32,6 @@ def make_dataset(rows: int, seed: int = 0) -> ArrayDataset:
         rng.normal(size=(rows, 3)),
         {"a": rng.normal(size=rows), "b": rng.normal(size=rows)},
     )
-
-
-def wait_for_no_prefetch_threads(deadline_seconds: float = 5.0) -> bool:
-    deadline = time.monotonic() + deadline_seconds
-    while time.monotonic() < deadline:
-        if not any(
-            t.name == "shard-prefetch" and t.is_alive() for t in threading.enumerate()
-        ):
-            return True
-        time.sleep(0.01)
-    return False
 
 
 def test_module_imports_with_docstrings_stripped():
@@ -89,16 +76,6 @@ class TestShardMath:
     def test_drop_last_can_drop_a_whole_small_shard(self):
         # The 2-row trailing shard is below the batch size: zero batches.
         assert streaming_batch_count(10, 4, 4, drop_last=True) == 1 + 1 + 0
-
-    def test_shard_batch_index_iter_covers_every_row_once(self):
-        seen = []
-        order, batches = shard_batch_index_iter(37, 10, 4, rng=np.random.default_rng(3))
-        assert sorted(order.tolist()) == [0, 1, 2, 3]
-        for index, positions in batches:
-            start, stop = shard_row_range(37, 10, index)
-            assert np.all(positions < stop - start)
-            seen.extend((index * 10 + positions).tolist())
-        assert sorted(seen) == list(range(37))
 
 
 class TestBatchCount:
@@ -157,10 +134,6 @@ class TestStreamingDataset:
         assert default.counter("stream_shard_reuse_total").value == 0
         stream.shard(1)  # no telemetry passed: the dataset's own
         assert default.counter("stream_shard_reuse_total").value == 1
-
-    def test_rejects_negative_prefetch_depth(self):
-        with pytest.raises(ValueError):
-            as_stream(make_dataset(10), 4, prefetch_depth=-1)
 
     def test_generated_row_count_is_validated(self):
         stream = as_stream(make_dataset(10), 4)
@@ -248,22 +221,36 @@ class TestCachedShardValidation:
 
 
 class TestStreamingLoader:
-    @pytest.mark.parametrize("prefetch_depth", [0, 1])
-    def test_covers_every_row_exactly_once(self, prefetch_depth):
+    def test_covers_every_row_exactly_once(self):
         dataset = make_dataset(37)
-        stream = as_stream(dataset, 10, prefetch_depth=prefetch_depth)
-        loader = DataLoader(stream, batch_size=4, seed=5)
-        total = sum(len(x) for x, _ in loader)
-        assert total == 37
+        loader = DataLoader(as_stream(dataset, 10), batch_size=4, seed=5)
+        rows = np.concatenate([x[:, 0] for x, _ in loader])
+        np.testing.assert_array_equal(np.sort(rows), np.sort(dataset.inputs[:, 0]))
         assert len(loader) == streaming_batch_count(37, 10, 4)
 
-    def test_prefetch_does_not_change_the_batch_stream(self):
-        dataset = make_dataset(41)
-        plain = DataLoader(as_stream(dataset, 8, prefetch_depth=0), 4, seed=9)
-        prefetched = DataLoader(as_stream(dataset, 8, prefetch_depth=1), 4, seed=9)
-        for (x0, t0), (x1, t1) in zip(plain, prefetched, strict=True):
-            np.testing.assert_array_equal(x0, x1)
-            np.testing.assert_array_equal(t0["b"], t1["b"])
+    @pytest.mark.parametrize("drop_last", [False, True])
+    def test_epoch_draws_the_shard_order_then_each_shards_rows(self, drop_last):
+        # The draw order trained weights depend on: one shard permutation,
+        # then one within-shard permutation per shard, in shard order.
+        rows, chunk, batch = 37, 10, 4
+        dataset = ArrayDataset(np.arange(rows, dtype=np.float64), np.zeros(rows))
+        loader = DataLoader(as_stream(dataset, chunk), batch, seed=3, drop_last=drop_last)
+        rng = np.random.default_rng(3)
+        for _ in range(2):
+            order = np.arange(num_shards(rows, chunk))
+            rng.shuffle(order)
+            expected = []
+            for index in order:
+                start, stop = shard_row_range(rows, chunk, int(index))
+                for positions in batch_index_iter(
+                    stop - start, batch, rng=rng, drop_last=drop_last
+                ):
+                    expected.append(start + positions)
+            got = [x for x, _ in loader]
+            assert len(got) == len(expected) == len(loader)
+            for x, positions in zip(got, expected):
+                np.testing.assert_array_equal(x, positions.astype(np.float64))
+        assert loader.rng.bit_generator.state == rng.bit_generator.state
 
     def test_batches_never_cross_shard_boundaries(self):
         rows, chunk, batch = 22, 8, 8
@@ -281,13 +268,6 @@ class TestStreamingLoader:
         assert sizes == [8, 8]  # trailing 6-row shard yields no full batch
         assert len(loader) == 2
 
-    def test_early_exit_leaks_no_prefetch_thread(self):
-        loader = DataLoader(as_stream(make_dataset(40), 4, prefetch_depth=1), 4)
-        iterator = iter(loader)
-        next(iterator)
-        iterator.close()  # generator finally closes the prefetcher
-        assert wait_for_no_prefetch_threads()
-
     def test_rejects_bad_arguments(self):
         stream = as_stream(make_dataset(10), 4)
         with pytest.raises(ValueError):
@@ -299,10 +279,9 @@ class TestStreamingLoader:
 class TestShardReuse:
     """The loader fetches through the dataset's shard LRU."""
 
-    @pytest.mark.parametrize("prefetch_depth", [0, 1])
-    def test_a_two_shard_stream_is_generated_once(self, prefetch_depth):
+    def test_a_two_shard_stream_is_generated_once(self):
         source = CountingSource(16, 8)
-        stream = StreamingDataset(source, prefetch_depth=prefetch_depth)
+        stream = StreamingDataset(source)
         telemetry = Telemetry()
         loader = DataLoader(stream, 4, seed=3, telemetry=telemetry)
         oracle = DataLoader(as_stream(stream.materialize(), 8), 4, seed=3)
@@ -314,10 +293,9 @@ class TestShardReuse:
         assert sorted(source.generated) == [0, 1]
         assert telemetry.counter("stream_shard_reuse_total").value == 4
 
-    @pytest.mark.parametrize("prefetch_depth", [0, 1])
-    def test_a_longer_stream_regenerates_every_epoch(self, prefetch_depth):
+    def test_a_longer_stream_regenerates_every_epoch(self):
         source = CountingSource(32, 8)
-        stream = StreamingDataset(source, prefetch_depth=prefetch_depth)
+        stream = StreamingDataset(source)
         lru_sizes = []
         for _ in range(3):
             for _batch in DataLoader(stream, 4, shuffle=False):
@@ -327,20 +305,18 @@ class TestShardReuse:
         assert source.generated == [0, 1, 2, 3] * 3
         assert max(lru_sizes) == 2
 
-    @pytest.mark.parametrize("prefetch_depth,bound", [(0, 3), (1, 3), (2, 4)])
-    def test_live_shards_stay_within_the_documented_bound(self, prefetch_depth, bound):
+    def test_live_shards_stay_within_the_documented_bound(self):
         source = CountingSource(8 * 12, 8)
-        stream = StreamingDataset(source, prefetch_depth=prefetch_depth)
+        stream = StreamingDataset(source)
         seen = 0
         for _ in range(3):
             for x, _ in DataLoader(stream, 4, seed=1):
                 seen = max(seen, source.live())
                 x.sum()
-        assert max(seen, source.max_live) <= bound
-        if prefetch_depth == 0:
-            # The consumer's shard, the LRU's copy of the one before it
-            # and the shard in generation: the bound is reached.
-            assert source.max_live == 3
+        assert max(seen, source.max_live) <= 3
+        # The consumer's shard, the LRU's copy of the one before it and
+        # the shard in generation: the bound is reached.
+        assert source.max_live == 3
 
     def test_lru_access_waits_for_the_lock(self):
         # Unlocked, a lookup could find a shard that another thread evicts
@@ -356,10 +332,11 @@ class TestShardReuse:
         assert list(stream._lru) == [0]
 
     @pytest.mark.parametrize("shards", [2, 3])
-    def test_prefetching_loader_and_batch_share_the_lru_safely(self, shards):
+    def test_loader_and_batch_share_the_lru_safely(self, shards):
+        # A user thread calls batch() while the loader walks the stream.
         rows = 8 * shards
         dataset = make_dataset(rows)
-        stream = as_stream(dataset, 8, prefetch_depth=1)
+        stream = as_stream(dataset, 8)
         expected = stream.materialize()
         rng = np.random.default_rng(0)
         errors = []
@@ -387,51 +364,9 @@ class TestShardReuse:
                 for (x, t), (x_ref, t_ref) in zip(loader, oracle, strict=True):
                     np.testing.assert_array_equal(x, x_ref)
                     np.testing.assert_array_equal(t["a"], t_ref["a"])
-            thread.join()
+            thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
+        assert not thread.is_alive()
         assert not errors, errors
         assert len(stream._lru) <= 2
-
-
-class TestShardPrefetcher:
-    def test_yields_in_order_with_counters(self):
-        telemetry = Telemetry()
-        prefetcher = ShardPrefetcher(
-            lambda index: index * 10, [2, 0, 1], telemetry=telemetry
-        )
-        assert list(prefetcher) == [(2, 20), (0, 0), (1, 10)]
-        hits = telemetry.counter("stream_prefetch_hits_total").value
-        stalls = telemetry.counter("stream_prefetch_stalls_total").value
-        assert hits + stalls == 3
-        assert prefetcher.closed
-
-    def test_producer_error_reaches_the_consumer(self):
-        def load(index):
-            if index == 1:
-                raise RuntimeError("generation failed")
-            return index
-
-        prefetcher = ShardPrefetcher(load, [0, 1, 2])
-        with pytest.raises(RuntimeError, match="generation failed"):
-            list(prefetcher)
-        assert wait_for_no_prefetch_threads()
-
-    def test_close_is_idempotent_and_stops_the_producer(self):
-        started = threading.Event()
-
-        def slow_load(index):
-            started.set()
-            time.sleep(0.01)
-            return index
-
-        prefetcher = ShardPrefetcher(slow_load, list(range(100)))
-        started.wait(timeout=5)
-        prefetcher.close()
-        prefetcher.close()
-        assert prefetcher.closed
-        assert wait_for_no_prefetch_threads()
-
-    def test_rejects_zero_depth(self):
-        with pytest.raises(ValueError):
-            ShardPrefetcher(lambda index: index, [0], depth=0)

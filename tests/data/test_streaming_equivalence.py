@@ -9,7 +9,6 @@ gradient spaces.
 """
 
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -69,17 +68,6 @@ def fit_params(benchmark, train_data, grad_space="parameters", epochs=2):
     )
     trainer.fit(train_data, epochs=epochs, batch_size=64)
     return np.concatenate([np.asarray(p.data).ravel() for p in model.parameters()])
-
-
-def no_prefetch_threads(deadline_seconds: float = 5.0) -> bool:
-    deadline = time.monotonic() + deadline_seconds
-    while time.monotonic() < deadline:
-        if not any(
-            t.name == "shard-prefetch" and t.is_alive() for t in threading.enumerate()
-        ):
-            return True
-        time.sleep(0.01)
-    return False
 
 
 class TestBatchEquivalence:
@@ -167,17 +155,17 @@ def logged_generations(dataset) -> list[int]:
     return calls
 
 
-def small_stream(name: str, prefetch_depth: int):
+def small_stream(name: str):
     """Streams of at most two shards, so later epochs reuse the LRU's shards."""
     if name == "aliexpress":
         return make_aliexpress_stream(
             num_records=256, chunk_size=128, val_records=32, test_records=32,
-            prefetch_depth=prefetch_depth, seed=3,
+            seed=3,
         )
     if name == "synthetic":
         return make_synthetic_stream(
             num_samples=256, chunk_size=128, val_records=32, test_records=32,
-            prefetch_depth=prefetch_depth, seed=3,
+            seed=3,
         )
     return make_movielens_stream(
         genres=("Crime", "Documentary", "Fantasy"),
@@ -185,17 +173,13 @@ def small_stream(name: str, prefetch_depth: int):
         chunk_size=128,
         val_records=32,
         test_records=32,
-        prefetch_depth=prefetch_depth,
         seed=3,
     )
 
 
 class TestShardReuseInTraining:
-    @pytest.mark.parametrize("prefetch_depth", [0, 1])
-    def test_movielens_genre_shards_are_generated_once_over_three_epochs(
-        self, prefetch_depth
-    ):
-        benchmark = small_stream("movielens", prefetch_depth)
+    def test_movielens_genre_shards_are_generated_once_over_three_epochs(self):
+        benchmark = small_stream("movielens")
         calls = {genre: logged_generations(data) for genre, data in benchmark.train.items()}
         fit_params(benchmark, benchmark.train, epochs=3)
         assert calls == {genre: [0] for genre in benchmark.train}
@@ -210,11 +194,10 @@ class TestShardReuseInTraining:
             ("movielens", "parameters"),  # feature space is single-input only
         ],
     )
-    @pytest.mark.parametrize("prefetch_depth", [0, 1])
     def test_reusing_shards_trains_identically_to_the_materialized_oracle(
-        self, name, grad_space, prefetch_depth
+        self, name, grad_space
     ):
-        benchmark = small_stream(name, prefetch_depth)
+        benchmark = small_stream(name)
         datasets = (
             benchmark.train.values() if isinstance(benchmark.train, dict) else [benchmark.train]
         )
@@ -229,7 +212,7 @@ class TestShardReuseInTraining:
 
 
 class TestTrainerShutdown:
-    def test_step_exception_propagates_and_leaks_no_prefetch_thread(self, monkeypatch):
+    def test_step_exception_propagates_and_leaks_no_thread(self, monkeypatch):
         benchmark = make_stream("synthetic")
         model = benchmark.build_model("hps", np.random.default_rng(0))
         trainer = MTLTrainer(
@@ -245,9 +228,10 @@ class TestTrainerShutdown:
             return original(x, targets)
 
         monkeypatch.setattr(trainer, "train_step_single", failing_step)
+        before = threading.active_count()
         with pytest.raises(RuntimeError, match="step exploded"):
             trainer.fit(benchmark.train, epochs=1, batch_size=64)
-        assert no_prefetch_threads()
+        assert threading.active_count() == before
 
 
 class TestBoundedMemory:

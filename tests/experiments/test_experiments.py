@@ -1,6 +1,5 @@
 """Tests for the experiment runner, reporting, and registry (tiny configs)."""
 
-import numpy as np
 import pytest
 
 from repro.data import make_aliexpress

@@ -1,7 +1,5 @@
 """Tests for the per-experiment ``format_result`` functions (pure formatting)."""
 
-import pytest
-
 from repro.experiments import (
     fig5_officehome,
     table1_aliexpress,

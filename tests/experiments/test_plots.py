@@ -1,6 +1,5 @@
 """Tests for the ASCII plotting utilities."""
 
-import numpy as np
 import pytest
 
 from repro.experiments import ascii_bar_chart, ascii_line_chart, ascii_scatter

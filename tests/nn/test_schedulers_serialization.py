@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    Adam,
     CosineAnnealing,
     InversePower,
     InverseSqrt,

@@ -133,22 +133,19 @@ class TestFormatReport:
             }
 
         events = [
-            counter("stream_prefetch_hits_total", 6),
-            counter("stream_prefetch_stalls_total", 2),
             counter("stream_cache_hits_total", 5),
             counter("stream_cache_misses_total", 3),
             counter("stream_shard_reuse_total", 4),
         ]
         report = format_report(summarize_events(events))
         assert "Streaming data pipeline" in report
-        assert "prefetch hits: 6" in report
+        assert "cache hits: 5" in report
         assert "cache misses: 3" in report
         assert "shards reused: 4" in report
-        assert "prefetch hit rate: 75.0%" in report
 
     def test_streaming_section_shows_reuse_alone(self):
-        # A two-shard stream's later epochs touch neither the prefetch
-        # counters' hit rate nor the mmap cache: only reuse is counted.
+        # A two-shard stream's later epochs never touch the mmap cache:
+        # only reuse is counted.
         event = {
             "type": "metric", "kind": "counter", "name": "stream_shard_reuse_total",
             "labels": {}, "value": 2, "tid": 1,

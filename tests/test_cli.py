@@ -195,7 +195,7 @@ class TestTrainStreaming:
             "train",
             "--streaming",
             "--steps",
-            "2",
+            "8",
             "--tasks",
             "2",
             "--chunk-size",
@@ -206,8 +206,8 @@ class TestTrainStreaming:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "streaming: chunk=256" in out
-        assert "prefetch hits=" in out
-        assert "misses=2" in out  # 512 rows / 256-row chunks, cold cache
+        # 8 batches of 64 walk both 256-row shards of 512 rows, cold cache.
+        assert "misses=2" in out
         # One epoch fetches each shard once: nothing for the LRU to reuse.
         assert "shards reused=0" in out
         assert len(list(cache_dir.glob("*.shard"))) == 2

@@ -1,7 +1,7 @@
 """The epoch loop over the one loader, and the dynamics it records.
 
-- an in-memory dataset trains as a one-shard stream: no prefetch thread,
-  batches indexed from the dataset's own arrays;
+- an in-memory dataset trains as a one-shard stream, batches indexed from
+  the dataset's own arrays, and no fit starts a thread;
 - an epoch draws exactly the batches it trains on, so a
   ``max_steps_per_epoch`` cut on a shard boundary leaves the trainer's rng
   where a loader advanced by those batches leaves it;
@@ -27,23 +27,30 @@ def make_trainer(bench=BENCH, method="equal", **kwargs):
     return MTLTrainer(model, bench.tasks, create_balancer(method, seed=0), seed=4, **kwargs)
 
 
-def test_eager_fit_starts_no_prefetch_thread_and_indexes_in_place(monkeypatch):
-    dataset = BENCH.train
-    started, shards = [], []
-    original_start = threading.Thread.start
+def record_thread_starts(monkeypatch) -> list[str]:
+    """Patch ``Thread.start``; the list logs the name of every thread started."""
+    started, original_start = [], threading.Thread.start
 
     def recording_start(thread):
         started.append(thread.name)
         return original_start(thread)
 
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+def test_eager_fit_starts_no_prefetch_thread_and_indexes_in_place(monkeypatch):
+    dataset = BENCH.train
+    shards = []
+
     def recording_load(index, telemetry=None):
         shards.append(type(dataset).load_shard(dataset, index, telemetry))
         return shards[-1]
 
-    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    started = record_thread_starts(monkeypatch)
     monkeypatch.setattr(dataset, "load_shard", recording_load)
     make_trainer().fit(dataset, epochs=2, batch_size=32)
-    assert "shard-prefetch" not in started
+    assert started == []
     assert len(shards) == 2  # shard 0, once per epoch
     for inputs, targets in shards:
         assert np.shares_memory(inputs, dataset.inputs)
@@ -51,11 +58,18 @@ def test_eager_fit_starts_no_prefetch_thread_and_indexes_in_place(monkeypatch):
             assert np.shares_memory(target, dataset.targets[name])
 
 
-@pytest.mark.parametrize("prefetch_depth", [0, 1])
-def test_max_steps_on_a_shard_boundary_draws_only_trained_batches(prefetch_depth):
+def test_streaming_fit_starts_no_thread(monkeypatch):
     bench = make_synthetic_stream(
-        num_samples=512 + 64, chunk_size=128, val_records=32, test_records=32,
-        prefetch_depth=prefetch_depth, seed=1,
+        num_samples=512, chunk_size=128, val_records=32, test_records=32, seed=1
+    )
+    started = record_thread_starts(monkeypatch)
+    make_trainer(bench).fit(bench.train, epochs=2, batch_size=32, eval_data=bench.val)
+    assert started == []
+
+
+def test_max_steps_on_a_shard_boundary_draws_only_trained_batches():
+    bench = make_synthetic_stream(
+        num_samples=512 + 64, chunk_size=128, val_records=32, test_records=32, seed=1
     )
     trainer = make_trainer(bench)
     reference = np.random.default_rng()

@@ -6,9 +6,9 @@ import pytest
 
 from repro.arch import HardParameterSharing, LinearHead, MLPEncoder
 from repro.balancers import EqualWeighting
-from repro.core import MoCoGrad, create_balancer
+from repro.core import MoCoGrad
 from repro.core.conflict import conflict_fraction, pairwise_gcd
-from repro.data import MULTI_INPUT, SINGLE_INPUT, ArrayDataset, TaskSpec
+from repro.data import MULTI_INPUT, ArrayDataset, TaskSpec
 from repro.nn import Tensor
 from repro.nn.functional import mse_loss
 from repro.nn.utils import parameter_vector
@@ -228,6 +228,35 @@ class TestTraining:
         x, targets = dataset.batch(np.arange(8))
         reported = trainer.train_step_single(x, targets)
         np.testing.assert_allclose(captured[0], reported)
+
+
+class TestStaleGradients:
+    @pytest.mark.parametrize("grad_space", ["parameters", "features"])
+    def test_step_after_a_raising_balancer_starts_from_zero(self, rng, grad_space):
+        """A balancer that raises part-way leaves the collected gradients in
+        the arena; the next step must not add them to its own."""
+        dataset, tasks = make_problem(rng)
+        first, second = dataset.batch(np.arange(8)), dataset.batch(np.arange(8, 16))
+
+        def trained(fail_first: bool) -> np.ndarray:
+            model = make_model(np.random.default_rng(3), tasks)
+            trainer = MTLTrainer(
+                model, tasks, EqualWeighting(), grad_space=grad_space, seed=0
+            )
+            if fail_first:
+                balance = trainer.balancer.balance
+
+                def raising(grads, losses):
+                    trainer.balancer.balance = balance
+                    raise RuntimeError("balance failed")
+
+                trainer.balancer.balance = raising
+                with pytest.raises(RuntimeError, match="balance failed"):
+                    trainer.train_step_single(*first)
+            trainer.train_step_single(*second)
+            return parameter_vector(model.parameters())
+
+        np.testing.assert_array_equal(trained(fail_first=True), trained(fail_first=False))
 
 
 class TestConflictTracking:
