@@ -2,20 +2,17 @@
 
 Times one full epoch (dataset construction + generation + batch
 iteration) over the AliExpress generator at 20x its default row count in
-four configurations, and writes ``BENCH_streaming.json`` at the
+two configurations, and writes ``BENCH_streaming.json`` at the
 repository root:
 
 - ``eager`` — the reference oracle: materialize every shard into one
   in-memory dataset, then stream batches from the concatenated arrays;
 - ``streaming`` — chunked generation on the loader's thread, one shard
-  at a time;
-- ``cache_cold`` / ``cache_warm`` — the same loader over the
-  ``np.memmap`` shard cache on its first (generate + write) and second
-  (mmap-only) epoch.
+  at a time.
 
 Streaming never pays eager's full-concat copy or its O(total_rows)
 residency, so ``streaming`` must be at least as fast as ``eager`` even on
-a single core, and ``cache_warm`` must beat it outright.  A separate
+a single core.  A separate
 tracemalloc probe checks the bounded-memory claim directly: the
 streaming peak must stay flat (within ``MEMORY_GATE``) when the row
 count grows 10x, while the eager peak grows with it.
@@ -27,19 +24,20 @@ full-product reference in ``tests/reference/movielens.py``.  Both must
 return bitwise equal histories.
 
 A ``shard_reuse`` row counts ``generate_chunk`` calls over two epochs of
-a two-shard AliExpress stream: the first epoch generates both shards, and the second must reuse them from the
-dataset's shard LRU and generate none.  It is a count, not a timing, so
+a two-shard AliExpress stream: the first epoch generates both shards,
+and the second must reuse them from the dataset's shard LRU and generate
+none.  It is a count, not a timing, so
 it holds on any host.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_streaming.py [--smoke] [--out PATH]
 
-``--smoke`` shrinks the run for CI and exits non-zero if ``streaming`` or
-``cache_warm`` is slower than ``eager`` (speedup < 1.0), the streaming
-peak is not flat across the 10x row-count step, or the MovieLens sampler
-is slower than (or differs from) its reference, or the second epoch of
-the ``shard_reuse`` stream generates a shard.
+``--smoke`` shrinks the run for CI and exits non-zero if ``streaming`` is
+slower than ``eager`` (speedup < 1.0), the streaming peak is not flat
+across the 10x row-count step, or the MovieLens sampler is slower than
+(or differs from) its reference, or the second epoch of the
+``shard_reuse`` stream generates a shard.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -59,7 +56,6 @@ from tests.reference import movielens as reference
 from repro.data import (
     AliExpressStream,
     DataLoader,
-    ShardCache,
     StreamingDataset,
     as_stream,
     make_movielens_stream,
@@ -74,12 +70,13 @@ SEED = 0
 MEMORY_GATE = 1.5
 #: The ``movielens_shard`` world and shard: perfbench ``ml9``'s sizes.
 ML_USERS, ML_MOVIES, ML_ROWS = 6000, 4000, 4096
+#: Timed epoch configurations; ``eager`` is the reference.
+MODES = ("eager", "streaming")
 
 
-def build_dataset(rows: int, chunk: int, cache: ShardCache | None = None) -> StreamingDataset:
+def build_dataset(rows: int, chunk: int) -> StreamingDataset:
     """Fresh AliExpress streaming dataset for one timed epoch."""
-    source = AliExpressStream(COUNTRY, rows, chunk, seed=SEED)
-    return StreamingDataset(source, cache=cache)
+    return StreamingDataset(AliExpressStream(COUNTRY, rows, chunk, seed=SEED))
 
 
 def consume(loader: DataLoader) -> int:
@@ -92,7 +89,7 @@ def consume(loader: DataLoader) -> int:
     return rows
 
 
-def run_epoch(mode: str, rows: int, chunk: int, cache_dir: Path | None = None) -> float:
+def run_epoch(mode: str, rows: int, chunk: int) -> float:
     """Wall-clock seconds for one full epoch in ``mode``."""
     start = time.perf_counter()
     if mode == "eager":
@@ -100,8 +97,6 @@ def run_epoch(mode: str, rows: int, chunk: int, cache_dir: Path | None = None) -
         stream = as_stream(dataset.materialize(), chunk)
     elif mode == "streaming":
         stream = build_dataset(rows, chunk)
-    elif mode in ("cache_cold", "cache_warm"):
-        stream = build_dataset(rows, chunk, cache=ShardCache(cache_dir))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     consumed = consume(DataLoader(stream, BATCH, seed=SEED))
@@ -112,7 +107,7 @@ def run_epoch(mode: str, rows: int, chunk: int, cache_dir: Path | None = None) -
 
 
 def peak_bytes(mode: str, rows: int, chunk: int) -> int:
-    """tracemalloc peak across one epoch in ``mode`` (no cache)."""
+    """tracemalloc peak across one epoch in ``mode``."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -187,21 +182,16 @@ def shard_reuse(chunk: int) -> dict:
 def run(
     rows: int, chunk: int, repeats: int, memory_rows: int, memory_chunk: int
 ) -> dict:
-    results = []
-    with tempfile.TemporaryDirectory(prefix="bench_streaming_") as tmp:
-        cache_dir = Path(tmp)
-        # One cold pass primes the cache; warm passes then mmap every shard.
-        timings = {"cache_cold": run_epoch("cache_cold", rows, chunk, cache_dir)}
-        # Best-of-``repeats``, with the modes interleaved round-robin so a
-        # slow phase of the host (frequency scaling, a noisy neighbor on a
-        # shared runner) skews every mode equally instead of one of them.
-        interleaved = ("eager", "streaming", "cache_warm")
-        for _ in range(repeats):
-            for mode in interleaved:
-                seconds = run_epoch(mode, rows, chunk, cache_dir)
-                timings[mode] = min(timings.get(mode, seconds), seconds)
+    results, timings = [], {}
+    # Best-of-``repeats``, with the modes interleaved round-robin so a
+    # slow phase of the host (frequency scaling, a noisy neighbor on a
+    # shared runner) skews both modes equally instead of one of them.
+    for _ in range(repeats):
+        for mode in MODES:
+            seconds = run_epoch(mode, rows, chunk)
+            timings[mode] = min(timings.get(mode, seconds), seconds)
     eager_seconds = timings["eager"]
-    for mode in ("eager", "streaming", "cache_cold", "cache_warm"):
+    for mode in MODES:
         seconds = timings[mode]
         results.append(
             {
@@ -253,9 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="short CI run; fail (exit 1) if streaming or warm-cache "
-        "streaming is slower than eager, peak memory grows with rows, or a "
-        "second epoch over a two-shard stream generates a shard",
+        help="short CI run; fail (exit 1) if streaming is slower than eager, "
+        "peak memory grows with rows, or a second epoch over a two-shard "
+        "stream generates a shard",
     )
     parser.add_argument(
         "--out",
@@ -300,9 +290,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.smoke:
         failures = []
         speedups = {row["mode"]: row["speedup"] for row in report["results"]}
-        for mode in ("streaming", "cache_warm"):
-            if speedups[mode] < 1.0:
-                failures.append(f"{mode} slower than eager ({speedups[mode]:.2f}x)")
+        if speedups["streaming"] < 1.0:
+            failures.append(f"streaming slower than eager ({speedups['streaming']:.2f}x)")
         if memory["peak_ratio"] > MEMORY_GATE:
             failures.append(
                 f"streaming peak grew {memory['peak_ratio']:.2f}x across a 10x "

@@ -25,9 +25,8 @@ Tracked metrics (label → speedup):
 - ``optim/{name}`` — flat vs loop optimizer step;
 - ``feature_space/d{d}`` — feature-space vs parameter-space balancing
   cost at shared-parameter count d (``bench_feature_space.py``);
-- ``streaming/streaming`` / ``streaming/warm_cache`` — streaming and
-  warm mmap-cache epochs vs the eager materialize-then-iterate baseline
-  (``bench_streaming.py``);
+- ``streaming/streaming`` — a streaming epoch vs the eager
+  materialize-then-iterate baseline (``bench_streaming.py``);
 - ``streaming/movielens_shard`` — the blocked MovieLens history sampler
   vs its full-product reference on one shard (``bench_streaming.py``);
 - ``serve/batched`` / ``serve/no_grad`` — micro-batched request serving
@@ -37,8 +36,9 @@ Tracked metrics (label → speedup):
 Speedup ratios are self-normalizing (both sides of each ratio run on the
 same machine in the same process), which is why the gate tracks speedups
 rather than raw wall-clock seconds.  They still move with the host (core
-count, caches, BLAS threading): ``streaming/warm_cache`` read 2.32× on a
-1-core host and 1.2–1.3× on a 2-vCPU one at the same code.  So every
+count, caches, BLAS threading): the since-deleted warm mmap shard cache
+read 2.32× on a 1-core host and 1.2–1.3× on a 2-vCPU one at the same
+code.  So every
 history entry records, per metric, the host fingerprint of the report it
 came from, and a metric is gated only when its baseline was measured on
 the same host (equal ``cpu_model``, ``nproc``, ``blas`` and
@@ -104,13 +104,11 @@ def extract_metrics(report: dict) -> dict[str, float]:
                 row["balance_speedup"]
             )
     elif kind == "streaming":
-        # eager and cold-cache rows are diagnostics, not gates: only the
-        # two modes users run for speed are trend-tracked.
-        tracked = {"streaming": "streaming/streaming", "cache_warm": "streaming/warm_cache"}
+        # The eager row is the baseline (speedup 1.0 by construction), and
+        # an older report's cache rows measured code that is gone.
         for row in report.get("results", []):
-            label = tracked.get(row["mode"])
-            if label is not None:
-                metrics[label] = float(row["speedup"])
+            if row["mode"] == "streaming":
+                metrics["streaming/streaming"] = float(row["speedup"])
         if "movielens_shard" in report:
             metrics["streaming/movielens_shard"] = float(
                 report["movielens_shard"]["speedup"]

@@ -150,7 +150,6 @@ def _run_train(args) -> str:
         benchmark = make_synthetic_stream(
             num_samples=max(64 * args.steps, 512),
             chunk_size=args.chunk_size,
-            cache=args.cache_dir,
             **workload,
         )
     else:
@@ -194,16 +193,8 @@ def _run_train(args) -> str:
         f"peak RSS: {peak_rss_mb:.1f} MiB",
     ]
     if args.streaming:
-        telemetry = trainer.telemetry
-        cache_hits = telemetry.counter("stream_cache_hits_total").value
-        cache_misses = telemetry.counter("stream_cache_misses_total").value
-        reused = telemetry.counter("stream_shard_reuse_total").value
-        lines.append(
-            f"streaming: chunk={args.chunk_size}, "
-            f"cache hits={int(cache_hits)} misses={int(cache_misses)}, "
-            f"shards reused={int(reused)}"
-            + (f" (dir {args.cache_dir})" if args.cache_dir else "")
-        )
+        reused = trainer.telemetry.counter("stream_shard_reuse_total").value
+        lines.append(f"streaming: chunk={args.chunk_size}, shards reused={int(reused)}")
     if trainer.profiler is not None:
         lines += ["", trainer.profiler.format_self_times(), "", obs.format_ops(ops.to_dict())]
         if args.profile:
@@ -299,13 +290,6 @@ def main(argv: list[str] | None = None) -> int:
         default=1024,
         metavar="N",
         help="train: rows per generated shard in --streaming mode",
-    )
-    train.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        default=None,
-        help="train: mmap shard-cache directory for --streaming mode "
-        "(write-once per shard; repeated runs reuse cached shards)",
     )
     train.add_argument("--steps", type=int, default=200, help="train: optimization steps")
     train.add_argument("--tasks", type=int, default=4, help="train/serve: task count K")

@@ -21,7 +21,6 @@ from .movielens import GENRES, make_movielens
 from .nyuv2 import make_nyuv2
 from .officehome import DOMAINS, make_officehome
 from .qm9 import PROPERTIES, generate_molecule, make_qm9, molecule_properties
-from .shardcache import ShardCache
 from .streaming import (
     ChunkedSource,
     DataLoader,
@@ -71,7 +70,6 @@ __all__ = [
     "make_officehome",
     "make_synthetic_mtl",
     "uniform_conflict_gram",
-    "ShardCache",
     "ChunkedSource",
     "EagerSource",
     "StreamingDataset",

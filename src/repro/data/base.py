@@ -46,10 +46,9 @@ def shard_rng(seed: int, shard_index: int) -> np.random.Generator:
     """Deterministic per-shard generator: ``default_rng(seed + shard_index)``.
 
     Each shard's stream is a pure function of ``(seed, shard_index)``, so
-    any consumer — the loader, the shard cache, a fresh process —
-    regenerates a shard identically without sharing RNG
-    state.  ``seed`` must be explicit: reproducible shards are the whole
-    point.
+    any consumer — the loader, global-index ``batch()``, a fresh process —
+    regenerates a shard identically without sharing RNG state.  ``seed``
+    must be explicit: reproducible shards are the whole point.
     """
     if seed is None:
         raise ValueError("shard_rng requires an explicit seed")

@@ -8,20 +8,20 @@ streaming counterpart, and the loader that walks both:
 - :class:`ChunkedSource` — a generator that produces fixed-size *chunks*
   (shards) on demand.  Shard ``i`` is a pure function of
   ``(seed, shard_index)`` via :func:`~repro.data.base.shard_rng`, so any
-  consumer — the loader, global-index ``batch()``, a warm cache —
+  consumer — the loader, global-index ``batch()``, a fresh process —
   reconstructs identical bytes independently.
 - :class:`StreamingDataset` — the dataset view over a source: every
   shard fetch (the loader's and global-index ``batch()``) goes through a
   tiny shard LRU, so a stream of at most two shards is generated once
-  and reused by every later epoch; an optional
-  :class:`~repro.data.shardcache.ShardCache` (write-once ``np.memmap``
-  files), and :meth:`~StreamingDataset.materialize`, the concatenation
-  of all shards as a plain :class:`~repro.data.base.ArrayDataset`.
+  and reused by every later epoch; and
+  :meth:`~StreamingDataset.materialize`, the concatenation of all shards
+  as a plain :class:`~repro.data.base.ArrayDataset`.
 - :class:`DataLoader` — the only loader, over a :class:`StreamingDataset`
   or an :class:`~repro.data.base.ArrayDataset` (a one-shard stream that
-  hands out its own arrays, with no copy).  It fetches every shard
-  through ``dataset.shard`` on the caller's thread, and its epochs and
-  evaluation both draw their batch order in :meth:`DataLoader.__iter__`.
+  hands out its own arrays, with no copy).  It fetches each shard
+  through ``dataset.shard`` on the caller's thread when the shard's first
+  batch is due, and its epochs and evaluation both draw their batch order
+  in :meth:`DataLoader.__iter__`.
 
 Ordering contract: one shard-order permutation, then each shard's rows
 batched by :func:`~repro.data.base.batch_index_iter`.  Batches never cross
@@ -125,10 +125,6 @@ class ChunkedSource:
     random value from ``shard_rng(self.seed, index)``.  World-level state
     (latent tables, task directions) is computed in ``__init__`` from the
     seed alone.
-
-    ``cache_key()`` returns a string identifying the generated
-    *distribution* (generator name + every parameter that changes the
-    bytes) for the mmap shard cache, or ``None`` to opt out of caching.
     """
 
     total_rows: int
@@ -153,10 +149,6 @@ class ChunkedSource:
         """Return ``(inputs, targets)`` for shard ``index`` (pure)."""
         raise NotImplementedError
 
-    def cache_key(self) -> str | None:
-        """Distribution identity for the mmap cache; ``None`` = don't cache."""
-        return None
-
     def shard_generator(self, index: int) -> np.random.Generator:
         """The per-shard RNG: ``shard_rng(self.seed, index)``."""
         return shard_rng(self.seed, index)
@@ -168,8 +160,7 @@ class EagerSource(ChunkedSource):
     The eager fallback for generators without a chunked core (the
     image-like datasets) and the oracle adapter for equivalence tests:
     any materialized dataset streams through the same loader machinery by
-    slicing rows.  Never cached — the data already lives in
-    memory.
+    slicing rows.
     """
 
     def __init__(self, dataset: ArrayDataset, chunk_size: int, seed: int = 0) -> None:
@@ -196,7 +187,7 @@ def as_stream(
 # Dataset
 # ----------------------------------------------------------------------
 class StreamingDataset:
-    """Dataset view over a :class:`ChunkedSource` with caching and LRU.
+    """Dataset view over a :class:`ChunkedSource` with a shard LRU.
 
     Shares the :class:`ArrayDataset` surface the loader and the analysis
     helpers touch: ``__len__``, ``chunk_size``, ``shard``, ``load_shard``,
@@ -206,25 +197,13 @@ class StreamingDataset:
     ----------
     source:
         The chunk generator.
-    cache:
-        Optional :class:`~repro.data.shardcache.ShardCache`; generated
-        shards are written once per ``(cache_key, seed, shard)`` and
-        memory-mapped on every later load, so repeated epochs and
-        repeated benchmark runs pay generation cost once.  Ignored when
-        the source opts out (``cache_key() is None``).
     telemetry:
-        Default :class:`repro.obs.Telemetry` for cache/generation
+        Default :class:`repro.obs.Telemetry` for shard reuse/generation
         instrumentation; the trainer's loader overrides it per-fit.
     """
 
-    def __init__(
-        self,
-        source: ChunkedSource,
-        cache=None,
-        telemetry=None,
-    ) -> None:
+    def __init__(self, source: ChunkedSource, telemetry=None) -> None:
         self.source = source
-        self.cache = cache
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._lru: OrderedDict[int, tuple] = OrderedDict()
         self._lru_lock = threading.Lock()
@@ -249,27 +228,14 @@ class StreamingDataset:
 
     # -- shard access ----------------------------------------------------
     def load_shard(self, index: int, telemetry=None):
-        """Load shard ``index``: cache hit → mmap, miss → generate + store.
+        """Generate shard ``index`` and check its row count.
 
-        Returns the raw ``(inputs, targets)`` pair.  Cache traffic is
-        counted as ``stream_cache_{hits,misses}_total``; generation runs
-        under a ``shard_generate`` span so the Chrome trace shows where
-        shards come from.
+        Returns the raw ``(inputs, targets)`` pair.  Generation runs under
+        a ``shard_generate`` span so the Chrome trace shows where shards
+        come from.
         """
         telemetry = telemetry if telemetry is not None else self.telemetry
         expected = self.shard_length(index)
-        key = self.source.cache_key() if self.cache is not None else None
-        if key is not None:
-            cached = self.cache.load(key, self.source.seed, index)
-            if cached is not None and _tree_rows(cached[0]) == expected:
-                telemetry.counter("stream_cache_hits_total").inc()
-                return cached
-            if cached is not None:
-                # Structurally valid file, wrong row count: a mis-keyed or
-                # under-specified cache entry.  Never trust it — drop and
-                # regenerate through the validated path below.
-                self.cache.discard(key, self.source.seed, index)
-            telemetry.counter("stream_cache_misses_total").inc()
         with telemetry.span("shard_generate", shard=index):
             inputs, targets = self.source.generate_chunk(index)
         rows = _tree_rows(inputs)
@@ -278,8 +244,6 @@ class StreamingDataset:
                 f"source {type(self.source).__name__} generated {rows} rows for "
                 f"shard {index}, expected {expected}"
             )
-        if key is not None:
-            self.cache.store(key, self.source.seed, index, inputs, targets)
         return inputs, targets
 
     def shard(self, index: int, telemetry=None):
@@ -290,7 +254,7 @@ class StreamingDataset:
         regenerated.  On a stream of at most {cap} shards every epoch
         after the first generates nothing.  A hit counts
         ``stream_shard_reuse_total`` on ``telemetry``; a miss calls
-        :meth:`load_shard`, which counts the mmap cache traffic.
+        :meth:`load_shard`.
 
         ``shard`` and :meth:`batch` are public, so user threads may call
         them concurrently with a loader: one lock guards lookup, insert
@@ -383,9 +347,11 @@ class DataLoader:
     that shard's :func:`~repro.data.base.batch_index_iter` permutation —
     O(chunk_size) live index memory, and an epoch cut short draws nothing
     for the shards it never reached.  Batches never cross shard
-    boundaries.  Shards are fetched on the caller's thread through
-    ``dataset.shard``, so a :class:`StreamingDataset`'s LRU lets an epoch
-    reuse the shards the previous one left there.  At most 3 shards are
+    boundaries.  A shard is fetched on the caller's thread through
+    ``dataset.shard`` when its first batch is due, so a shard that
+    ``drop_last`` leaves with no batch is never generated, and a
+    :class:`StreamingDataset`'s LRU lets an epoch reuse the shards the
+    previous one left there.  At most 3 shards are
     alive at once: the consumer's shard, the one being generated, and the
     LRU's copy of the shard before the consumer's.
     """
@@ -427,9 +393,14 @@ class DataLoader:
             rng.shuffle(order)
         for index in order:
             start, stop = shard_row_range(len(dataset), dataset.chunk_size, int(index))
-            inputs, targets = dataset.shard(int(index), telemetry=self.telemetry)
+            shard = None
+            # The permutation is drawn even when drop_last leaves the shard
+            # no batch, so the RNG stream does not depend on shard sizes.
             for positions in batch_index_iter(
                 stop - start, self.batch_size, rng=rng, shuffle=self.shuffle,
                 drop_last=self.drop_last,
             ):
+                if shard is None:
+                    shard = dataset.shard(int(index), telemetry=self.telemetry)
+                inputs, targets = shard
                 yield _tree_index(inputs, positions), _tree_index(targets, positions)

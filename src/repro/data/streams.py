@@ -5,7 +5,7 @@ Each ``make_*_stream`` builder mirrors its eager sibling but returns a
 :class:`~repro.data.streaming.StreamingDataset`: rows are generated in
 fixed-size shards on demand, each shard a pure function of
 ``shard_rng(stream_seed, shard_index)``, so any consumer (the loader,
-the mmap cache writer, a fresh process) regenerates identical
+global-index ``batch()``, a fresh process) regenerates identical
 bytes independently — at 10–100× the eager row counts with a flat memory
 ceiling.
 
@@ -32,9 +32,7 @@ order over the same distributions:
 
 from __future__ import annotations
 
-import hashlib
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -61,7 +59,6 @@ from .movielens import (
     _build_model as _ml_build_model,
     _task_specs as _ml_task_specs,
 )
-from .shardcache import ShardCache
 from .streaming import ChunkedSource, StreamingDataset
 from .synthetic import (
     _build_model as _syn_build_model,
@@ -94,12 +91,6 @@ def _stream_seed(*components: int) -> int:
     every world generator pairwise independent.
     """
     return int(np.random.default_rng(list(components)).integers(1 << 48))
-
-
-def _coerce_cache(cache) -> ShardCache | None:
-    if cache is None or isinstance(cache, ShardCache):
-        return cache
-    return ShardCache(Path(cache))
 
 
 def _split_seed(base: int, split: str, *extra: int) -> int:
@@ -174,13 +165,6 @@ class AliExpressStream(ChunkedSource):
         ).astype(np.float64)
         return records, {"CTR": clicks, "CTCVR": conversions * clicks}
 
-    def cache_key(self) -> str:
-        return (
-            f"aliexpress/{self.country}/rel{self.relatedness}"
-            f"/rows{self.total_rows}/chunk{self.chunk_size}"
-            f"/cal{_CALIBRATION_ROWS}/{self.split}"
-        )
-
 
 def make_aliexpress_stream(
     country: str = "ES",
@@ -192,7 +176,6 @@ def make_aliexpress_stream(
     seed: int = 0,
     val_records: int | None = None,
     test_records: int | None = None,
-    cache=None,
     telemetry=None,
 ) -> Benchmark:
     """Streaming counterpart of :func:`~repro.data.aliexpress.make_aliexpress`.
@@ -200,10 +183,8 @@ def make_aliexpress_stream(
     The train split streams; val/test are separate salted streams
     materialized eagerly (their size defaults to ``num_records // 10``
     and does *not* grow with the training row count, so evaluation
-    memory stays fixed).  ``cache`` may be a
-    :class:`~repro.data.shardcache.ShardCache` or a directory path.
+    memory stays fixed).
     """
-    cache = _coerce_cache(cache)
     val_records = max(num_records // 10, 1) if val_records is None else val_records
     test_records = max(num_records // 10, 1) if test_records is None else test_records
 
@@ -212,11 +193,7 @@ def make_aliexpress_stream(
             country, rows, chunk_size, relatedness, seed=seed, split=split
         )
 
-    train = StreamingDataset(
-        source("train", num_records),
-        cache=cache,
-        telemetry=telemetry,
-    )
+    train = StreamingDataset(source("train", num_records), telemetry=telemetry)
     val = StreamingDataset(source("val", val_records)).materialize()
     test = StreamingDataset(source("test", test_records)).materialize()
 
@@ -277,17 +254,6 @@ class MovieLensGenreStream(ChunkedSource):
         ).astype(np.int64)
         return inputs, ratings
 
-    def cache_key(self) -> str:
-        world = self.world
-        shared = len(set(map(len, world.pools.values()))) == 1 and len(
-            world.pools[self.genre]
-        ) == world.num_movies
-        return (
-            f"movielens/{self.genre}/u{world.num_users}/m{world.num_movies}"
-            f"/g{len(world.genres)}/rel{world.relatedness}/shared{int(shared)}"
-            f"/rows{self.total_rows}/chunk{self.chunk_size}/{self.split}"
-        )
-
 
 def make_movielens_stream(
     genres: tuple[str, ...] = GENRES,
@@ -302,7 +268,6 @@ def make_movielens_stream(
     seed: int = 0,
     val_records: int | None = None,
     test_records: int | None = None,
-    cache=None,
     telemetry=None,
 ) -> Benchmark:
     """Streaming counterpart of :func:`~repro.data.movielens.make_movielens`.
@@ -315,7 +280,6 @@ def make_movielens_stream(
     unknown = set(genres) - set(GENRES)
     if unknown:
         raise ValueError(f"unknown genres: {sorted(unknown)}")
-    cache = _coerce_cache(cache)
     val_records = max(records_per_genre // 10, 1) if val_records is None else val_records
     test_records = (
         max(records_per_genre // 10, 1) if test_records is None else test_records
@@ -339,9 +303,7 @@ def make_movielens_stream(
     train, val, test = {}, {}, {}
     for g, genre in enumerate(genres):
         train[genre] = StreamingDataset(
-            source(genre, g, "train", records_per_genre),
-            cache=cache,
-            telemetry=telemetry,
+            source(genre, g, "train", records_per_genre), telemetry=telemetry
         )
         val[genre] = StreamingDataset(source(genre, g, "val", val_records)).materialize()
         test[genre] = StreamingDataset(
@@ -423,15 +385,6 @@ class SyntheticStream(ChunkedSource):
                 )
         return inputs, targets
 
-    def cache_key(self) -> str:
-        gram = np.round(self.task_gram, 9).tobytes()
-        gram_id = hashlib.sha1(gram).hexdigest()[:12]
-        return (
-            f"synthetic/{self.task_type}/K{self.num_tasks}/f{self.in_features}"
-            f"/gram{gram_id}/noise{self.noise}"
-            f"/rows{self.total_rows}/chunk{self.chunk_size}/{self.split}"
-        )
-
 
 def make_synthetic_stream(
     num_tasks: int = 3,
@@ -446,11 +399,9 @@ def make_synthetic_stream(
     seed: int = 0,
     val_records: int | None = None,
     test_records: int | None = None,
-    cache=None,
     telemetry=None,
 ) -> Benchmark:
     """Streaming counterpart of :func:`~repro.data.synthetic.make_synthetic_mtl`."""
-    cache = _coerce_cache(cache)
     val_records = max(num_samples // 10, 1) if val_records is None else val_records
     test_records = max(num_samples // 10, 1) if test_records is None else test_records
 
@@ -469,7 +420,7 @@ def make_synthetic_stream(
         )
 
     train_source = source("train", num_samples)
-    train = StreamingDataset(train_source, cache=cache, telemetry=telemetry)
+    train = StreamingDataset(train_source, telemetry=telemetry)
     val = StreamingDataset(source("val", val_records)).materialize()
     test = StreamingDataset(source("test", test_records)).materialize()
 

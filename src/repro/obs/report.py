@@ -275,20 +275,9 @@ def format_report(summary: Mapping) -> str:
             )
         )
 
-    stream_counters = {
-        "cache hits": "stream_cache_hits_total",
-        "cache misses": "stream_cache_misses_total",
-        "shards reused": "stream_shard_reuse_total",
-    }
-    stream_totals = {
-        label: sum(summary["counters"].get(name, {}).values())
-        for label, name in stream_counters.items()
-    }
-    if any(stream_totals.values()):
-        lines = ["Streaming data pipeline"]
-        for label, total in stream_totals.items():
-            lines.append(f"  {label}: {int(total)}")
-        sections.append("\n".join(lines))
+    reused = sum(summary["counters"].get("stream_shard_reuse_total", {}).values())
+    if reused:
+        sections.append(f"Streaming data pipeline\n  shards reused: {int(reused)}")
 
     peak_rss = [
         value for (name, _labels), value in summary["gauges"].items()

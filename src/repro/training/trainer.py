@@ -481,8 +481,8 @@ class MTLTrainer:
         a ``{task: dataset}`` mapping of either (multi-input); every
         dataset is walked by the one
         :class:`~repro.data.streaming.DataLoader`.  Streaming datasets
-        iterate in bounded memory — shards are generated (or mmap-loaded)
-        on demand, on this thread; an in-memory dataset is one shard,
+        iterate in bounded memory — shards are generated on demand, on
+        this thread; an in-memory dataset is one shard,
         indexed in place.  ``drop_last`` discards each shard's
         trailing partial batch.  Feature-space MoCoGrad needs it: a
         ``grad_space="features"`` row is batch × features wide, so a

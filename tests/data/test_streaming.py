@@ -14,7 +14,6 @@ from repro.data import (
     ArrayDataset,
     ChunkedSource,
     DataLoader,
-    ShardCache,
     StreamingDataset,
     as_stream,
     batch_count,
@@ -171,55 +170,6 @@ class CountingSource(ChunkedSource):
         return inputs, {"a": rng.normal(size=rows)}
 
 
-class UnderKeyedSource(ChunkedSource):
-    """Source whose cache_key deliberately omits ``total_rows``.
-
-    Models a user source with an under-specified key: two configurations
-    that generate different shard layouts collide on the same cache
-    entry, which ``load_shard`` must detect instead of silently serving
-    the wrong rows.
-    """
-
-    def __init__(self, total_rows: int, chunk_size: int, seed: int = 0) -> None:
-        self.total_rows = total_rows
-        self.chunk_size = chunk_size
-        self.seed = seed
-
-    def generate_chunk(self, index: int):
-        rng = self.shard_generator(index)
-        rows = self.shard_length(index)
-        return rng.normal(size=(rows, 2)), rng.normal(size=rows)
-
-    def cache_key(self) -> str:
-        return "underkeyed"
-
-
-class TestCachedShardValidation:
-    def test_mis_keyed_cache_hit_is_discarded_and_regenerated(self, tmp_path):
-        cache = ShardCache(tmp_path)
-        StreamingDataset(UnderKeyedSource(8, 8), cache=cache).load_shard(0)
-
-        telemetry = Telemetry()
-        narrower = StreamingDataset(UnderKeyedSource(6, 8), cache=cache)
-        inputs, targets = narrower.load_shard(0, telemetry=telemetry)
-        assert len(inputs) == 6 and len(targets) == 6
-        assert telemetry.counter("stream_cache_hits_total").value == 0
-        assert telemetry.counter("stream_cache_misses_total").value == 1
-        # The stale entry was replaced: the next load is a valid hit.
-        inputs, _ = narrower.load_shard(0, telemetry=telemetry)
-        assert len(inputs) == 6
-        assert telemetry.counter("stream_cache_hits_total").value == 1
-
-    def test_matching_cache_hit_still_served(self, tmp_path):
-        cache = ShardCache(tmp_path)
-        telemetry = Telemetry()
-        stream = StreamingDataset(UnderKeyedSource(8, 8), cache=cache)
-        first, _ = stream.load_shard(0, telemetry=telemetry)
-        hit, _ = stream.load_shard(0, telemetry=telemetry)
-        np.testing.assert_array_equal(first, hit)
-        assert telemetry.counter("stream_cache_hits_total").value == 1
-
-
 class TestStreamingLoader:
     def test_covers_every_row_exactly_once(self):
         dataset = make_dataset(37)
@@ -267,6 +217,14 @@ class TestStreamingLoader:
         sizes = [len(x) for x, _ in loader]
         assert sizes == [8, 8]  # trailing 6-row shard yields no full batch
         assert len(loader) == 2
+
+    def test_drop_last_never_generates_a_shard_with_no_batch(self):
+        # 10 rows in 4-row shards at batch 4: shard 2 holds 2 rows, so
+        # drop_last leaves it no batch and it is never fetched.
+        source = CountingSource(10, 4)
+        batches = list(DataLoader(StreamingDataset(source), 4, seed=0, drop_last=True))
+        assert len(batches) == 2
+        assert sorted(source.generated) == [0, 1]
 
     def test_rejects_bad_arguments(self):
         stream = as_stream(make_dataset(10), 4)

@@ -17,7 +17,6 @@ import pytest
 from repro.core.balancer import create_balancer
 from repro.data import (
     DataLoader,
-    ShardCache,
     as_stream,
     make_aliexpress_stream,
     make_movielens_stream,
@@ -97,34 +96,6 @@ class TestBatchEquivalence:
             ):
                 np.testing.assert_array_equal(x_s, x_o)
                 np.testing.assert_array_equal(t_s, t_o)
-
-
-class TestCacheKeying:
-    def test_movielens_cache_is_not_shared_across_relatedness(self, tmp_path):
-        """Regression: relatedness shapes the world's genre rotations (and
-        thus every rating), so two runs differing only in relatedness must
-        not serve each other's cached shards."""
-
-        def first_shard_targets(relatedness, cache):
-            benchmark = make_movielens_stream(
-                genres=GENRES,
-                records_per_genre=64,
-                chunk_size=64,
-                relatedness=relatedness,
-                val_records=8,
-                test_records=8,
-                seed=3,
-                cache=cache,
-            )
-            _, targets = benchmark.train[GENRES[0]].load_shard(0)
-            return np.array(targets)
-
-        cache = ShardCache(tmp_path)
-        low = first_shard_targets(0.3, cache)  # populates the shared cache
-        high_cached = first_shard_targets(0.9, cache)
-        high_fresh = first_shard_targets(0.9, None)
-        np.testing.assert_array_equal(high_cached, high_fresh)
-        assert not np.array_equal(high_cached, low)
 
 
 class TestTrainingEquivalence:

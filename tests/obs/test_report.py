@@ -122,30 +122,20 @@ class TestFormatReport:
         assert "No spans recorded" in report
 
     def test_renders_streaming_pipeline_section(self):
-        def counter(name, value):
-            return {
-                "type": "metric",
-                "kind": "counter",
-                "name": name,
-                "labels": {},
-                "value": value,
-                "tid": 1,
-            }
-
+        # Reuse counted under several label sets is reported as one total.
         events = [
-            counter("stream_cache_hits_total", 5),
-            counter("stream_cache_misses_total", 3),
-            counter("stream_shard_reuse_total", 4),
+            {
+                "type": "metric", "kind": "counter", "name": "stream_shard_reuse_total",
+                "labels": {"task": task}, "value": value, "tid": 1,
+            }
+            for task, value in (("a", 3), ("b", 1))
         ]
         report = format_report(summarize_events(events))
         assert "Streaming data pipeline" in report
-        assert "cache hits: 5" in report
-        assert "cache misses: 3" in report
         assert "shards reused: 4" in report
 
     def test_streaming_section_shows_reuse_alone(self):
-        # A two-shard stream's later epochs never touch the mmap cache:
-        # only reuse is counted.
+        # A two-shard stream's later epochs only reuse shards.
         event = {
             "type": "metric", "kind": "counter", "name": "stream_shard_reuse_total",
             "labels": {}, "value": 2, "tid": 1,
@@ -153,7 +143,6 @@ class TestFormatReport:
         report = format_report(summarize_events([event]))
         assert "Streaming data pipeline" in report
         assert "shards reused: 2" in report
-        assert "cache hits: 0" in report
 
     def test_streaming_section_absent_without_traffic(self):
         report = format_report(
